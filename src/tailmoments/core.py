@@ -136,6 +136,18 @@ class IndexSet:
         return len(self.members)
 
 
+def _data_array(values, name: str) -> np.ndarray:
+    """``values`` as a non-empty 2-d float array with finite, non-negative entries."""
+    arr = _as_float_array(values, name, 2)
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError("data matrix must have at least one row and one column")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("data matrix entries must be finite")
+    if np.any(arr < 0):
+        raise ValueError("data matrix entries must be non-negative")
+    return arr
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """Raw n x d non-negative observation matrix; rows are i.i.d. samples."""
@@ -143,14 +155,7 @@ class DataMatrix:
     values: np.ndarray
 
     def __init__(self, values):
-        arr = _as_float_array(values, "values", 2)
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("data matrix must have at least one row and one column")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("data matrix entries must be finite")
-        if np.any(arr < 0):
-            raise ValueError("data matrix entries must be non-negative")
-        object.__setattr__(self, "values", _freeze(arr))
+        object.__setattr__(self, "values", _freeze(_data_array(values, "values")))
 
     @property
     def n(self) -> int:
@@ -170,9 +175,7 @@ class StandardizedMatrix:
     scales: np.ndarray
 
     def __init__(self, values, alpha: float, scales):
-        arr = _as_float_array(values, "values", 2)
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("standardized entries must be finite and non-negative")
+        arr = _data_array(values, "values")
         alpha = float(alpha)
         if alpha <= 0:
             raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
@@ -451,11 +454,32 @@ def check_moment_power(p) -> int:
     return p
 
 
+class TailSample:
+    """Base of the immutable tail samples of :mod:`tailmoments.samples`.
+
+    ``values`` holds the checked (n, d) data a sample was built from.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.values.shape[1]
+
+
 def matrix_values(data) -> np.ndarray:
-    """Extract the (n, d) float array from a DataMatrix, StandardizedMatrix, or array-like."""
-    if isinstance(data, (DataMatrix, StandardizedMatrix)):
+    """The (n, d) float array of a DataMatrix, StandardizedMatrix, tail sample, or array-like.
+
+    Array-likes get the checks of :class:`DataMatrix`; the other types were checked when built.
+    """
+    if isinstance(data, (DataMatrix, StandardizedMatrix, TailSample)):
         return data.values
-    return _as_float_array(data, "data", 2)
+    return _data_array(data, "data")
 
 
 # ---------------------------------------------------------------------------

@@ -17,44 +17,20 @@ largest value (rank-based, self-normalizing).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .core import (
+    EpsOutOfRange,
     EstimateReport,
     IndexSet,
-    NoExceedances,
     Perturbation,
     WeightVector,
     check_moment_power as _check_power,
     matrix_values,
-    partial_max,
 )
-from .margins import hill_inverse_alpha, scaled_by_order_statistics
-
-
-def _check_threshold(u) -> float:
-    u = float(u)
-    if not np.isfinite(u) or u < 0:
-        raise ValueError(f"threshold u must be finite and non-negative, got {u}")
-    return u
-
-
-def _angular_parts(x: np.ndarray, perturbation: Perturbation, u: float):
-    """Exceedance mask and angular parts of the perturbed, exceeding rows.
-
-    Returns ``(mask, angular)`` where ``mask`` flags rows whose perturbed
-    partial max is above ``u`` (rows that are identically zero on the index
-    set never qualify), and ``angular`` holds, for those rows only, the
-    rescaled power ``(s o x)^(1/beta)`` divided by its own partial max.
-    """
-    index_set = perturbation.index_set
-    scaled = x * perturbation.s  # zero outside the index set
-    norms = partial_max(scaled, index_set)
-    mask = (norms > u) & (norms > 0.0)
-    powered = np.power(scaled[mask], 1.0 / perturbation.beta)
-    peaks = partial_max(powered, index_set)
-    angular = powered / peaks[:, None]
-    return mask, angular
+from .samples import known_sample, rank_sample
 
 
 def moment_mean(data, u: float, v: WeightVector, p: int = 1,
@@ -63,7 +39,7 @@ def moment_mean(data, u: float, v: WeightVector, p: int = 1,
 
     Parameters
     ----------
-    data : StandardizedMatrix, DataMatrix or (n, d) array-like
+    data : StandardizedMatrix, DataMatrix, KnownSample or (n, d) array-like
         Non-negative observations with comparable margins.
     u : float
         Threshold applied to the partial max of the perturbed row.
@@ -81,58 +57,24 @@ def moment_mean(data, u: float, v: WeightVector, p: int = 1,
     Rows whose perturbed partial max is zero contribute nothing, and an empty
     exceedance set gives 0 rather than an error.
     """
-    x = matrix_values(data)
     p = _check_power(p)
-    u = _check_threshold(u)
-    if perturbation is None:
-        perturbation = Perturbation.indicator(v.support, x.shape[1])
-    perturbation.index_set.check_within(x.shape[1])
-    mask, angular = _angular_parts(x, perturbation, u)
-    if not np.any(mask):
+    index_set = v.support if perturbation is None else perturbation.index_set
+    sample = known_sample(data, u, index_set, perturbation)
+    if sample.count == 0:
         return 0.0
     if p == 0:
-        return float(np.count_nonzero(mask)) / x.shape[0]
-    contributions = (angular @ v.weights) ** p
-    return float(np.sum(contributions)) / x.shape[0]
+        return float(sample.count) / sample.n
+    contributions = (sample.angular @ v.weights) ** p
+    return float(np.sum(contributions)) / sample.n
 
 
 def exceedance_fraction(data, u: float, index_set: IndexSet,
                         perturbation: Perturbation | None = None) -> float:
     """Fraction of rows whose perturbed partial max over the index set exceeds u."""
-    x = matrix_values(data)
-    u = _check_threshold(u)
-    if perturbation is None:
-        perturbation = Perturbation.indicator(index_set, x.shape[1])
-    perturbation.index_set.check_within(x.shape[1])
-    scaled = x * perturbation.s
-    norms = partial_max(scaled, perturbation.index_set)
-    return float(np.count_nonzero((norms > u) & (norms > 0.0))) / x.shape[0]
-
-
-def _ratio_report(x: np.ndarray, u: float, v: WeightVector, p: int,
-                  perturbation: Perturbation, method: str,
-                  parameters: dict) -> EstimateReport:
-    """Shared exceedance-conditional moment with the spectral plug-in standard error."""
-    mask, angular = _angular_parts(x, perturbation, u)
-    count = int(np.count_nonzero(mask))
-    if count == 0:
-        raise NoExceedances(f"no partial maximum exceeds the threshold u={u}")
-    projected = angular @ v.weights
-    powered = projected ** p if p != 1 else projected
-    estimate = float(np.mean(powered)) if p > 0 else 1.0
-    # 1/tau plug-in from the first moment at the same weights; variance of the
-    # p-th power over the exceedances
-    inv_tau = float(np.mean(projected))
-    variance = float(np.mean(powered ** 2)) - estimate ** 2
-    std_error = float(np.sqrt(max(inv_tau * variance, 0.0) / count))
-    return EstimateReport(
-        estimate=estimate,
-        inverse_estimate=(1.0 / estimate) if estimate > 0 else None,
-        std_error=std_error,
-        exceedance_count=count,
-        method=method,
-        parameters=parameters,
-    )
+    if perturbation is not None:
+        index_set = perturbation.index_set
+    sample = known_sample(data, u, index_set, perturbation)
+    return float(sample.count) / sample.n
 
 
 def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
@@ -150,15 +92,27 @@ def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
     NoExceedances
         If no row exceeds the threshold.
     """
-    x = matrix_values(data)
     p = _check_power(p)
-    u = _check_threshold(u)
-    if perturbation is None:
-        perturbation = Perturbation.indicator(v.support, x.shape[1])
-    perturbation.index_set.check_within(x.shape[1])
-    parameters = {"u": u, "p": p, "weights": v.weights,
-                  "index_set": perturbation.index_set, "beta": perturbation.beta}
-    return _ratio_report(x, u, v, p, perturbation, "moment_known", parameters)
+    index_set = v.support if perturbation is None else perturbation.index_set
+    sample = known_sample(data, u, index_set, perturbation)
+    sample.require_exceedances()
+    projected = sample.angular @ v.weights
+    powered = projected ** p if p != 1 else projected
+    estimate = float(np.mean(powered)) if p > 0 else 1.0
+    # 1/tau plug-in from the first moment at the same weights; variance of the
+    # p-th power over the exceedances
+    inv_tau = float(np.mean(projected))
+    variance = float(np.mean(powered ** 2)) - estimate ** 2
+    std_error = float(np.sqrt(max(inv_tau * variance, 0.0) / sample.count))
+    return EstimateReport(
+        estimate=estimate,
+        inverse_estimate=(1.0 / estimate) if estimate > 0 else None,
+        std_error=std_error,
+        exceedance_count=sample.count,
+        method="moment_known",
+        parameters={"u": sample.u, "p": p, "weights": v.weights, "index_set": index_set,
+                    "beta": 1.0 if perturbation is None else perturbation.beta},
+    )
 
 
 def benchmark_ratio_known(data, u: float, v: WeightVector) -> EstimateReport:
@@ -170,14 +124,10 @@ def benchmark_ratio_known(data, u: float, v: WeightVector) -> EstimateReport:
     weights, and its standard error is the binomial plug-in
     ``sqrt(est * (1 - est) / count)``.
     """
-    x = matrix_values(data)
-    u = _check_threshold(u)
-    index_set = v.support
-    index_set.check_within(x.shape[1])
-    denominator = int(np.count_nonzero(partial_max(x, index_set) > u))
-    if denominator == 0:
-        raise NoExceedances(f"no partial maximum exceeds the threshold u={u}")
-    numerator = int(np.count_nonzero(x @ v.weights > u))
+    sample = known_sample(data, u, v.support)
+    sample.require_exceedances()
+    denominator = sample.count
+    numerator = int(np.count_nonzero(sample.values @ v.weights > sample.u))
     estimate = numerator / denominator
     return EstimateReport(
         estimate=estimate,
@@ -185,7 +135,7 @@ def benchmark_ratio_known(data, u: float, v: WeightVector) -> EstimateReport:
         std_error=float(np.sqrt(estimate * (1.0 - estimate) / denominator)),
         exceedance_count=denominator,
         method="benchmark",
-        parameters={"u": u, "weights": v.weights, "index_set": index_set},
+        parameters={"u": sample.u, "weights": v.weights, "index_set": v.support},
     )
 
 
@@ -193,14 +143,14 @@ def benchmark_ratio_known(data, u: float, v: WeightVector) -> EstimateReport:
 # rank-based (self-normalized) versions
 # ---------------------------------------------------------------------------
 
-def _resolve_inv_alpha(data, k: int, index_set: IndexSet,
-                       inv_alpha_hat: float | None) -> float:
-    if inv_alpha_hat is None:
-        return hill_inverse_alpha(data, k, index_set).estimate
-    inv_alpha_hat = float(inv_alpha_hat)
-    if inv_alpha_hat <= 0:
-        raise ValueError(f"inv_alpha_hat must be positive, got {inv_alpha_hat}")
-    return inv_alpha_hat
+def check_eps(eps, k: int, n: int) -> float:
+    """Validate a difference-quotient step, ``k / n`` when absent; it must lie in (0, 1)."""
+    if eps is None:
+        eps = k / n
+    eps = float(eps)
+    if not 0.0 < eps < 1.0:
+        raise EpsOutOfRange(f"difference-quotient step must lie in (0, 1), got {eps}")
+    return eps
 
 
 def rank_angular_parts(data, k: int, index_set: IndexSet,
@@ -220,13 +170,12 @@ def rank_angular_parts(data, k: int, index_set: IndexSet,
     inv_alpha : float
         The reciprocal tail index actually used.
     """
-    x = matrix_values(data)
-    inv_alpha = _resolve_inv_alpha(x, k, index_set, inv_alpha_hat)
-    ratios = scaled_by_order_statistics(x, k, index_set)
-    ell = partial_max(ratios, index_set)
-    mask = ell > 1.0
-    angular = np.power(ratios[mask] / ell[mask, None], 1.0 / inv_alpha)
-    return mask, angular, inv_alpha
+    sample = rank_sample(data, k, index_set, inv_alpha_hat)
+    if sample.inv_alpha is None:
+        sample.require_exceedances()
+    angular = np.zeros((sample.count, sample.d))
+    angular[:, index_set.zero_based()] = sample.angular
+    return sample.mask, angular, sample.inv_alpha
 
 
 def moment_ratio_ranks(data, k: int, v: WeightVector, p: int = 1,
@@ -240,23 +189,19 @@ def moment_ratio_ranks(data, k: int, v: WeightVector, p: int = 1,
     closed-form standard error is reported here; the optimally weighted
     version carries one.
     """
-    x = matrix_values(data)
     p = _check_power(p)
     index_set = v.support
-    index_set.check_within(x.shape[1])
-    mask, angular, inv_alpha = rank_angular_parts(x, k, index_set, inv_alpha_hat)
-    count = int(np.count_nonzero(mask))
-    if count == 0:
-        raise NoExceedances("no partial maximum exceeds its order-statistic threshold")
-    estimate = float(np.mean((angular @ v.weights) ** p)) if p > 0 else 1.0
+    sample = rank_sample(data, k, index_set, inv_alpha_hat)
+    sample.require_exceedances()
+    estimate = float(np.mean((sample.angular @ v.on_support()) ** p)) if p > 0 else 1.0
     return EstimateReport(
         estimate=estimate,
         inverse_estimate=(1.0 / estimate) if estimate > 0 else None,
         std_error=None,
-        exceedance_count=count,
+        exceedance_count=sample.count,
         method="moment_ranks",
         parameters={"k": int(k), "p": p, "weights": v.weights,
-                    "index_set": index_set, "inv_alpha_hat": inv_alpha},
+                    "index_set": index_set, "inv_alpha_hat": sample.inv_alpha},
     )
 
 
@@ -276,17 +221,13 @@ def stable_tail_estimate(data, k: int, index_set: IndexSet,
         standard error ``sqrt(sigma2 / (tau^4 * k))`` is assembled; when
         absent the standard error is omitted.
     """
-    x = matrix_values(data)
-    n = x.shape[0]
-    ratios = scaled_by_order_statistics(x, k, index_set)
-    ell = partial_max(ratios, index_set)
-    count = int(np.count_nonzero(ell > 1.0))
+    sample = rank_sample(data, k, index_set)
+    n = sample.n
+    count = sample.count
     estimate = (n / k) * (count / n)
     std_error = None
     if eps is not None and estimate > 0:
-        from .weights import stable_tail_variance  # deferred: weights imports this module
-
-        sigma2 = stable_tail_variance(x, k, index_set, eps)
+        sigma2 = stable_tail_variance(sample, k, index_set, eps)
         std_error = float(np.sqrt(max(sigma2, 0.0) / (estimate ** 4 * k)))
     return EstimateReport(
         estimate=estimate,
@@ -297,3 +238,35 @@ def stable_tail_estimate(data, k: int, index_set: IndexSet,
         parameters={"k": int(k), "index_set": index_set, "n": n,
                     **({"eps": float(eps)} if eps is not None else {})},
     )
+
+
+def stable_tail_variance(data, k: int, index_set: IndexSet, eps: float) -> float:
+    """Plug-in variance of the empirical extremal coefficient at the indicator.
+
+    Combines difference-quotient estimates of the gradient of the perturbed
+    exceedance functional with pairwise minimum moments obtained from
+    two-component exceedance counts at the same level k.
+    """
+    x = matrix_values(data)
+    m = index_set.size
+    eps = check_eps(eps, k, x.shape[0])
+    sample = rank_sample(data, k, index_set)
+    sample.require_exceedances()
+    tau_hat = sample.count / k
+
+    # gradient of the mean partial max of the renormalized spectral vector,
+    # recovered from the diagonal scale quotients
+    partial_e = np.zeros(m)
+    for pos in range(m):
+        c_diag = float(sample.central_difference(eps, pos)[pos] / (2.0 * eps))
+        partial_e[pos] = 1.0 - tau_hat * c_diag
+
+    # pairwise minimum moments from pair exceedance counts at the same k
+    minimum = np.zeros((m, m))
+    for a in range(m):
+        minimum[a, a] = 1.0 / tau_hat
+    for a, b in itertools.combinations(range(m), 2):
+        pair_tau = sample.pair(a, b).count / k
+        minimum[a, b] = minimum[b, a] = 2.0 / tau_hat - pair_tau / tau_hat
+
+    return float(tau_hat ** 3 * (partial_e @ minimum @ partial_e) - tau_hat)

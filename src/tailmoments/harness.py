@@ -33,6 +33,7 @@ from .maxlinear import (
     simulate,
 )
 from .oracle import asymptotic_variances
+from .samples import KnownSample, RankSample
 from .weights import tau_moment_known, tau_moment_ranks
 
 ESTIMATOR_NAMES = ("BK", "MK", "BU", "MU")
@@ -168,26 +169,29 @@ def _single_rep(rep_seed: int, coeffs, n: int, k: int, u: float, eps: float,
     method had no exceedances to work with (recorded as excluded).
     """
     model = MaxLinearModel(coeffs)
-    x = simulate(model, n, rep_seed).values
+    data = simulate(model, n, rep_seed)
     index_set = IndexSet(range(1, model.d + 1))
+    # one tail sample per margin convention, shared by its two estimators
+    known = KnownSample(data, u, index_set) if {"BK", "MK"} & set(estimators) else None
+    ranks = RankSample(data, k, index_set) if {"BU", "MU"} & set(estimators) else None
     out = {}
     if "BK" in estimators:
         v = uniform_weights(index_set, model.d)
         try:
-            out["BK"] = benchmark_ratio_known(x, u, v).estimate
+            out["BK"] = benchmark_ratio_known(known, u, v).estimate
         except NoExceedances:
             out["BK"] = None
     if "MK" in estimators:
         try:
-            out["MK"] = tau_moment_known(x, u, index_set).estimate
+            out["MK"] = tau_moment_known(known, u, index_set).estimate
         except NoExceedances:
             out["MK"] = None
     if "BU" in estimators:
-        report = stable_tail_estimate(x, k, index_set)
+        report = stable_tail_estimate(ranks, k, index_set)
         out["BU"] = (1.0 / report.estimate) if report.estimate > 0 else None
     if "MU" in estimators:
         try:
-            out["MU"] = tau_moment_ranks(x, k, index_set, eps=eps).estimate
+            out["MU"] = tau_moment_ranks(ranks, k, index_set, eps=eps).estimate
         except NoExceedances:
             out["MU"] = None
     return out

@@ -11,18 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    DataMatrix,
     EstimateReport,
-    EstimationError,
     IndexSet,
-    KOutOfRange,
-    NoExceedances,
     NonPositiveAlpha,
     NonPositiveScale,
     StandardizedMatrix,
     matrix_values,
-    partial_max,
 )
+from .samples import rank_sample, upper_order_statistics  # noqa: F401 (re-exported)
 
 
 def standardize_known(data, alpha: float, scales) -> StandardizedMatrix:
@@ -53,48 +49,15 @@ def standardize_known(data, alpha: float, scales) -> StandardizedMatrix:
     return StandardizedMatrix(np.power(x, alpha) / sc, alpha, sc)
 
 
-def upper_order_statistics(x, k: int):
-    """The k-th largest value (position k of the descending sort, ties kept by multiplicity).
-
-    For a vector, returns a float.  For an (n, d) matrix, returns the
-    per-column k-th largest values as a d-vector.
-
-    Raises
-    ------
-    KOutOfRange
-        If k < 1 or k > n.
-    """
-    arr = np.asarray(x, dtype=float)
-    k = int(k)
-    if arr.ndim == 1:
-        n = arr.shape[0]
-        if k < 1 or k > n:
-            raise KOutOfRange(f"k={k} must satisfy 1 <= k <= {n}")
-        return float(np.sort(arr)[n - k])
-    if arr.ndim == 2:
-        n = arr.shape[0]
-        if k < 1 or k > n:
-            raise KOutOfRange(f"k={k} must satisfy 1 <= k <= {n}")
-        return np.sort(arr, axis=0)[n - k, :]
-    raise ValueError("x must be a vector or a matrix")
-
-
 def scaled_by_order_statistics(data, k: int, index_set: IndexSet) -> np.ndarray:
     """Each column of ``data`` (restricted to the index set) divided by its own k-th largest value.
 
     Returns the full-width matrix with the columns outside the index set set
     to zero, so downstream partial maxima over the index set are unaffected.
     """
-    x = matrix_values(data)
-    index_set.check_within(x.shape[1])
-    idx = index_set.zero_based()
-    anchors = upper_order_statistics(x[:, idx], k)
-    if np.any(anchors <= 0):
-        raise EstimationError(
-            "a k-th upper order statistic is zero; the ratio data are undefined"
-        )
-    out = np.zeros_like(x)
-    out[:, idx] = x[:, idx] / anchors
+    sample = rank_sample(data, k, index_set)
+    out = np.zeros_like(sample.values)
+    out[:, index_set.zero_based()] = sample.ratios
     return out
 
 
@@ -116,23 +79,14 @@ def hill_inverse_alpha(data, k: int, index_set: IndexSet) -> EstimateReport:
     NoExceedances
         If no maximum ratio is strictly above one (e.g. a constant column).
     """
-    x = matrix_values(data)
-    n = x.shape[0]
-    ratios = scaled_by_order_statistics(x, k, index_set)
-    ell = partial_max(ratios, index_set)  # (n,)
-    exceeds = ell > 1.0
-    count = int(np.count_nonzero(exceeds))
-    if count == 0:
-        raise NoExceedances("no partial maximum exceeds its order-statistic threshold")
-    mean_log = float(np.sum(np.log(ell[exceeds]))) / n
-    fraction = count / n
-    inv_alpha = mean_log / fraction
-    alpha_hat = 1.0 / inv_alpha
+    sample = rank_sample(data, k, index_set)
+    sample.require_exceedances()
+    alpha_hat = 1.0 / sample.hill
     return EstimateReport(
-        estimate=inv_alpha,
+        estimate=sample.hill,
         inverse_estimate=alpha_hat,
-        std_error=1.0 / (alpha_hat * np.sqrt(count)),
-        exceedance_count=count,
+        std_error=1.0 / (alpha_hat * np.sqrt(sample.count)),
+        exceedance_count=sample.count,
         method="hill",
-        parameters={"k": int(k), "index_set": index_set, "n": n},
+        parameters={"k": int(k), "index_set": index_set, "n": sample.n},
     )

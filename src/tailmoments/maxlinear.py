@@ -143,7 +143,11 @@ def simulate(model: MaxLinearModel, n: int, seed: int) -> DataMatrix:
     m = model.factors
     counters = np.arange(n * m, dtype=np.uint64).reshape(n, m)
     z = -1.0 / np.log(uniform_open(seed, counters))  # standard Frechet factors
-    x = np.max(z[:, None, :] * model.coeffs[None, :, :], axis=2)
+    # fold in one factor at a time: no (n, d, m) temporary, and the same
+    # maximum bitwise, since a maximum does not depend on order
+    x = np.multiply.outer(z[:, 0], model.coeffs[:, 0])
+    for i in range(1, m):
+        np.maximum(x, np.multiply.outer(z[:, i], model.coeffs[:, i]), out=x)
     return DataMatrix(x)
 
 

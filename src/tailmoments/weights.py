@@ -17,21 +17,19 @@ import itertools
 import numpy as np
 
 from .core import (
-    EpsOutOfRange,
     EstimateReport,
     IndexSet,
-    NoExceedances,
     QuadraticForm,
     WeightVector,
     matrix_values,
-    partial_max,
 )
-from .estimators import (
-    _resolve_inv_alpha,
+from .estimators import (  # noqa: F401 (stable_tail_variance is re-exported)
+    check_eps,
     moment_ratio_known,
     moment_ratio_ranks,
+    stable_tail_variance,
 )
-from .margins import scaled_by_order_statistics
+from .samples import known_sample, rank_sample
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +65,6 @@ def _kkt_candidates(a: np.ndarray) -> list[np.ndarray]:
     non-negative multipliers on the inactive coordinates.
     """
     m = a.shape[0]
-    scale = 1.0 + float(np.max(np.abs(a)))
     # exact candidates first: the barycenter, and for two components the
     # interior stationary point in closed form.  Both are computed without a
     # linear solve, so symmetric ties resolve to bit-exact weights.
@@ -79,6 +76,11 @@ def _kkt_candidates(a: np.ndarray) -> list[np.ndarray]:
             if 0.0 <= w1 <= 1.0:
                 candidates.append(np.array([w1, 1.0 - w1]))
     candidates += [np.eye(m)[i] for i in range(m)]
+    if m == 2:
+        # the only face with two members is the whole segment, whose
+        # minimizer is already among the candidates above
+        return candidates
+    scale = 1.0 + float(np.max(np.abs(a)))
     for bits in range(1, 2 ** m):
         face = np.flatnonzero([(bits >> t) & 1 for t in range(m)])
         f = face.size
@@ -162,25 +164,19 @@ def second_moment_matrix_known(data, u: float, index_set: IndexSet) -> Quadratic
     ``E[Theta_i * Theta_j]``; the quadratic form at simplex weights v is then
     exactly the conditional second moment of ``v' Theta``.
     """
-    x = matrix_values(data)
-    index_set.check_within(x.shape[1])
-    idx = index_set.zero_based()
-    norms = partial_max(x, index_set)
-    mask = (norms > float(u)) & (norms > 0.0)
-    count = int(np.count_nonzero(mask))
-    if count == 0:
-        raise NoExceedances(f"no partial maximum exceeds the threshold u={u}")
-    theta = x[np.ix_(mask, idx)] / norms[mask, None]
-    matrix = (theta.T @ theta) / count
-    return QuadraticForm(index_set, matrix, meta={"u": float(u), "count": count})
+    sample = known_sample(data, u, index_set)
+    sample.require_exceedances()
+    theta = sample.angular[:, index_set.zero_based()]
+    matrix = (theta.T @ theta) / sample.count
+    return QuadraticForm(index_set, matrix, meta={"u": sample.u, "count": sample.count})
 
 
 def optimal_weights_known(data, u: float, index_set: IndexSet
                           ) -> tuple[WeightVector, float]:
     """Weights minimizing the empirical second moment of v'Theta over exceedances."""
-    x = matrix_values(data)
-    form = second_moment_matrix_known(x, u, index_set)
-    return minimize_quadratic_on_simplex(form, d=x.shape[1])
+    sample = known_sample(data, u, index_set)
+    form = second_moment_matrix_known(sample, u, index_set)
+    return minimize_quadratic_on_simplex(form, d=sample.d)
 
 
 def tau_moment_known(data, u: float, index_set: IndexSet) -> EstimateReport:
@@ -191,16 +187,16 @@ def tau_moment_known(data, u: float, index_set: IndexSet) -> EstimateReport:
     ratio.  The reported standard error is the plug-in from the weighted
     ratio at those weights.
     """
-    x = matrix_values(data)
-    v_star, objective = optimal_weights_known(x, u, index_set)
-    base = moment_ratio_known(x, u, v_star, p=1)
+    sample = known_sample(data, u, index_set)
+    v_star, objective = optimal_weights_known(sample, u, index_set)
+    base = moment_ratio_known(sample, u, v_star, p=1)
     return EstimateReport(
         estimate=base.estimate,
         inverse_estimate=base.inverse_estimate,
         std_error=base.std_error,
         exceedance_count=base.exceedance_count,
         method="mk",
-        parameters={"u": float(u), "weights": v_star.weights,
+        parameters={"u": sample.u, "weights": v_star.weights,
                     "index_set": index_set, "objective": objective},
     )
 
@@ -208,59 +204,6 @@ def tau_moment_known(data, u: float, index_set: IndexSet) -> EstimateReport:
 # ---------------------------------------------------------------------------
 # rank-based pipeline with perturbations
 # ---------------------------------------------------------------------------
-
-def _check_eps(eps, k: int, n: int) -> float:
-    if eps is None:
-        eps = k / n
-    eps = float(eps)
-    if not 0.0 < eps < 1.0:
-        raise EpsOutOfRange(f"difference-quotient step must lie in (0, 1), got {eps}")
-    return eps
-
-
-class _RankPipeline:
-    """Rank-scaled columns on an index set, cached for repeated perturbed ratios.
-
-    Every evaluation returns the vector of basis ratios ``R(1_j)`` (the mean
-    over exceedances of the j-th powered angular coordinate), from which the
-    ratio at any weight vector follows by linearity.
-    """
-
-    def __init__(self, x: np.ndarray, k: int, index_set: IndexSet,
-                 inv_alpha_hat: float | None = None):
-        self.k = int(k)
-        self.n = x.shape[0]
-        self.index_set = index_set
-        self.ratios = scaled_by_order_statistics(x, k, index_set)[:, index_set.zero_based()]
-        self.inv_alpha = _resolve_inv_alpha(x, k, index_set, inv_alpha_hat)
-
-    def basis_means(self, scales: np.ndarray | None = None,
-                    exponent: float | None = None) -> tuple[np.ndarray, int]:
-        """Basis ratios under an optional scale perturbation or power override.
-
-        ``scales`` multiplies the rank-scaled columns before both the
-        indicator and the angular normalization; ``exponent`` replaces the
-        default tail-index power on the angular parts (the indicator is
-        never affected by the power).
-        """
-        y = self.ratios if scales is None else self.ratios * scales
-        ell = y.max(axis=1)
-        mask = ell > 1.0
-        count = int(np.count_nonzero(mask))
-        if count == 0:
-            raise NoExceedances("no partial maximum exceeds its order-statistic threshold")
-        power = (1.0 / self.inv_alpha) if exponent is None else exponent
-        angular = np.power(y[mask] / ell[mask, None], power)
-        return angular.mean(axis=0), count
-
-    def angular_parts(self) -> np.ndarray:
-        """Unperturbed powered angular parts of the exceedances, (count, m)."""
-        ell = self.ratios.max(axis=1)
-        mask = ell > 1.0
-        if not np.any(mask):
-            raise NoExceedances("no partial maximum exceeds its order-statistic threshold")
-        return np.power(self.ratios[mask] / ell[mask, None], 1.0 / self.inv_alpha)
-
 
 def scale_quotient(data, k: int, v: WeightVector, i: int,
                    eps: float | None = None,
@@ -277,14 +220,10 @@ def scale_quotient(data, k: int, v: WeightVector, i: int,
     index_set = v.support
     if i not in index_set:
         raise ValueError(f"component {i} is not in the index set {index_set.members}")
-    eps = _check_eps(eps, k, x.shape[0])
-    pipeline = _RankPipeline(x, k, index_set, inv_alpha_hat)
-    bump = np.zeros(index_set.size)
-    bump[index_set.members.index(i)] = eps
-    plus, _ = pipeline.basis_means(scales=1.0 + bump)
-    minus, _ = pipeline.basis_means(scales=1.0 - bump)
-    v_on = v.on_support()
-    return float((plus - minus) @ v_on) / (2.0 * eps)
+    eps = check_eps(eps, k, x.shape[0])
+    sample = rank_sample(data, k, index_set, inv_alpha_hat)
+    difference = sample.central_difference(eps, index_set.members.index(i))
+    return float(difference @ v.on_support()) / (2.0 * eps)
 
 
 def power_quotient(data, k: int, v: WeightVector,
@@ -297,54 +236,20 @@ def power_quotient(data, k: int, v: WeightVector,
     derivative with respect to the power parameter at one.
     """
     x = matrix_values(data)
-    index_set = v.support
-    eps = _check_eps(eps, k, x.shape[0])
-    pipeline = _RankPipeline(x, k, index_set, inv_alpha_hat)
-    alpha_hat = 1.0 / pipeline.inv_alpha
-    upper, _ = pipeline.basis_means(exponent=alpha_hat / (1.0 + eps))
-    lower, _ = pipeline.basis_means(exponent=alpha_hat / (1.0 - eps))
-    v_on = v.on_support()
-    return float((upper - lower) @ v_on) / (2.0 * eps)
-
-
-def _polarized_second_moment(angular: np.ndarray) -> np.ndarray:
-    """Second-moment matrix from p = 2 ratios: direct diagonal, polarized off-diagonal."""
-    m = angular.shape[1]
-
-    def second(w):
-        projected = angular @ w
-        return float(np.mean(projected * projected))
-
-    matrix = np.zeros((m, m))
-    diagonal = [second(np.eye(m)[i]) for i in range(m)]
-    for i in range(m):
-        matrix[i, i] = diagonal[i]
-    for i, j in itertools.combinations(range(m), 2):
-        mixed = second(0.5 * (np.eye(m)[i] + np.eye(m)[j]))
-        matrix[i, j] = matrix[j, i] = 2.0 * mixed - 0.5 * (diagonal[i] + diagonal[j])
-    return matrix
+    eps = check_eps(eps, k, x.shape[0])
+    sample = rank_sample(data, k, v.support, inv_alpha_hat)
+    return float(sample.central_difference(eps) @ v.on_support()) / (2.0 * eps)
 
 
 def second_moment_matrix_ranks(data, k: int, index_set: IndexSet,
                                inv_alpha_hat: float | None = None) -> QuadraticForm:
-    """Rank-based spectral second-moment matrix via polarization of p = 2 ratios."""
-    x = matrix_values(data)
-    index_set.check_within(x.shape[1])
-    pipeline = _RankPipeline(x, k, index_set, inv_alpha_hat)
-    angular = pipeline.angular_parts()
-    matrix = _polarized_second_moment(angular)
+    """Rank-based spectral second-moment matrix: the mean outer product of the angular parts."""
+    sample = rank_sample(data, k, index_set, inv_alpha_hat)
+    sample.require_exceedances()
+    matrix = (sample.angular.T @ sample.angular) / sample.count
     return QuadraticForm(index_set, matrix,
-                         meta={"k": int(k), "inv_alpha_hat": pipeline.inv_alpha,
-                               "count": angular.shape[0]})
-
-
-def _pair_reciprocal_tau(x: np.ndarray, k: int, i: int, j: int,
-                         inv_alpha_hat: float | None) -> float:
-    """Extremal coefficient of the pair {i, j} from its own rank pipeline."""
-    pair = IndexSet((i, j)) if i < j else IndexSet((j, i))
-    pipeline = _RankPipeline(x, k, pair, inv_alpha_hat)
-    means, _ = pipeline.basis_means()
-    return 1.0 / float(np.mean(means))
+                         meta={"k": int(k), "inv_alpha_hat": sample.inv_alpha,
+                               "count": sample.count})
 
 
 def rank_variance_form(data, k: int, index_set: IndexSet,
@@ -352,25 +257,23 @@ def rank_variance_form(data, k: int, index_set: IndexSet,
                        inv_alpha_hat: float | None = None) -> QuadraticForm:
     """Plug-in asymptotic-variance form of the rank-based weighted moment ratio.
 
-    All ingredients come from the same rank pipeline at level ``k``: the
+    All ingredients come from the same rank sample at level ``k``: the
     extremal coefficient from the uniform-weight ratio, pairwise extremal
-    coefficients from two-component pipelines (each with its own tail-index
-    estimate unless one is supplied), spectral second moments by
-    polarization, and the scale/power derivative matrices by central
-    difference quotients with step ``eps`` (default ``k / n``).  The
-    returned quadratic form evaluates, at simplex weights v, the estimated
-    variance of the limiting Gaussian of the ratio — the objective whose
-    simplex minimizer gives the optimally weighted rank estimator.
+    coefficients from its two-component sub-samples (each with its own
+    tail-index estimate unless one is supplied), spectral second moments,
+    and the scale/power derivative matrices by central difference quotients
+    with step ``eps`` (default ``k / n``).  The returned quadratic form
+    evaluates, at simplex weights v, the estimated variance of the limiting
+    Gaussian of the ratio — the objective whose simplex minimizer gives the
+    optimally weighted rank estimator.
     """
     x = matrix_values(data)
-    index_set.check_within(x.shape[1])
-    members = index_set.members
     m = index_set.size
-    eps = _check_eps(eps, k, x.shape[0])
-    pipeline = _RankPipeline(x, k, index_set, inv_alpha_hat)
-
-    base_means, count = pipeline.basis_means()
-    tau = 1.0 / float(np.mean(base_means))
+    eps = check_eps(eps, k, x.shape[0])
+    sample = rank_sample(data, k, index_set, inv_alpha_hat)
+    sample.require_exceedances()
+    angular = sample.angular
+    tau = 1.0 / float(np.mean(angular.mean(axis=0)))
 
     # pairwise extremal coefficients (tau of a singleton is identically one)
     pair_taus = np.ones((m, m))
@@ -378,34 +281,27 @@ def rank_variance_form(data, k: int, index_set: IndexSet,
         if m == 2:
             pair_taus[a, b] = pair_taus[b, a] = tau
         else:
-            value = _pair_reciprocal_tau(x, k, members[a], members[b], inv_alpha_hat)
+            pair = sample.pair(a, b)
+            pair.require_exceedances()
+            value = 1.0 / float(np.mean(pair.angular.mean(axis=0)))
             pair_taus[a, b] = pair_taus[b, a] = value
 
-    second_moments = _polarized_second_moment(pipeline.angular_parts())
+    second_moments = (angular.T @ angular) / sample.count
 
     # scale derivatives: row i holds the quotients of all basis ratios in
     # the direction of the i-th component's scale
-    c_matrix = np.zeros((m, m))
-    for pos in range(m):
-        bump = np.zeros(m)
-        bump[pos] = eps
-        plus, _ = pipeline.basis_means(scales=1.0 + bump)
-        minus, _ = pipeline.basis_means(scales=1.0 - bump)
-        c_matrix[pos] = (plus - minus) / (2.0 * eps)
-
-    alpha_hat = 1.0 / pipeline.inv_alpha
-    upper, _ = pipeline.basis_means(exponent=alpha_hat / (1.0 + eps))
-    lower, _ = pipeline.basis_means(exponent=alpha_hat / (1.0 - eps))
-    b = (upper - lower) / (2.0 * eps)
+    c_matrix = np.array([sample.central_difference(eps, pos)
+                         for pos in range(m)]) / (2.0 * eps)
+    b = sample.central_difference(eps) / (2.0 * eps)
 
     matrix = _assemble_variance_matrix(tau, pair_taus, second_moments, c_matrix, b)
     meta = {
         "tau": tau,
         "pair_taus": pair_taus,
         "eps": eps,
-        "inv_alpha_hat": pipeline.inv_alpha,
+        "inv_alpha_hat": sample.inv_alpha,
         "k": int(k),
-        "exceedance_count": count,
+        "exceedance_count": sample.count,
         "condition_number": _condition_number(matrix),
     }
     return QuadraticForm(index_set, matrix, meta=meta)
@@ -460,10 +356,11 @@ def tau_moment_ranks(data, k: int, index_set: IndexSet,
     error ``sqrt(objective / k)``.
     """
     x = matrix_values(data)
-    form = rank_variance_form(x, k, index_set, eps=eps, inv_alpha_hat=inv_alpha_hat)
-    v_tilde, objective = minimize_quadratic_on_simplex(form, d=x.shape[1])
-    base = moment_ratio_ranks(x, k, v_tilde, p=1,
-                              inv_alpha_hat=form.meta["inv_alpha_hat"])
+    eps = check_eps(eps, k, x.shape[0])
+    sample = rank_sample(data, k, index_set, inv_alpha_hat)
+    form = rank_variance_form(sample, k, index_set, eps=eps, inv_alpha_hat=inv_alpha_hat)
+    v_tilde, objective = minimize_quadratic_on_simplex(form, d=sample.d)
+    base = moment_ratio_ranks(sample, k, v_tilde, p=1, inv_alpha_hat=inv_alpha_hat)
     return EstimateReport(
         estimate=base.estimate,
         inverse_estimate=base.inverse_estimate,
@@ -475,46 +372,3 @@ def tau_moment_ranks(data, k: int, index_set: IndexSet,
                     "weights": v_tilde.weights, "index_set": index_set,
                     "objective": objective},
     )
-
-
-def stable_tail_variance(data, k: int, index_set: IndexSet, eps: float) -> float:
-    """Plug-in variance of the empirical extremal coefficient at the indicator.
-
-    Combines difference-quotient estimates of the gradient of the perturbed
-    exceedance functional with pairwise minimum moments obtained from
-    two-component exceedance counts at the same level k.
-    """
-    x = matrix_values(data)
-    index_set.check_within(x.shape[1])
-    n = x.shape[0]
-    m = index_set.size
-    eps = _check_eps(eps, k, n)
-    idx = index_set.zero_based()
-    ratios = scaled_by_order_statistics(x, k, index_set)[:, idx]
-    count = int(np.count_nonzero(ratios.max(axis=1) > 1.0))
-    if count == 0:
-        raise NoExceedances("no partial maximum exceeds its order-statistic threshold")
-    tau_hat = count / k
-
-    # gradient of the mean partial max of the renormalized spectral vector,
-    # recovered from the diagonal scale quotients
-    pipeline = _RankPipeline(x, k, index_set, None)
-    partial_e = np.zeros(m)
-    for pos in range(m):
-        bump = np.zeros(m)
-        bump[pos] = eps
-        plus, _ = pipeline.basis_means(scales=1.0 + bump)
-        minus, _ = pipeline.basis_means(scales=1.0 - bump)
-        c_diag = float((plus[pos] - minus[pos]) / (2.0 * eps))
-        partial_e[pos] = 1.0 - tau_hat * c_diag
-
-    # pairwise minimum moments from pair exceedance counts at the same k
-    minimum = np.zeros((m, m))
-    for a in range(m):
-        minimum[a, a] = 1.0 / tau_hat
-    for a, b in itertools.combinations(range(m), 2):
-        pair_count = int(np.count_nonzero(np.maximum(ratios[:, a], ratios[:, b]) > 1.0))
-        pair_tau = pair_count / k
-        minimum[a, b] = minimum[b, a] = 2.0 / tau_hat - pair_tau / tau_hat
-
-    return float(tau_hat ** 3 * (partial_e @ minimum @ partial_e) - tau_hat)

@@ -207,3 +207,15 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_estimate_rejects_invalid_data_values(capsys, tmp_path, bad):
+    x = tm.simulate(tm.make_scenario(0.1, 0.2), 400, seed=11).values.copy()
+    x[5, 0] = bad
+    path = tmp_path / "bad.csv"
+    np.savetxt(path, x, delimiter=",", header="x1,x2", comments="")
+    code, out, err = run(capsys, "estimate", "--input", str(path), "--index-set", "1,2",
+                         "--method", "mu", "--k", "20")
+    assert code == 1
+    assert "error:" in err and out == ""

@@ -134,3 +134,29 @@ def test_check_moment_power():
         check_moment_power(-1)
     with pytest.raises(ValueError):
         check_moment_power(1.5)
+
+
+# ------------------------------------------------- validation at the boundary
+
+def _bad_inputs():
+    rng = np.random.default_rng(8)
+    x = rng.pareto(1.0, size=(200, 2)) + 1.0
+    with_nan = x.copy()
+    with_nan[17, 1] = np.nan
+    negative = x.copy()
+    negative[40, 0] = -3.0
+    return {"nan": with_nan, "negative": negative}
+
+
+@pytest.mark.parametrize("kind", ["nan", "negative"])
+@pytest.mark.parametrize("call", [
+    lambda x: tm.tau_moment_ranks(x, 20, tm.IndexSet([1, 2])),
+    lambda x: tm.stable_tail_estimate(x, 20, tm.IndexSet([1, 2])),
+    lambda x: tm.hill_inverse_alpha(x, 20, tm.IndexSet([1, 2])),
+    lambda x: tm.tau_moment_known(x, 5.0, tm.IndexSet([1, 2])),
+], ids=["tau_moment_ranks", "stable_tail_estimate", "hill_inverse_alpha",
+        "tau_moment_known"])
+def test_estimators_reject_invalid_raw_data(kind, call):
+    message = "finite" if kind == "nan" else "non-negative"
+    with pytest.raises(ValueError, match=message):
+        call(_bad_inputs()[kind])

@@ -104,3 +104,17 @@ def test_derive_seed_is_stable_and_spreads():
     seeds = {derive_seed(5, i) for i in range(1000)}
     assert len(seeds) == 1000
     assert derive_seed(5, 1) != derive_seed(6, 1)
+
+
+@pytest.mark.parametrize("d, factors", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 7)])
+def test_simulate_equals_the_broadcast_maximum(d, factors):
+    rng = np.random.default_rng(100 * d + factors)
+    for seed in range(5):
+        coeffs = rng.dirichlet(np.ones(factors), size=d)
+        if factors > 1:
+            coeffs[1:, rng.integers(factors)] = 0.0  # a factor some rows ignore
+            coeffs /= coeffs.sum(axis=1, keepdims=True)
+        counters = np.arange(257 * factors, dtype=np.uint64).reshape(257, factors)
+        z = -1.0 / np.log(uniform_open(seed, counters))
+        broadcast = np.max(z[:, None, :] * coeffs[None, :, :], axis=2)
+        assert np.array_equal(simulate(MaxLinearModel(coeffs), 257, seed).values, broadcast)
