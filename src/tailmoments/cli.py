@@ -13,7 +13,14 @@ import sys
 
 import numpy as np
 
-from .core import EstimationError, IndexSet, WeightVector, partial_max, uniform_weights
+from .core import (
+    EstimationError,
+    IndexSet,
+    WeightVector,
+    make_weight_vector,
+    partial_max,
+    uniform_weights,
+)
 from .estimators import (
     benchmark_ratio_known,
     moment_ratio_known,
@@ -72,8 +79,6 @@ def _parse_scenario(text: str) -> tuple[float, float]:
 
 
 def _embed_weights(raw: np.ndarray, index_set: IndexSet, d: int) -> WeightVector:
-    from .core import make_weight_vector
-
     if raw.size == index_set.size:
         full = np.zeros(d)
         full[index_set.zero_based()] = raw

@@ -214,6 +214,8 @@ class WeightVector:
 
     def __init__(self, weights, support: IndexSet):
         w = _as_float_array(weights, "weights", 1)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         support.check_within(w.shape[0])
         outside = np.ones(w.shape[0], dtype=bool)
         outside[support.zero_based()] = False
@@ -253,6 +255,8 @@ def make_weight_vector(raw, support: IndexSet) -> WeightVector:
 
     Raises
     ------
+    ValueError
+        If any entry is not finite.
     SupportViolation
         If any entry outside the support is non-zero.
     NegativeWeight
@@ -261,6 +265,8 @@ def make_weight_vector(raw, support: IndexSet) -> WeightVector:
         If the entries sum to zero (nothing to normalize).
     """
     w = _as_float_array(raw, "raw", 1)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("raw weights must be finite")
     support.check_within(w.shape[0])
     outside = np.ones(w.shape[0], dtype=bool)
     outside[support.zero_based()] = False

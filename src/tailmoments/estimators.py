@@ -25,6 +25,7 @@ from .core import (
     EpsOutOfRange,
     EstimateReport,
     IndexSet,
+    KOutOfRange,
     Perturbation,
     WeightVector,
     check_moment_power as _check_power,
@@ -144,7 +145,12 @@ def benchmark_ratio_known(data, u: float, v: WeightVector) -> EstimateReport:
 # ---------------------------------------------------------------------------
 
 def check_eps(eps, k: int, n: int) -> float:
-    """Validate a difference-quotient step, ``k / n`` when absent; it must lie in (0, 1)."""
+    """Validate a difference-quotient step, ``k / n`` when absent; it must lie in (0, 1).
+
+    A level ``k < 1`` raises :class:`KOutOfRange` first, whatever the step.
+    """
+    if k < 1:
+        raise KOutOfRange(f"k={k} must be at least 1")
     if eps is None:
         eps = k / n
     eps = float(eps)

@@ -131,8 +131,8 @@ class RankSample(TailSample):
         x = matrix_values(data)
         if inv_alpha_hat is not None:
             inv_alpha_hat = float(inv_alpha_hat)
-            if inv_alpha_hat <= 0:
-                raise ValueError(f"inv_alpha_hat must be positive, got {inv_alpha_hat}")
+            if not 0.0 < inv_alpha_hat < np.inf:
+                raise ValueError(f"inv_alpha_hat must be finite and positive, got {inv_alpha_hat}")
         index_set.check_within(x.shape[1])
         columns = x[:, index_set.zero_based()]
         anchors = upper_order_statistics(columns, k)

@@ -36,89 +36,78 @@ from .samples import known_sample, rank_sample
 # quadratic minimization over the simplex
 # ---------------------------------------------------------------------------
 
-def _project_to_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {w >= 0, sum w = 1} (sort-based)."""
-    u = np.sort(y)[::-1]
-    cumulative = np.cumsum(u)
-    candidates = u + (1.0 - cumulative) / np.arange(1, y.size + 1)
-    rho = np.nonzero(candidates > 0)[0][-1]
-    shift = (1.0 - cumulative[rho]) / (rho + 1)
-    return np.maximum(y + shift, 0.0)
+def _face_point(a: np.ndarray, face: np.ndarray, scale: float):
+    """Least-norm stationary point of v'Av on a face's affine hull, zero off the face.
 
-
-def _projected_gradient(a: np.ndarray, iterations: int = 10_000) -> np.ndarray:
-    norm = np.linalg.norm(a, 2)
-    if norm == 0.0:
-        return np.full(a.shape[0], 1.0 / a.shape[0])
-    step = 1.0 / (2.0 * norm)
-    w = np.full(a.shape[0], 1.0 / a.shape[0])
-    for _ in range(iterations):
-        w = _project_to_simplex(w - step * 2.0 * (a @ w))
-    return w
-
-
-def _kkt_candidates(a: np.ndarray) -> list[np.ndarray]:
-    """Stationary points of v'Av on every face of the simplex, plus all vertices.
-
-    Vertices are kept unconditionally; larger faces contribute their
-    least-norm stationary point when it has non-negative coordinates and
-    non-negative multipliers on the inactive coordinates.
+    When the face's KKT system has no solution (the second value is False),
+    the least-squares residual comes instead: a direction along which v'Av is linear.
     """
-    m = a.shape[0]
-    # exact candidates first: the barycenter, and for two components the
-    # interior stationary point in closed form.  Both are computed without a
-    # linear solve, so symmetric ties resolve to bit-exact weights.
-    candidates = [np.full(m, 1.0 / m)]
-    if m == 2:
-        denom = a[0, 0] + a[1, 1] - 2.0 * a[0, 1]
-        if denom > 0.0:
-            w1 = (a[1, 1] - a[0, 1]) / denom
-            if 0.0 <= w1 <= 1.0:
-                candidates.append(np.array([w1, 1.0 - w1]))
-    candidates += [np.eye(m)[i] for i in range(m)]
-    if m == 2:
-        # the only face with two members is the whole segment, whose
-        # minimizer is already among the candidates above
-        return candidates
-    scale = 1.0 + float(np.max(np.abs(a)))
-    for bits in range(1, 2 ** m):
-        face = np.flatnonzero([(bits >> t) & 1 for t in range(m)])
-        f = face.size
-        if f < 2:
-            continue
-        system = np.zeros((f + 1, f + 1))
-        system[:f, :f] = 2.0 * a[np.ix_(face, face)]
-        system[:f, f] = -1.0
-        system[f, :f] = 1.0
-        rhs = np.zeros(f + 1)
-        rhs[f] = 1.0
-        solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-        if np.max(np.abs(system @ solution - rhs)) > 1e-9 * scale:
-            continue  # no stationary point on this face
-        w_face, lam = solution[:f], solution[f]
-        if np.min(w_face) < -1e-12:
-            continue
-        w = np.zeros(m)
-        w[face] = np.clip(w_face, 0.0, None)
+    f = face.size
+    system = np.ones((f + 1, f + 1))
+    system[:f, :f] = 2.0 * a[face][:, face]
+    system[:f, f], system[f, f] = -1.0, 0.0
+    rhs = np.eye(f + 1)[f]
+    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    residual = rhs - system @ solution
+    stationary = np.max(np.abs(residual)) <= 1e-9 * scale
+    point = np.zeros(a.shape[0])
+    point[face] = (solution if stationary else residual)[:f]
+    return point, stationary
+
+
+def _descend(a: np.ndarray, start: int, scale: float) -> list[np.ndarray]:
+    """Primal active-set descent of v'Av from the vertex ``start`` to a KKT point.
+
+    Each step heads for the face's stationary point, or to the face boundary when
+    v'Av does not curve upwards that way.  The steepest coordinate enters when its
+    gradient undercuts the multiplier by more than the value tolerance.  Also
+    returns the stationary point of the end face widened by zero-multiplier ones.
+    """
+    m, tol = a.shape[0], 1e-12 * scale
+    w = np.eye(m)[start]
+    face, stationary = w > 0.0, True
+    for _ in range(4 * m * m):  # a guard against cycling on flat faces
+        aw, value = a @ w, float(w @ a @ w)
+        slope = 2.0 * (aw - value)  # along the edge from w to each vertex
+        if stationary:
+            entering = int(np.argmin(np.where(face, np.inf, slope)))
+            if face[entering] or slope[entering] >= -tol:
+                break
+            face[entering] = True
+        target, stationary = _face_point(a, np.flatnonzero(face), scale)
+        step, limit = (target - w, 1.0) if stationary else (target, np.inf)
+        if not (stationary and step @ a @ step > 0.0):
+            target, limit = w, np.inf
+            step = -step if aw @ step > 0.0 else step
+        ratios = np.divide(w, -step, out=np.full(m, np.inf), where=step < 0.0)
+        block = int(np.argmin(ratios))
+        stationary = bool(ratios[block] >= limit)  # the target is reached
+        w = np.clip(target if stationary else w + ratios[block] * step, 0.0, None)
+        if not stationary:  # a coordinate hit zero and leaves the face
+            w[block], face[block] = 0.0, False
         w /= w.sum()
-        outside = np.setdiff1d(np.arange(m), face, assume_unique=True)
-        if outside.size:
-            multipliers = 2.0 * (a @ w)[outside] - lam
-            if np.min(multipliers) < -1e-10 * scale:
-                continue
-        candidates.append(w)
-    return candidates
+    wider = face | (2.0 * (a @ w) - 2.0 * float(w @ a @ w) <= tol)
+    if np.any(wider & ~face):
+        point, feasible = _face_point(a, np.flatnonzero(wider), scale)
+        if feasible and np.min(point) >= -1e-12:
+            point = np.clip(point, 0.0, None)
+            return [w, point / point.sum()]
+    return [w]
 
 
 def minimize_quadratic_on_simplex(form: QuadraticForm, d: int | None = None
                                   ) -> tuple[WeightVector, float]:
     """Minimize v'Av over simplex weights supported on the form's index set.
 
-    Up to 20 active components the faces of the simplex are enumerated
-    exactly; beyond that a projected-gradient descent is used.  Ties between
-    candidate values are broken by the smaller Euclidean norm, then by
-    enumeration order (vertices in index order come first, so an all-vertex
-    tie returns the lowest-index vertex).
+    Two components are solved in closed form.  From three on, a primal
+    active-set descent runs from every vertex to a KKT point, solving one
+    face's KKT system per step, so the cost is polynomial in the number of
+    components.  The result is the global minimum whenever the form is convex
+    on the simplex; over an indefinite form, where that problem is NP-hard,
+    it is the best KKT point the descents reach.  The candidates are the
+    barycenter, the vertices in index order and the descent end points.  Ties
+    between their values go to the smaller Euclidean norm, then to the
+    earlier candidate, so an all-vertex tie returns the lowest-index vertex.
 
     Returns
     -------
@@ -132,14 +121,24 @@ def minimize_quadratic_on_simplex(form: QuadraticForm, d: int | None = None
     if d is None:
         d = index_set.members[-1]
     index_set.check_within(d)
-    if m <= 20:
-        candidates = _kkt_candidates(a)
-    else:
-        candidates = ([np.full(m, 1.0 / m)] + [np.eye(m)[i] for i in range(m)]
-                      + [_projected_gradient(a)])
+    scale = 1.0 + float(np.max(np.abs(a)))
+
+    # exact candidates first: the barycenter, and for two components the
+    # interior stationary point in closed form.  Both are computed without a
+    # linear solve, so symmetric ties resolve to bit-exact weights.
+    candidates = [np.full(m, 1.0 / m)]
+    if m == 2:
+        denom = a[0, 0] + a[1, 1] - 2.0 * a[0, 1]
+        if denom > 0.0:
+            w1 = (a[1, 1] - a[0, 1]) / denom
+            if 0.0 <= w1 <= 1.0:
+                candidates.append(np.array([w1, 1.0 - w1]))
+    candidates += [np.eye(m)[i] for i in range(m)]
+    for start in range(m if m > 2 else 0):  # at m = 2 the segment is solved above
+        candidates += _descend(a, start, scale)
 
     best_w, best_value, best_norm = None, np.inf, np.inf
-    value_tol = 1e-12 * (1.0 + float(np.max(np.abs(a))))
+    value_tol = 1e-12 * scale
     for w in candidates:
         value = float(w @ a @ w)
         norm = float(np.linalg.norm(w))

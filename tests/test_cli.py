@@ -127,6 +127,21 @@ def test_estimate_data_errors_exit_one(capsys, sample_csv):
     assert "error:" in err
 
 
+def test_estimate_k_zero_exits_one(capsys, sample_csv):
+    code, _, err = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
+                       "--method", "mu", "--k", "0")
+    assert code == 1
+    assert "error:" in err and "KOutOfRange" in err
+
+
+@pytest.mark.parametrize("raw", ["nan,1", "inf,1", "0.5,nan"])
+def test_estimate_non_finite_weights_exit_one(capsys, sample_csv, raw):
+    code, out, err = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
+                         "--method", "moment", "--weights", raw)
+    assert code == 1
+    assert out == "" and "error:" in err and "finite" in err
+
+
 def test_estimate_missing_input_file(capsys, tmp_path):
     code, _, err = run(capsys, "estimate", "--input", str(tmp_path / "missing.csv"),
                        "--index-set", "1,2", "--method", "mu")

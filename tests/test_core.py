@@ -46,6 +46,10 @@ def test_make_weight_vector_rejects_negative_and_zero_sum():
         tm.make_weight_vector([1, -1], tm.IndexSet([1, 2]))
     with pytest.raises(tm.ZeroSum):
         tm.make_weight_vector([0, 0], tm.IndexSet([1, 2]))
+    with pytest.raises(ValueError, match="finite"):
+        tm.make_weight_vector([np.nan, 1], tm.IndexSet([1, 2]))
+    with pytest.raises(ValueError, match="finite"):
+        tm.WeightVector([np.nan, 1.0], tm.IndexSet([1, 2]))
 
 
 def test_uniform_and_basis_weights():
@@ -160,3 +164,17 @@ def test_estimators_reject_invalid_raw_data(kind, call):
     message = "finite" if kind == "nan" else "non-negative"
     with pytest.raises(ValueError, match=message):
         call(_bad_inputs()[kind])
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: tm.tau_moment_ranks(x, 0, tm.IndexSet([1, 2])),
+    lambda x: tm.rank_variance_form(x, 0, tm.IndexSet([1, 2])),
+    lambda x: tm.scale_quotient(x, 0, tm.uniform_weights(tm.IndexSet([1, 2]), 2), 1),
+    lambda x: tm.power_quotient(x, 0, tm.uniform_weights(tm.IndexSet([1, 2]), 2)),
+    lambda x: tm.stable_tail_variance(x, 0, tm.IndexSet([1, 2]), eps=0.1),
+], ids=["tau_moment_ranks", "rank_variance_form", "scale_quotient", "power_quotient",
+        "stable_tail_variance"])
+def test_rank_routes_reject_k_zero_as_k_out_of_range(call):
+    x = np.random.default_rng(8).pareto(1.0, size=(200, 2)) + 1.0
+    with pytest.raises(tm.KOutOfRange):
+        call(x)

@@ -81,6 +81,15 @@ def test_a_sample_with_another_power_is_rebuilt():
         samples.rank_sample(ranks, 30, I12, inv_alpha_hat=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_a_non_finite_or_non_positive_power_is_rejected(bad):
+    x = _pareto(4)
+    with pytest.raises(ValueError, match="finite and positive"):
+        tm.RankSample(x, 30, I12, inv_alpha_hat=bad)
+    with pytest.raises(ValueError, match="finite and positive"):
+        tm.tau_moment_ranks(x, 30, I12, inv_alpha_hat=bad)
+
+
 def test_pair_sub_samples_equal_fresh_pair_samples():
     x = _pareto(3, d=4)
     ranks = tm.RankSample(x, 50, tm.IndexSet([1, 2, 4]))
@@ -139,26 +148,41 @@ def test_two_component_qp_matches_full_face_enumeration_on_random_forms():
 
 
 def _full_face_enumeration(a):
-    """The simplex QP with a least-squares stationary point on every face, as at m >= 3."""
+    """The simplex QP with a least-squares stationary point on every face of two or more."""
     m = a.shape[0]
     candidates = [np.full(m, 1.0 / m)]
     denom = a[0, 0] + a[1, 1] - 2.0 * a[0, 1]
-    if denom > 0.0 and 0.0 <= (a[1, 1] - a[0, 1]) / denom <= 1.0:
+    if m == 2 and denom > 0.0 and 0.0 <= (a[1, 1] - a[0, 1]) / denom <= 1.0:
         w1 = (a[1, 1] - a[0, 1]) / denom
         candidates.append(np.array([w1, 1.0 - w1]))
     candidates += [np.eye(m)[i] for i in range(m)]
     scale = 1.0 + float(np.max(np.abs(a)))
-    system = np.array([[2 * a[0, 0], 2 * a[0, 1], -1.0],
-                       [2 * a[1, 0], 2 * a[1, 1], -1.0],
-                       [1.0, 1.0, 0.0]])
-    rhs = np.array([0.0, 0.0, 1.0])
-    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    if (np.max(np.abs(system @ solution - rhs)) <= 1e-9 * scale
-            and np.min(solution[:2]) >= -1e-12):
-        w = np.clip(solution[:2], 0.0, None)
-        candidates.append(w / w.sum())
+    for bits in range(1, 2 ** m):
+        face = np.flatnonzero([(bits >> t) & 1 for t in range(m)])
+        f = face.size
+        if f < 2:
+            continue
+        system = np.zeros((f + 1, f + 1))
+        system[:f, :f] = 2.0 * a[np.ix_(face, face)]
+        system[:f, f] = -1.0
+        system[f, :f] = 1.0
+        rhs = np.zeros(f + 1)
+        rhs[f] = 1.0
+        solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+        if np.max(np.abs(system @ solution - rhs)) > 1e-9 * scale:
+            continue  # no stationary point on this face
+        w_face, lam = solution[:f], solution[f]
+        if np.min(w_face) < -1e-12:
+            continue
+        w = np.zeros(m)
+        w[face] = np.clip(w_face, 0.0, None)
+        w /= w.sum()
+        outside = np.setdiff1d(np.arange(m), face, assume_unique=True)
+        if outside.size and np.min(2.0 * (a @ w)[outside] - lam) < -1e-10 * scale:
+            continue
+        candidates.append(w)
     best_w, best_value, best_norm = None, np.inf, np.inf
-    value_tol = 1e-12 * (1.0 + float(np.max(np.abs(a))))
+    value_tol = 1e-12 * scale
     for w in candidates:
         value, norm = float(w @ a @ w), float(np.linalg.norm(w))
         if value < best_value - value_tol or (value <= best_value + value_tol
@@ -167,9 +191,155 @@ def _full_face_enumeration(a):
     return best_w, best_value
 
 
-def _check_qp_against_enumeration(a):
-    form = tm.QuadraticForm(I12, a)
+def _solve(a):
+    form = tm.QuadraticForm(tm.IndexSet(range(1, a.shape[0] + 1)), a)
     w, value = weights.minimize_quadratic_on_simplex(form)
-    w_full, value_full = _full_face_enumeration(form.matrix)
-    assert np.array_equal(w.on_support(), w_full)
-    assert value == value_full
+    return w.on_support(), value, form.matrix
+
+
+def _check_qp_against_enumeration(a, same_weights=True):
+    """The solver never ends above the enumeration's value, and matches its weights if asked.
+
+    Only forms with a unique minimizer may ask for the weights: on a flat
+    optimum both solvers break the tie by norm among their own candidates.
+    """
+    w, value, matrix = _solve(a)
+    w_full, value_full = _full_face_enumeration(matrix)
+    if matrix.shape[0] == 2:  # the closed form ties the enumeration bit for bit
+        assert np.array_equal(w, w_full)
+        assert value == value_full
+    assert value <= value_full + 1e-12 * (1.0 + np.max(np.abs(matrix)))
+    if same_weights:
+        assert np.max(np.abs(w - w_full)) <= 1e-12
+
+
+def _convex_form(rng, m):
+    """Criterion 4's construction: g'g + I/2 plus terms constant or linear on the simplex."""
+    g = rng.normal(size=(m, m))
+    shift = rng.normal(size=m)
+    a = (g.T @ g + 0.5 * np.eye(m) + rng.uniform(-0.5, 1.0) * np.ones((m, m))
+         + np.outer(shift, np.ones(m)) + np.outer(np.ones(m), shift))
+    return (a + a.T) / 2.0
+
+
+def _max_linear_data(seed, m, factors, n=1000):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(size=(m, factors)) ** 2
+    model = tm.MaxLinearModel(coeffs / coeffs.sum(axis=1, keepdims=True))
+    return np.array(tm.simulate(model, n, seed).values)
+
+
+def _mk_and_mu_forms(x, index_set):
+    forms = []
+    for k in (10, 50):
+        u = float(np.quantile(tm.partial_max(x, index_set), 1.0 - k / x.shape[0]))
+        forms.append(tm.second_moment_matrix_known(x, u, index_set).matrix)
+        forms.append(tm.rank_variance_form(x, k, index_set).matrix)
+    return forms
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_qp_matches_enumeration_on_strictly_convex_forms(m):
+    rng = np.random.default_rng(40 + m)
+    for _ in range(8):
+        _check_qp_against_enumeration(_convex_form(rng, m))
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+def test_qp_matches_enumeration_where_an_edge_has_no_stationary_point(m):
+    """Equal columns 1 and 2 plus a linear term: v'Av is linear along that edge."""
+    rng = np.random.default_rng(90 + m)
+    for _ in range(8):
+        g = rng.normal(size=(m, m))
+        g[:, 1] = g[:, 0]
+        shift = rng.normal(size=m)
+        _check_qp_against_enumeration(
+            g.T @ g + np.outer(shift, np.ones(m)) + np.outer(np.ones(m), shift))
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_qp_matches_enumeration_on_gram_forms_from_few_rows(m):
+    rng = np.random.default_rng(50 + m)
+    for rows in (m, m + 1, m + 3):
+        for _ in range(4):
+            g = rng.normal(size=(rows, m))
+            _check_qp_against_enumeration(g.T @ g)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_qp_matches_enumeration_on_simulated_mk_and_mu_forms(m):
+    index_set = tm.IndexSet(range(1, m + 1))
+    for seed in range(4):
+        for a in _mk_and_mu_forms(_max_linear_data(seed, m, m + 1), index_set):
+            _check_qp_against_enumeration(a)
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_qp_reaches_the_enumeration_value_on_indefinite_forms(m):
+    rng = np.random.default_rng(60 + m)
+    for trial in range(30):
+        b = rng.normal(size=(m, m))
+        a = b + b.T + (3.0 * rng.normal() * np.ones((m, m)) if trial % 2 else 0.0)
+        _check_qp_against_enumeration(a, same_weights=False)
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_qp_reaches_the_enumeration_value_on_rank_deficient_forms(m):
+    rng = np.random.default_rng(70 + m)
+    for rows in range(1, m):
+        for _ in range(4):
+            g = rng.normal(size=(rows, m))
+            _check_qp_against_enumeration(g.T @ g, same_weights=False)
+    # fewer max-linear factors than components: singular second-moment forms
+    index_set = tm.IndexSet(range(1, m + 1))
+    for a in _mk_and_mu_forms(_max_linear_data(m, m, 2), index_set):
+        _check_qp_against_enumeration(a, same_weights=False)
+
+
+def test_identical_components_share_their_weight_evenly():
+    x = _pareto(5, n=800, d=4)
+    x[:, 2] = x[:, 0]
+    index_set = tm.IndexSet([1, 2, 3, 4])
+    for a in _mk_and_mu_forms(x, index_set):
+        w, _, matrix = _solve(a)
+        assert abs(w[0] - w[2]) <= 1e-12
+        _check_qp_against_enumeration(matrix, same_weights=False)
+
+
+def _kkt_residual(a, w):
+    """Largest violation of the simplex KKT conditions of w'Aw, relative to 2 max|A|."""
+    if not np.all(np.isfinite(w)):
+        return np.inf
+    g = 2.0 * (a @ w)
+    lam = float(w @ g)
+    on = w > 0.0
+    violations = [np.max(np.abs(g[on] - lam), initial=0.0),
+                  np.max(lam - g[~on], initial=0.0)]
+    return max(max(violations) / (2.0 * np.max(np.abs(a))),
+               abs(float(w.sum()) - 1.0), -float(w.min()))
+
+
+@pytest.mark.parametrize("m", [3, 5, 8, 12, 20, 35, 50])
+def test_qp_end_point_satisfies_kkt(m):
+    rng = np.random.default_rng(80 + m)
+    g = rng.normal(size=(m + 3, m))
+    for a in (_convex_form(rng, m), g.T @ g):
+        w, _, matrix = _solve(a)
+        assert _kkt_residual(matrix, w) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_every_descent_ends_at_a_kkt_point_no_higher_than_its_vertex(m):
+    """Indefinite, concave and linear-along-an-edge forms, one start vertex at a time."""
+    rng = np.random.default_rng(100 + m)
+    for _ in range(10):
+        b, g, h = (rng.normal(size=(m, m)) for _ in range(3))
+        h[:, 1] = h[:, 0]
+        shift = np.outer(rng.normal(size=m), np.ones(m))
+        for a in (b + b.T, -(g.T @ g), h.T @ h + shift + shift.T):
+            a = (a + a.T) / 2.0
+            scale = 1.0 + np.max(np.abs(a))
+            for start in range(m):
+                end = weights._descend(a, start, scale)[0]
+                assert _kkt_residual(a, end) <= 1e-10
+                assert end @ a @ end <= a[start, start] + 1e-12 * scale
