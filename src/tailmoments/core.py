@@ -214,8 +214,6 @@ class WeightVector:
 
     def __init__(self, weights, support: IndexSet):
         w = _as_float_array(weights, "weights", 1)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
         support.check_within(w.shape[0])
         outside = np.ones(w.shape[0], dtype=bool)
         outside[support.zero_based()] = False
@@ -223,8 +221,8 @@ class WeightVector:
             raise SupportViolation("weights must be exactly zero outside the support")
         if np.any(w < 0):
             raise NegativeWeight("weights must be non-negative")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights must sum to 1 within {WEIGHT_TOL}")
+        if not abs(float(w.sum()) - 1.0) <= WEIGHT_TOL:  # NaN and inf fail it too
+            raise ValueError(f"weights must be finite and sum to 1 within {WEIGHT_TOL}")
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "support", support)
 
@@ -265,7 +263,7 @@ def make_weight_vector(raw, support: IndexSet) -> WeightVector:
         If the entries sum to zero (nothing to normalize).
     """
     w = _as_float_array(raw, "raw", 1)
-    if not np.all(np.isfinite(w)):
+    if not np.all(np.isfinite(w)):  # before dividing: inf / inf would warn
         raise ValueError("raw weights must be finite")
     support.check_within(w.shape[0])
     outside = np.ones(w.shape[0], dtype=bool)

@@ -39,8 +39,7 @@ from .samples import known_sample, rank_sample
 def _face_point(a: np.ndarray, face: np.ndarray, scale: float):
     """Least-norm stationary point of v'Av on a face's affine hull, zero off the face.
 
-    When the face's KKT system has no solution (the second value is False),
-    the least-squares residual comes instead: a direction along which v'Av is linear.
+    Where there is none (then False), the residual: a direction making v'Av linear.
     """
     f = face.size
     system = np.ones((f + 1, f + 1))
@@ -55,18 +54,30 @@ def _face_point(a: np.ndarray, face: np.ndarray, scale: float):
     return point, stationary
 
 
-def _descend(a: np.ndarray, start: int, scale: float) -> list[np.ndarray]:
-    """Primal active-set descent of v'Av from the vertex ``start`` to a KKT point.
+def _advance(w, step, limit, target, face) -> tuple[np.ndarray, bool]:
+    """Go to ``target``, ``limit`` steps away, or to where a coordinate hits zero and leaves."""
+    ratios = np.divide(w, -step, out=np.full(w.size, np.inf), where=step < 0.0)
+    block = int(np.argmin(ratios))
+    reached = bool(ratios[block] >= limit)
+    w = np.clip(target if reached else w + ratios[block] * step, 0.0, None)
+    if not reached:
+        w[block], face[block] = 0.0, False
+    return w / w.sum(), reached
 
-    Each step heads for the face's stationary point, or to the face boundary when
-    v'Av does not curve upwards that way.  The steepest coordinate enters when its
-    gradient undercuts the multiplier by more than the value tolerance.  Also
-    returns the stationary point of the end face widened by zero-multiplier ones.
+
+def _descend(a: np.ndarray, w: np.ndarray, scale: float) -> list[np.ndarray]:
+    """Primal active-set descent of v'Av from a simplex point stationary on its support.
+
+    Steps head for the face's stationary point, or to the face boundary where
+    v'Av does not curve upwards, so the value never increases; the steepest
+    coordinate enters while it undercuts the multiplier by more than the value
+    tolerance.  The end is a KKT point unless the 4m^2 guard against cycling
+    trips.  It comes with the least-norm stationary point of the end face widened
+    by the zero-multiplier coordinates, less those that block the way there.
     """
     m, tol = a.shape[0], 1e-12 * scale
-    w = np.eye(m)[start]
     face, stationary = w > 0.0, True
-    for _ in range(4 * m * m):  # a guard against cycling on flat faces
+    for _ in range(4 * m * m):
         aw, value = a @ w, float(w @ a @ w)
         slope = 2.0 * (aw - value)  # along the edge from w to each vertex
         if stationary:
@@ -79,72 +90,61 @@ def _descend(a: np.ndarray, start: int, scale: float) -> list[np.ndarray]:
         if not (stationary and step @ a @ step > 0.0):
             target, limit = w, np.inf
             step = -step if aw @ step > 0.0 else step
-        ratios = np.divide(w, -step, out=np.full(m, np.inf), where=step < 0.0)
-        block = int(np.argmin(ratios))
-        stationary = bool(ratios[block] >= limit)  # the target is reached
-        w = np.clip(target if stationary else w + ratios[block] * step, 0.0, None)
-        if not stationary:  # a coordinate hit zero and leaves the face
-            w[block], face[block] = 0.0, False
-        w /= w.sum()
-    wider = face | (2.0 * (a @ w) - 2.0 * float(w @ a @ w) <= tol)
-    if np.any(wider & ~face):
+        w, stationary = _advance(w, step, limit, target, face)
+    end, wider = w, face | (2.0 * (a @ w - float(w @ a @ w)) <= tol)
+    for _ in range(m if np.any(wider & ~face) else 0):  # reach it or drop a coordinate
         point, feasible = _face_point(a, np.flatnonzero(wider), scale)
-        if feasible and np.min(point) >= -1e-12:
-            point = np.clip(point, 0.0, None)
-            return [w, point / point.sum()]
-    return [w]
+        point = np.clip(point, 0.0, None) if np.min(point) >= -1e-12 else point
+        w, reached = _advance(w, point - w, 1.0, point, wider) if feasible else (w, True)
+        if reached:
+            break
+    return [end] if w is end else [end, w]
 
 
 def minimize_quadratic_on_simplex(form: QuadraticForm, d: int | None = None
                                   ) -> tuple[WeightVector, float]:
     """Minimize v'Av over simplex weights supported on the form's index set.
 
-    Two components are solved in closed form.  From three on, a primal
-    active-set descent runs from every vertex to a KKT point, solving one
-    face's KKT system per step, so the cost is polynomial in the number of
-    components.  The result is the global minimum whenever the form is convex
-    on the simplex; over an indefinite form, where that problem is NP-hard,
-    it is the best KKT point the descents reach.  The candidates are the
-    barycenter, the vertices in index order and the descent end points.  Ties
-    between their values go to the smaller Euclidean norm, then to the
-    earlier candidate, so an all-vertex tie returns the lowest-index vertex.
-
-    Returns
-    -------
-    (WeightVector, float)
-        The minimizing weights, embedded into dimension ``d`` (by default
-        the largest member of the index set), and the attained value.
+    The candidates are the barycenter, the vertices and, for two components,
+    the segment's stationary point in closed form; from three on, the end
+    points of active-set descents, at polynomial cost.  A form convex on the
+    simplex takes one descent, from the lowest vertex, to its global minimum.
+    Otherwise (an NP-hard problem) a descent starts from the stationary point
+    of every edge that curves upwards, and the best KKT point they reach need
+    not be global.  Value ties go to the smaller norm, then the earlier
+    candidate (an all-vertex tie gives the lowest-index vertex), so a flat
+    optimum need not give the least-norm minimizer.  Returns the weights in
+    dimension ``d`` (by default the largest index) and the attained value.
     """
-    a = form.matrix
+    a, index_set = form.matrix, form.index_set
     m = a.shape[0]
-    index_set = form.index_set
     if d is None:
         d = index_set.members[-1]
     index_set.check_within(d)
     scale = 1.0 + float(np.max(np.abs(a)))
+    value_tol = 1e-12 * scale
 
-    # exact candidates first: the barycenter, and for two components the
-    # interior stationary point in closed form.  Both are computed without a
-    # linear solve, so symmetric ties resolve to bit-exact weights.
-    candidates = [np.full(m, 1.0 / m)]
-    if m == 2:
-        denom = a[0, 0] + a[1, 1] - 2.0 * a[0, 1]
-        if denom > 0.0:
-            w1 = (a[1, 1] - a[0, 1]) / denom
-            if 0.0 <= w1 <= 1.0:
-                candidates.append(np.array([w1, 1.0 - w1]))
-    candidates += [np.eye(m)[i] for i in range(m)]
-    for start in range(m if m > 2 else 0):  # at m = 2 the segment is solved above
+    vertices = [np.eye(m)[i] for i in range(m)]
+    # the form on the sum-zero directions is semidefinite iff convex on the simplex
+    if m > 2 and np.linalg.eigvalsh(
+            a - a.mean(axis=0) - a.mean(axis=1)[:, None] + a.mean())[0] >= -value_tol:
+        starts = [vertices[int(np.argmin(np.diag(a)))]]
+    else:  # the stationary point on every edge that curves upwards, without a solve
+        starts = []
+        for i, j in itertools.combinations(range(m), 2):
+            curvature = a[i, i] + a[j, j] - 2.0 * a[i, j]
+            if curvature > 0.0 and 0.0 <= (t := (a[j, j] - a[i, j]) / curvature) <= 1.0:
+                starts.append(t * vertices[i] + (1.0 - t) * vertices[j])
+    # at m = 2 the edge point solves the problem, and ties to the barycenter bit for bit
+    candidates = [np.full(m, 1.0 / m)] + (starts if m == 2 else []) + vertices
+    for start in starts if m > 2 else []:
         candidates += _descend(a, start, scale)
 
     best_w, best_value, best_norm = None, np.inf, np.inf
-    value_tol = 1e-12 * scale
     for w in candidates:
-        value = float(w @ a @ w)
-        norm = float(np.linalg.norm(w))
-        if value < best_value - value_tol:
-            best_w, best_value, best_norm = w, value, norm
-        elif value <= best_value + value_tol and norm < best_norm - 1e-12:
+        value, norm = float(w @ a @ w), float(np.linalg.norm(w))
+        if value < best_value - value_tol or (value <= best_value + value_tol
+                                              and norm < best_norm - 1e-12):
             best_w, best_value, best_norm = w, value, norm
 
     full = np.zeros(d)

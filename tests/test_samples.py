@@ -200,8 +200,8 @@ def _solve(a):
 def _check_qp_against_enumeration(a, same_weights=True):
     """The solver never ends above the enumeration's value, and matches its weights if asked.
 
-    Only forms with a unique minimizer may ask for the weights: on a flat
-    optimum both solvers break the tie by norm among their own candidates.
+    Indefinite forms compare the value only: where more than one KKT point
+    attains it, the two solvers may tie-break among different candidates.
     """
     w, value, matrix = _solve(a)
     w_full, value_full = _full_face_enumeration(matrix)
@@ -276,6 +276,7 @@ def test_qp_matches_enumeration_on_simulated_mk_and_mu_forms(m):
 
 @pytest.mark.parametrize("m", range(3, 8))
 def test_qp_reaches_the_enumeration_value_on_indefinite_forms(m):
+    """Sampled forms only: no polynomial method finds every indefinite form's minimum."""
     rng = np.random.default_rng(60 + m)
     for trial in range(30):
         b = rng.normal(size=(m, m))
@@ -289,11 +290,46 @@ def test_qp_reaches_the_enumeration_value_on_rank_deficient_forms(m):
     for rows in range(1, m):
         for _ in range(4):
             g = rng.normal(size=(rows, m))
-            _check_qp_against_enumeration(g.T @ g, same_weights=False)
+            _check_qp_against_enumeration(g.T @ g)
     # fewer max-linear factors than components: singular second-moment forms
     index_set = tm.IndexSet(range(1, m + 1))
     for a in _mk_and_mu_forms(_max_linear_data(m, m, 2), index_set):
         _check_qp_against_enumeration(a, same_weights=False)
+
+
+# indefinite forms whose minimum lies inside an edge that no descent from a
+# vertex reaches: the edge's closed-form stationary point finds it
+EDGE_MINIMUM_FORMS = [
+    [[6.604, 8.698, 3.799, 6.405, 6.504, 11.243], [8.698, 4.736, 4.072, 4.102, 4.069, 8.802],
+     [3.799, 4.072, 6.527, 7.201, 8.272, 4.888], [6.405, 4.102, 7.201, 7.894, 5.893, 6.466],
+     [6.504, 4.069, 8.272, 5.893, 7.923, 7.474], [11.243, 8.802, 4.888, 6.466, 7.474, 6.026]],
+    [[3.76, 4.84, 2.16, 2.65, 5.61, 1.89, 2.38], [4.84, 3.01, 3.39, 0.74, 4.07, 5.9, 2.3],
+     [2.16, 3.39, 4.06, 4.16, 2.2, 2.39, 3.94], [2.65, 0.74, 4.16, 2.39, 4.45, 1.23, 3.82],
+     [5.61, 4.07, 2.2, 4.45, 5.29, 1.09, 1.46], [1.89, 5.9, 2.39, 1.23, 1.09, 1.64, 2.61],
+     [2.38, 2.3, 3.94, 3.82, 1.46, 2.61, 3.75]],
+]
+
+
+@pytest.mark.parametrize("index", range(len(EDGE_MINIMUM_FORMS)))
+def test_qp_finds_a_minimum_inside_an_edge_of_an_indefinite_form(index):
+    a = np.asarray(EDGE_MINIMUM_FORMS[index])
+    assert np.linalg.eigvalsh(a)[0] < 0.0
+    _check_qp_against_enumeration(a)
+    assert np.count_nonzero(_solve(a)[0]) == 2
+
+
+@pytest.mark.parametrize("m, seed", [(4, 1), (4, 14), (5, 6), (5, 13)])
+def test_mk_weights_are_the_least_norm_minimizer_of_a_flat_optimum(m, seed):
+    """Two factors and more components: the MK form's minimizers are not unique."""
+    index_set = tm.IndexSet(range(1, m + 1))
+    x = _max_linear_data(seed, m, 2)
+    u = float(np.quantile(tm.partial_max(x, index_set), 0.99))
+    a = tm.second_moment_matrix_known(x, u, index_set).matrix
+    assert np.linalg.matrix_rank(a) < m
+    _check_qp_against_enumeration(a)
+    w_full, _ = _full_face_enumeration(a)
+    weights_used = tm.tau_moment_known(x, u, index_set).parameters["weights"]
+    assert np.max(np.abs(weights_used - w_full)) <= 1e-12
 
 
 def test_identical_components_share_their_weight_evenly():
@@ -328,18 +364,54 @@ def test_qp_end_point_satisfies_kkt(m):
         assert _kkt_residual(matrix, w) <= 1e-10
 
 
+def _edge_points(a):
+    """The stationary point inside each edge along which v'Av curves upwards."""
+    m, points = a.shape[0], []
+    for i in range(m):
+        for j in range(i + 1, m):
+            curvature = a[i, i] + a[j, j] - 2.0 * a[i, j]
+            if curvature > 0.0 and 0.0 <= (t := (a[j, j] - a[i, j]) / curvature) <= 1.0:
+                points.append(t * np.eye(m)[i] + (1.0 - t) * np.eye(m)[j])
+    return points
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
-def test_every_descent_ends_at_a_kkt_point_no_higher_than_its_vertex(m):
-    """Indefinite, concave and linear-along-an-edge forms, one start vertex at a time."""
+def test_every_descent_ends_at_a_kkt_point_no_higher_than_its_start(m):
+    """Indefinite, concave, linear-along-an-edge and constant forms, from vertices and edge points.
+
+    The constant form is flat everywhere, so it also checks that nothing cycles there.
+    """
     rng = np.random.default_rng(100 + m)
     for _ in range(10):
         b, g, h = (rng.normal(size=(m, m)) for _ in range(3))
         h[:, 1] = h[:, 0]
         shift = np.outer(rng.normal(size=m), np.ones(m))
-        for a in (b + b.T, -(g.T @ g), h.T @ h + shift + shift.T):
+        for a in (b + b.T, -(g.T @ g), h.T @ h + shift + shift.T, np.ones((m, m))):
             a = (a + a.T) / 2.0
             scale = 1.0 + np.max(np.abs(a))
-            for start in range(m):
-                end = weights._descend(a, start, scale)[0]
-                assert _kkt_residual(a, end) <= 1e-10
-                assert end @ a @ end <= a[start, start] + 1e-12 * scale
+            for start in list(np.eye(m)) + _edge_points(a):
+                ends = weights._descend(a, start, scale)
+                assert _kkt_residual(a, ends[0]) <= 1e-10
+                for end in ends:
+                    assert end @ a @ end <= start @ a @ start + 1e-12 * scale
+
+
+def test_a_convex_form_takes_one_descent_and_an_indefinite_one_starts_at_every_edge_point(
+        monkeypatch):
+    starts = []
+    descend = weights._descend
+
+    def counting(a, w, scale):
+        starts.append(w)
+        return descend(a, w, scale)
+
+    monkeypatch.setattr(weights, "_descend", counting)
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(6, 5))
+    _solve(g.T @ g)
+    assert len(starts) == 1
+    assert np.array_equal(starts[0], np.eye(5)[np.argmin(np.diag(g.T @ g))])
+    starts.clear()
+    a = np.asarray(EDGE_MINIMUM_FORMS[1])
+    _solve(a)
+    assert len(starts) == len(_edge_points(a)) > 0
