@@ -45,13 +45,8 @@ from .oracle import (
     optimal_weights,
     perturbed_moment,
 )
-from .weights import (
-    minimize_quadratic_on_simplex,
-    optimal_weights_known,
-    rank_variance_form,
-    tau_moment_known,
-    tau_moment_ranks,
-)
+from .variance import minimize_quadratic_on_simplex
+from .weights import optimal_weights_known, rank_variance_form, tau_moment_known, tau_moment_ranks
 
 _KNOWN_METHODS = {"bk", "mk"}
 _RANK_METHODS = {"hill", "bu", "stdf", "mu"}

@@ -17,8 +17,6 @@ largest value (rank-based, self-normalizing).
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .core import (
@@ -32,6 +30,7 @@ from .core import (
     matrix_values,
 )
 from .samples import known_sample, rank_sample
+from .variance import bu_sigma2, pairwise
 
 
 def moment_mean(data, u: float, v: WeightVector, p: int = 1,
@@ -232,9 +231,11 @@ def stable_tail_estimate(data, k: int, index_set: IndexSet,
     count = sample.count
     estimate = (n / k) * (count / n)
     std_error = None
-    if eps is not None and estimate > 0:
-        sigma2 = stable_tail_variance(sample, k, index_set, eps)
-        std_error = float(np.sqrt(max(sigma2, 0.0) / (estimate ** 4 * k)))
+    if eps is not None:
+        eps = check_eps(eps, k, n)
+        if estimate > 0:
+            sigma2 = stable_tail_variance(sample, k, index_set, eps)
+            std_error = float(np.sqrt(max(sigma2, 0.0) / (estimate ** 4 * k)))
     return EstimateReport(
         estimate=estimate,
         inverse_estimate=(1.0 / estimate) if estimate > 0 else None,
@@ -242,7 +243,7 @@ def stable_tail_estimate(data, k: int, index_set: IndexSet,
         exceedance_count=count,
         method="stdf",
         parameters={"k": int(k), "index_set": index_set, "n": n,
-                    **({"eps": float(eps)} if eps is not None else {})},
+                    **({"eps": eps} if eps is not None else {})},
     )
 
 
@@ -259,20 +260,9 @@ def stable_tail_variance(data, k: int, index_set: IndexSet, eps: float) -> float
     sample = rank_sample(data, k, index_set)
     sample.require_exceedances()
     tau_hat = sample.count / k
-
+    c_matrix, _ = sample.derivatives(eps)
     # gradient of the mean partial max of the renormalized spectral vector,
-    # recovered from the diagonal scale quotients
-    partial_e = np.zeros(m)
-    for pos in range(m):
-        c_diag = float(sample.central_difference(eps, pos)[pos] / (2.0 * eps))
-        partial_e[pos] = 1.0 - tau_hat * c_diag
-
-    # pairwise minimum moments from pair exceedance counts at the same k
-    minimum = np.zeros((m, m))
-    for a in range(m):
-        minimum[a, a] = 1.0 / tau_hat
-    for a, b in itertools.combinations(range(m), 2):
-        pair_tau = sample.pair(a, b).count / k
-        minimum[a, b] = minimum[b, a] = 2.0 / tau_hat - pair_tau / tau_hat
-
-    return float(tau_hat ** 3 * (partial_e @ minimum @ partial_e) - tau_hat)
+    # recovered from the diagonal scale derivatives
+    gradient = 1.0 - tau_hat * np.diag(c_matrix)
+    # pairwise coefficients from pair exceedance counts at the same k
+    return bu_sigma2(tau_hat, pairwise(m, lambda a, b: sample.pair(a, b).count / k), gradient)

@@ -24,7 +24,7 @@ from .core import (
     ParamOutOfRange,
     uniform_weights,
 )
-from .estimators import benchmark_ratio_known, stable_tail_estimate
+from .estimators import benchmark_ratio_known, check_eps, stable_tail_estimate
 from .maxlinear import (
     MaxLinearModel,
     derive_seed,
@@ -75,7 +75,7 @@ class ExperimentConfig:
             raise ParamOutOfRange(
                 f"u_quantile must lie in (0, 1), got {self.u_quantile}")
         if self.eps is not None:
-            object.__setattr__(self, "eps", float(self.eps))
+            object.__setattr__(self, "eps", check_eps(self.eps, self.k, self.n))
         names = tuple(str(name).upper() for name in self.estimators)
         unknown = [name for name in names if name not in ESTIMATOR_NAMES]
         if unknown:

@@ -18,7 +18,7 @@ from .core import (
     StandardizedMatrix,
     matrix_values,
 )
-from .samples import rank_sample, upper_order_statistics  # noqa: F401 (re-exported)
+from .samples import rank_sample
 
 
 def standardize_known(data, alpha: float, scales) -> StandardizedMatrix:

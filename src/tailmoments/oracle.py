@@ -6,7 +6,10 @@ extremal coefficients, renormalized moments, perturbed tail moments and
 their derivatives, optimal weights, and the asymptotic variances of the
 four estimation strategies.  Everything here is computed by exact atom
 enumeration so the results can serve as ground truth in tests and as the
-theoretical column of simulation reports.
+theoretical column of simulation reports.  The variances and the optimal
+weights come from :mod:`tailmoments.variance`, whose formulas the plug-in
+estimators share; this module imports nothing else from the package but
+``core``.
 """
 
 from __future__ import annotations
@@ -26,11 +29,7 @@ from .core import (
     check_moment_power,
     partial_max,
 )
-from .weights import (
-    _assemble_variance_matrix,
-    _condition_number,
-    minimize_quadratic_on_simplex,
-)
+from .variance import bu_sigma2, minimize_quadratic_on_simplex, mu_form, pairwise
 
 #: tolerance for the standardized-margins precondition (equal atom means)
 STANDARDIZED_TOL = 1e-9
@@ -370,18 +369,6 @@ def optimal_weights(measure: DiscreteSpectralMeasure, index_set: IndexSet
     return minimize_quadratic_on_simplex(form, d=measure.d)
 
 
-def _pair_coefficients(measure: DiscreteSpectralMeasure,
-                       index_set: IndexSet) -> np.ndarray:
-    members = index_set.members
-    m = index_set.size
-    taus = np.ones((m, m))
-    for a in range(m):
-        for b in range(a + 1, m):
-            value = extremal_coefficient(measure, IndexSet((members[a], members[b])))
-            taus[a, b] = taus[b, a] = value
-    return taus
-
-
 def rank_variance_matrix(measure: DiscreteSpectralMeasure,
                          index_set: IndexSet) -> QuadraticForm:
     """Population analogue of the rank-based plug-in variance form.
@@ -395,20 +382,16 @@ def rank_variance_matrix(measure: DiscreteSpectralMeasure,
     tau = extremal_coefficient(measure, index_set)
     mu = renormalized_measure(measure, index_set)
     m = index_set.size
+    members = index_set.members
     second = spectral_second_moment(measure, index_set)
-    pair_taus = _pair_coefficients(measure, index_set)
+    pair_taus = pairwise(m, lambda a, b: extremal_coefficient(
+        measure, IndexSet((members[a], members[b]))))
     even, left, right = _argmax_gradients(mu, index_set)
     # C[i, j] = c_i at basis weights j = (delta_ij - dE_i) / tau
     c_matrix = (np.eye(m) - np.outer(even, np.ones(m))) / tau
     b = negative_entropy_vector(measure, index_set)
-    matrix = _assemble_variance_matrix(tau, pair_taus, second, c_matrix, b)
-    meta = {
-        "tau": tau,
-        "pair_taus": pair_taus,
-        "differentiable": bool(np.max(np.abs(right - left)) <= ARGMAX_TOL),
-        "condition_number": _condition_number(matrix),
-    }
-    return QuadraticForm(index_set, matrix, meta=meta)
+    return mu_form(index_set, tau, pair_taus, second, c_matrix, b,
+                   differentiable=bool(np.max(np.abs(right - left)) <= ARGMAX_TOL))
 
 
 def rank_asymptotic_variance(measure: DiscreteSpectralMeasure,
@@ -457,21 +440,16 @@ def asymptotic_variances(measure: DiscreteSpectralMeasure,
     """
     tau = extremal_coefficient(measure, index_set)
     mu = renormalized_measure(measure, index_set)
-    m = index_set.size
 
     avar_bk = (tau - 1.0) / tau ** 3
 
     v_star, _ = optimal_weights(measure, index_set)
     avar_mk = max(ratio_covariance(measure, index_set, v_star, v_star), 0.0)
 
-    even, _, _ = _argmax_gradients(mu, index_set)
-    pair_taus = _pair_coefficients(measure, index_set)
-    minimum = (2.0 - pair_taus) / tau
-    np.fill_diagonal(minimum, 1.0 / tau)
-    sigma2 = tau ** 3 * float(even @ minimum @ even) - tau
-    avar_bu = max(sigma2, 0.0) / tau ** 4
-
     form = rank_variance_matrix(measure, index_set)
+    even, _, _ = _argmax_gradients(mu, index_set)
+    avar_bu = max(bu_sigma2(tau, form.meta["pair_taus"], even), 0.0) / tau ** 4
+
     v_tilde, best_rank = minimize_quadratic_on_simplex(form, d=measure.d)
     avar_mu = max(best_rank, 0.0)
 

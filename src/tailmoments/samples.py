@@ -170,27 +170,25 @@ class RankSample(TailSample):
         if self.count == 0:
             raise NoExceedances("no partial maximum exceeds its order-statistic threshold")
 
-    def central_difference(self, eps: float, position: int | None = None) -> np.ndarray:
-        """``R(+eps) - R(-eps)`` of the basis ratios R (the column means of ``angular``).
+    def derivatives(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """Central difference quotients ``(R(+eps) - R(-eps)) / (2 eps)`` of the basis ratios R.
 
-        With a ``position``, that ratio column is multiplied by ``1 +/- eps``
-        before the indicator and the normalization.  Without one, the angular
-        exponent is divided by ``1 +/- eps`` on the unchanged exceedance set.
+        R holds the column means of ``angular``.  Row i of the (m, m) scale
+        matrix multiplies ratio column i by ``1 +/- eps`` before the indicator
+        and the normalization; the power m-vector divides the angular
+        exponent by ``1 +/- eps`` on the unchanged exceedance set.
         """
         self.require_exceedances()
-        if position is None:
-            alpha_hat = 1.0 / self.inv_alpha
-            upper = np.power(self.unit, alpha_hat / (1.0 + eps)).mean(axis=0)
-            lower = np.power(self.unit, alpha_hat / (1.0 - eps)).mean(axis=0)
-            return upper - lower
+        power = 1.0 / self.inv_alpha
         # a row with ell * (1 + eps) <= 1 exceeds under neither scaling, so
         # dropping it first leaves both exceedance sets, in order, unchanged
         candidates = self.ratios[self.ell * (1.0 + eps) > 1.0]
-        bump = np.zeros(self.index_set.size)
-        bump[position] = eps
-        power = 1.0 / self.inv_alpha
-        return (_scaled_means(candidates, 1.0 + bump, power)
-                - _scaled_means(candidates, 1.0 - bump, power))
+        scale = np.array([_scaled_means(candidates, 1.0 + bump, power)
+                          - _scaled_means(candidates, 1.0 - bump, power)
+                          for bump in eps * np.eye(self.index_set.size)])
+        upper = np.power(self.unit, power / (1.0 + eps)).mean(axis=0)
+        lower = np.power(self.unit, power / (1.0 - eps)).mean(axis=0)
+        return scale / (2.0 * eps), (upper - lower) / (2.0 * eps)
 
 
 def rank_sample(data, k: int, index_set: IndexSet,

@@ -127,6 +127,15 @@ def test_estimate_data_errors_exit_one(capsys, sample_csv):
     assert "error:" in err
 
 
+def test_estimate_bu_eps_out_of_range_exits_one_without_exceedances(capsys, tmp_path):
+    path = tmp_path / "constant.csv"
+    np.savetxt(path, np.ones((50, 2)), delimiter=",", header="x1,x2", comments="")
+    code, out, err = run(capsys, "estimate", "--input", str(path), "--index-set", "1,2",
+                         "--method", "bu", "--k", "5", "--eps", "7")
+    assert code == 1
+    assert out == "" and "error:" in err and "EpsOutOfRange" in err
+
+
 def test_estimate_k_zero_exits_one(capsys, sample_csv):
     code, _, err = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
                        "--method", "mu", "--k", "0")

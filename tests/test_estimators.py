@@ -126,6 +126,15 @@ def test_stable_tail_estimate_examples():
     assert tm.stable_tail_estimate(single, 2, tm.IndexSet([1])).estimate == 0.5
 
 
+def test_stable_tail_estimate_checks_eps_without_exceedances():
+    constant = np.ones((50, 2))
+    with pytest.raises(tm.EpsOutOfRange):
+        tm.stable_tail_estimate(constant, 5, I12, eps=7.0)
+    rep = tm.stable_tail_estimate(constant, 5, I12, eps=0.5)
+    assert rep.estimate == 0.0 and rep.std_error is None
+    assert rep.parameters["eps"] == 0.5
+
+
 def test_stable_tail_estimate_converges_to_the_extremal_coefficient():
     model = tm.make_scenario(0.1, 0.2)
     x = tm.simulate(model, 40000, seed=21)

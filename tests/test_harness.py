@@ -38,6 +38,10 @@ def test_config_validation():
         small_config(u_quantile=1.5)
     with pytest.raises(ValueError):
         small_config(estimators=("BK", "XX"))
+    with pytest.raises(tm.EpsOutOfRange):
+        small_config(eps=5.0)
+    with pytest.raises(tm.EpsOutOfRange):
+        small_config(eps=0.0)
 
 
 def test_run_experiment_is_deterministic():

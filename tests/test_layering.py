@@ -1,0 +1,43 @@
+import ast
+from graphlib import TopologicalSorter
+from pathlib import Path
+
+import tailmoments
+
+PACKAGE = Path(tailmoments.__file__).parent
+
+
+def _package_imports(path: Path) -> dict[str, list[str]]:
+    """The package modules a module imports from, with the names it takes from each."""
+    imports: dict[str, list[str]] = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            imports.setdefault(node.module, []).extend(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                imports.setdefault(alias.name, [])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("tailmoments."):
+            imports.setdefault(node.module.split(".")[1], []).extend(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("tailmoments."):
+                    imports.setdefault(alias.name.split(".")[1], [])
+    return imports
+
+
+def test_modules_are_layered():
+    graph = {path.stem: _package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {"core", "variance", "oracle", "weights"} <= set(graph)
+
+    private = [(module, source, name) for module, imports in graph.items()
+               for source, names in imports.items() for name in names if name.startswith("_")]
+    assert private == []
+
+    # the population oracle and the variance formulas know nothing of samples
+    assert set(graph["variance"]) == {"core"}
+    assert set(graph["oracle"]) == {"core", "variance"}
+
+    # the package modules form a DAG once the re-exporting __init__ is left out;
+    # prepare() raises CycleError otherwise
+    del graph["__init__"]
+    TopologicalSorter({module: set(imports) for module, imports in graph.items()}).prepare()
