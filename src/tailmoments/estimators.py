@@ -84,8 +84,8 @@ def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
     The estimate is ``moment_mean / exceedance_fraction``; with ``p = 1`` and
     simplex weights it converges to the reciprocal extremal coefficient of
     the support of ``v``, for any such ``v``.  The standard error is the
-    plug-in ``sqrt(inv_tau_hat * var_hat / count)`` where both factors are
-    empirical moments over the exceedances.
+    plug-in ``sqrt(var_hat / count)``, with ``var_hat`` the variance of the
+    p-th power over the ``count`` exceedances.
 
     Raises
     ------
@@ -99,11 +99,8 @@ def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
     projected = sample.angular @ v.weights
     powered = projected ** p if p != 1 else projected
     estimate = float(np.mean(powered)) if p > 0 else 1.0
-    # 1/tau plug-in from the first moment at the same weights; variance of the
-    # p-th power over the exceedances
-    inv_tau = float(np.mean(projected))
     variance = float(np.mean(powered ** 2)) - estimate ** 2
-    std_error = float(np.sqrt(max(inv_tau * variance, 0.0) / sample.count))
+    std_error = float(np.sqrt(max(variance, 0.0) / sample.count))
     return EstimateReport(
         estimate=estimate,
         inverse_estimate=(1.0 / estimate) if estimate > 0 else None,

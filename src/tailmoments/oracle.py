@@ -6,8 +6,12 @@ extremal coefficients, renormalized moments, perturbed tail moments and
 their derivatives, optimal weights, and the asymptotic variances of the
 four estimation strategies.  Everything here is computed by exact atom
 enumeration so the results can serve as ground truth in tests and as the
-theoretical column of simulation reports.  The variances and the optimal
-weights come from :mod:`tailmoments.variance`, whose formulas the plug-in
+theoretical column of simulation reports.  Each function reads one
+:class:`Population` view of the measure on its index set, which
+renormalizes the measure once and derives tau, the second moments, the
+entropy vector and the argmax gradients once; a function handed a view
+for its index set reads that view.  The variances and the optimal weights
+come from :mod:`tailmoments.variance`, whose formulas the plug-in
 estimators share; this module imports nothing else from the package but
 ``core``.
 """
@@ -15,6 +19,7 @@ estimators share; this module imports nothing else from the package but
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,49 +131,19 @@ class DiscreteSpectralMeasure:
 def _weights_on(index_set: IndexSet, v, d: int) -> np.ndarray:
     """Coerce a WeightVector / full-length vector / |I|-vector to I coordinates."""
     if isinstance(v, WeightVector):
-        return v.on_support() if v.support.members == index_set.members \
-            else v.weights[index_set.zero_based()]
+        return v.weights[index_set.zero_based()]
     arr = np.asarray(v, dtype=float)
     if arr.shape[0] == index_set.size:
         return arr
     if arr.shape[0] == d:
         return arr[index_set.zero_based()]
     raise ValueError(
-        f"weights must have length {index_set.size} or {d}, got {arr.shape[0]}")
+        f"vectors must have length {index_set.size} or {d}, got {arr.shape[0]}")
 
 
 def mean_intensity(measure: DiscreteSpectralMeasure) -> np.ndarray:
     """E[Theta_i] for every coordinate, under the measure as given."""
     return measure.atoms.T @ measure.probs
-
-
-def _base_tau(measure: DiscreteSpectralMeasure) -> float:
-    """Reciprocal mean coordinate of a standardized base measure."""
-    if not measure.is_base():
-        raise NotStandardized(
-            "a base (sup-norm normalized) spectral measure is required")
-    means = mean_intensity(measure)
-    if float(means.max() - means.min()) > STANDARDIZED_TOL:
-        raise NotStandardized(
-            "margins are not tail-equivalent: coordinate means of the spectral "
-            f"vector differ by {means.max() - means.min():.3g}")
-    return 1.0 / float(means.mean())
-
-
-def extremal_coefficient(measure: DiscreteSpectralMeasure,
-                         index_set: IndexSet) -> float:
-    """The extremal coefficient of the index set, between 1 and its size.
-
-    Requires a standardized base measure; equals the reciprocal mean
-    coordinate times the mean partial max over the index set.
-    """
-    index_set.check_within(measure.d)
-    tau = _base_tau(measure)
-    mass = float(measure.probs @ partial_max(measure.atoms, index_set))
-    if mass <= 0.0:
-        raise DegenerateDirection(
-            f"the measure puts no mass on the index set {index_set.members}")
-    return tau * mass
 
 
 def renormalized_measure(measure: DiscreteSpectralMeasure,
@@ -193,22 +168,103 @@ def renormalized_measure(measure: DiscreteSpectralMeasure,
     return DiscreteSpectralMeasure(atoms, probs / probs.sum(), index_set)
 
 
+@dataclass(frozen=True, eq=False)
+class Population:
+    """What the oracle reads of one measure on one index set, each part derived once.
+
+    ``tau`` is the extremal coefficient of the set; it needs a standardized
+    base measure.  ``mu`` is the measure renormalized on the set and
+    ``theta`` its atoms on the set; ``second`` holds E[Theta_i Theta_j],
+    ``entropy`` E[-Theta_i log Theta_i], ``gradients`` the even, left and
+    right gradients of the mean partial max, and ``differentiable`` tells
+    whether the last two agree.  ``tau`` is derived on its first read, and
+    ``mu`` with the parts read from it on the first read of any of them, so
+    a function fails on the first part it reads.  The arrays are read-only.
+    """
+
+    measure: DiscreteSpectralMeasure
+    index_set: IndexSet
+
+    @cached_property
+    def tau(self) -> float:
+        self.index_set.check_within(self.measure.d)
+        if not self.measure.is_base():
+            raise NotStandardized(
+                "a base (sup-norm normalized) spectral measure is required")
+        means = mean_intensity(self.measure)
+        if float(means.max() - means.min()) > STANDARDIZED_TOL:
+            raise NotStandardized(
+                "margins are not tail-equivalent: coordinate means of the spectral "
+                f"vector differ by {means.max() - means.min():.3g}")
+        mass = float(self.measure.probs @ partial_max(self.measure.atoms, self.index_set))
+        if mass <= 0.0:
+            raise DegenerateDirection(
+                f"the measure puts no mass on the index set {self.index_set.members}")
+        return 1.0 / float(means.mean()) * mass
+
+    def __getattr__(self, name: str):
+        """Derive ``mu`` and the parts read from it, all at once, on the first read of any."""
+        if name not in ("mu", "theta", "second", "entropy", "gradients", "differentiable"):
+            raise AttributeError(name)
+        mu = renormalized_measure(self.measure, self.index_set)
+        theta = mu.atoms[:, self.index_set.zero_based()]
+        # increasing s_i moves the partial max (exactly 1 here) when i is among
+        # the argmax set (right gradient), decreasing it when i is the unique
+        # argmax (left gradient); ties are split evenly in between
+        top = theta >= 1.0 - ARGMAX_TOL
+        sizes = top.sum(axis=1)
+        indicators = (top / sizes[:, None], top & (sizes == 1)[:, None], top)
+        even, left, right = (x.T.astype(float) @ mu.probs for x in indicators)
+        logs = np.log(np.where(theta > 0, theta, 1.0))
+        second = theta.T @ (mu.probs[:, None] * theta)
+        entropy = np.where(theta > 0.0, -theta * logs, 0.0).T @ mu.probs
+        for array in (theta, second, entropy, even, left, right):
+            array.flags.writeable = False
+        self.__dict__.update(mu=mu, theta=theta, second=second, entropy=entropy,
+                             gradients=(even, left, right),
+                             differentiable=bool(np.max(np.abs(right - left)) <= ARGMAX_TOL))
+        return self.__dict__[name]
+
+    def c(self, weights: np.ndarray, gradient: np.ndarray) -> np.ndarray:
+        """Scale derivatives ``(w_i - (sum w) * gradient_i) / tau`` of the perturbed moment.
+
+        ``weights`` is one |I|-vector, or a matrix with a weight vector in each
+        column: at ``np.eye(m)``, entry (i, j) is the i-th derivative at basis
+        weights j.
+        """
+        return (weights - np.multiply.outer(gradient, weights.sum(axis=0))) / self.tau
+
+
+def population(measure, index_set: IndexSet) -> Population:
+    """The view to read: ``measure`` itself if it is one for this index set, else a new one."""
+    if not isinstance(measure, Population):
+        return Population(measure, index_set)
+    return measure if measure.index_set == index_set else Population(measure.measure, index_set)
+
+
+def extremal_coefficient(measure: DiscreteSpectralMeasure,
+                         index_set: IndexSet) -> float:
+    """The extremal coefficient of the index set, between 1 and its size.
+
+    Requires a standardized base measure; equals the reciprocal mean
+    coordinate times the mean partial max over the index set.
+    """
+    return population(measure, index_set).tau
+
+
 def spectral_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
                     v, p: int = 1) -> float:
     """E[(v' Theta)^p] under the measure renormalized on the index set."""
     p = check_moment_power(p)
-    mu = renormalized_measure(measure, index_set)
-    weights = _weights_on(index_set, v, mu.d)
-    projected = mu.atoms[:, index_set.zero_based()] @ weights
-    return float(mu.probs @ projected ** p)
+    view = population(measure, index_set)
+    projected = view.theta @ _weights_on(index_set, v, view.measure.d)
+    return float(view.mu.probs @ projected ** p)
 
 
 def spectral_second_moment(measure: DiscreteSpectralMeasure,
                            index_set: IndexSet) -> np.ndarray:
     """The matrix E[Theta_i Theta_j] over the index set, renormalized on it."""
-    mu = renormalized_measure(measure, index_set)
-    theta = mu.atoms[:, index_set.zero_based()]
-    return theta.T @ (mu.probs[:, None] * theta)
+    return population(measure, index_set).second
 
 
 def pair_product_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
@@ -222,11 +278,12 @@ def pair_product_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     """
     if i not in index_set or j not in index_set:
         raise ValueError(f"components {i}, {j} must lie in {index_set.members}")
-    mu = renormalized_measure(measure, index_set)
-    value = float(mu.probs @ (mu.atoms[:, i - 1] * mu.atoms[:, j - 1]))
+    view = population(measure, index_set)
+    atoms = view.mu.atoms
+    value = float(view.mu.probs @ (atoms[:, i - 1] * atoms[:, j - 1]))
     if i != j and set(index_set.members) == {i, j}:
         try:
-            tau_pair = extremal_coefficient(measure, index_set)
+            tau_pair = view.tau
         except NotStandardized:
             tau_pair = None
         if tau_pair is not None and abs(value - (2.0 / tau_pair - 1.0)) > 1e-9:
@@ -244,31 +301,35 @@ def perturbed_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     ``beta``, this is the partial-max-weighted mean of
     ``(v' angular(s o Theta)^(1/beta))^p`` divided by the mean partial max of
     ``s o Theta`` — the quantity whose scale and power derivatives enter the
-    rank-based variance corrections.
+    rank-based variance corrections.  A Perturbation brings its own power and
+    must live on the index set; a ``beta`` other than the default 1 must then
+    equal the Perturbation's.
     """
     p = check_moment_power(p)
+    if isinstance(s, Perturbation):
+        if s.index_set != index_set:
+            raise ValueError("the perturbation lives on another index set")
+        if float(beta) not in (1.0, s.beta):
+            raise ValueError(f"beta={beta} contradicts the perturbation's beta={s.beta}")
+        s, beta = s.s, s.beta
     beta = float(beta)
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    mu = renormalized_measure(measure, index_set)
-    idx = index_set.zero_based()
-    scales = s.s if isinstance(s, Perturbation) else np.asarray(s, dtype=float)
-    if scales.shape[0] == index_set.size:
-        full = np.zeros(mu.d)
-        full[idx] = scales
-        scales = full
-    if np.any(scales[idx] < 0):
+    view = population(measure, index_set)
+    theta = view.theta
+    scales = _weights_on(index_set, s, view.measure.d)
+    if np.any(scales < 0):
         raise ValueError("perturbation scales must be non-negative")
-    weights = _weights_on(index_set, v, mu.d)
-    scaled = mu.atoms[:, idx] * scales[idx]
+    weights = _weights_on(index_set, v, view.measure.d)
+    scaled = theta * scales
     peaks = scaled.max(axis=1)
-    denominator = float(mu.probs @ peaks)
+    denominator = float(view.mu.probs @ peaks)
     if denominator <= 0.0:
         raise DegenerateDirection(
             "the scaled measure puts no mass on the index set")
     keep = peaks > 0.0
     angular = np.power(scaled[keep] / peaks[keep, None], 1.0 / beta)
-    numerator = float((mu.probs[keep] * peaks[keep]) @ (angular @ weights) ** p)
+    numerator = float((view.mu.probs[keep] * peaks[keep]) @ (angular @ weights) ** p)
     return numerator / denominator
 
 
@@ -298,31 +359,10 @@ class MomentDerivatives:
     right_partial_e: np.ndarray
 
 
-def _argmax_gradients(mu: DiscreteSpectralMeasure, index_set: IndexSet):
-    """Even / left / right gradients of E[max_I (s o Theta)] at s = 1.
-
-    The derivative in ``s_i`` weighs atoms by whether coordinate i attains
-    the partial max: increasing ``s_i`` moves the max whenever i is among
-    the argmax set (right derivative), decreasing it only matters when i is
-    the unique argmax (left derivative); ties are split evenly in between.
-    """
-    theta = mu.atoms[:, index_set.zero_based()]
-    top = theta >= 1.0 - ARGMAX_TOL  # partial max is exactly 1 per construction
-    sizes = top.sum(axis=1)
-    even = ((top / sizes[:, None]).T @ mu.probs)
-    right = top.T.astype(float) @ mu.probs
-    left = (top & (sizes == 1)[:, None]).T.astype(float) @ mu.probs
-    return even, left, right
-
-
 def negative_entropy_vector(measure: DiscreteSpectralMeasure,
                             index_set: IndexSet) -> np.ndarray:
     """E[-Theta_i log Theta_i] for i in the index set, renormalized on it."""
-    mu = renormalized_measure(measure, index_set)
-    theta = mu.atoms[:, index_set.zero_based()]
-    integrand = np.where(theta > 0.0, -theta * np.log(np.where(theta > 0, theta, 1.0)),
-                         0.0)
-    return integrand.T @ mu.probs
+    return population(measure, index_set).entropy
 
 
 def moment_derivatives(measure: DiscreteSpectralMeasure, index_set: IndexSet,
@@ -334,24 +374,18 @@ def moment_derivatives(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     ``c_beta(v) = sum_i v_i E[-Theta_i log Theta_i]``.  Requires a
     standardized base measure (the extremal coefficient enters the formula).
     """
-    tau = extremal_coefficient(measure, index_set)
-    mu = renormalized_measure(measure, index_set)
-    weights = _weights_on(index_set, v, measure.d)
-    total = float(weights.sum())
-    even, left, right = _argmax_gradients(mu, index_set)
-    c_even = (weights - total * even) / tau
-    c_left = (weights - total * left) / tau
-    c_right = (weights - total * right) / tau
-    differentiable = bool(np.max(np.abs(right - left)) <= ARGMAX_TOL)
-    b = negative_entropy_vector(measure, index_set)
+    view = population(measure, index_set)
+    view.tau  # read first, so an unstandardized measure fails before its renormalization
+    weights = _weights_on(index_set, v, view.measure.d)
+    even, left, right = view.gradients
     return MomentDerivatives(
         index_set=index_set,
-        c=c_even,
-        c_beta=float(weights @ b),
+        c=view.c(weights, even),
+        c_beta=float(weights @ view.entropy),
         partial_e=even,
-        differentiable=differentiable,
-        left_c=c_left,
-        right_c=c_right,
+        differentiable=view.differentiable,
+        left_c=view.c(weights, left),
+        right_c=view.c(weights, right),
         left_partial_e=left,
         right_partial_e=right,
     )
@@ -364,9 +398,9 @@ def moment_derivatives(measure: DiscreteSpectralMeasure, index_set: IndexSet,
 def optimal_weights(measure: DiscreteSpectralMeasure, index_set: IndexSet
                     ) -> tuple[WeightVector, float]:
     """Simplex weights minimizing E[(v' Theta)^2] on the index set, with the value."""
-    matrix = spectral_second_moment(measure, index_set)
-    form = QuadraticForm(index_set, matrix, meta={"kind": "second_moment"})
-    return minimize_quadratic_on_simplex(form, d=measure.d)
+    view = population(measure, index_set)
+    form = QuadraticForm(index_set, view.second, meta={"kind": "second_moment"})
+    return minimize_quadratic_on_simplex(form, d=view.measure.d)
 
 
 def rank_variance_matrix(measure: DiscreteSpectralMeasure,
@@ -379,19 +413,14 @@ def rank_variance_matrix(measure: DiscreteSpectralMeasure,
     ties in the argmax split evenly (matching the even convention of the
     derivative estimates).
     """
-    tau = extremal_coefficient(measure, index_set)
-    mu = renormalized_measure(measure, index_set)
-    m = index_set.size
+    view = population(measure, index_set)
+    tau = view.tau
     members = index_set.members
-    second = spectral_second_moment(measure, index_set)
-    pair_taus = pairwise(m, lambda a, b: extremal_coefficient(
-        measure, IndexSet((members[a], members[b]))))
-    even, left, right = _argmax_gradients(mu, index_set)
-    # C[i, j] = c_i at basis weights j = (delta_ij - dE_i) / tau
-    c_matrix = (np.eye(m) - np.outer(even, np.ones(m))) / tau
-    b = negative_entropy_vector(measure, index_set)
-    return mu_form(index_set, tau, pair_taus, second, c_matrix, b,
-                   differentiable=bool(np.max(np.abs(right - left)) <= ARGMAX_TOL))
+    pair_taus = pairwise(len(members), lambda a, b: extremal_coefficient(
+        view.measure, IndexSet((members[a], members[b]))))
+    c_matrix = view.c(np.eye(len(members)), view.gradients[0])
+    return mu_form(index_set, tau, pair_taus, view.second, c_matrix, view.entropy,
+                   differentiable=view.differentiable)
 
 
 def rank_asymptotic_variance(measure: DiscreteSpectralMeasure,
@@ -438,29 +467,19 @@ def asymptotic_variances(measure: DiscreteSpectralMeasure,
       minimum-moment form divided by ``tau^4``;
     - optimally weighted rank ratio: the minimum of the rank variance form.
     """
-    tau = extremal_coefficient(measure, index_set)
-    mu = renormalized_measure(measure, index_set)
-
-    avar_bk = (tau - 1.0) / tau ** 3
-
-    v_star, _ = optimal_weights(measure, index_set)
-    avar_mk = max(ratio_covariance(measure, index_set, v_star, v_star), 0.0)
-
-    form = rank_variance_matrix(measure, index_set)
-    even, _, _ = _argmax_gradients(mu, index_set)
-    avar_bu = max(bu_sigma2(tau, form.meta["pair_taus"], even), 0.0) / tau ** 4
-
-    v_tilde, best_rank = minimize_quadratic_on_simplex(form, d=measure.d)
-    avar_mu = max(best_rank, 0.0)
-
+    view = population(measure, index_set)
+    tau = view.tau
+    v_star, _ = optimal_weights(view, index_set)
+    form = rank_variance_matrix(view, index_set)
+    v_tilde, best_rank = minimize_quadratic_on_simplex(form, d=view.measure.d)
     return AsymptoticVariances(
-        avar_bk=float(avar_bk),
-        avar_mk=float(avar_mk),
-        avar_bu=float(avar_bu),
-        avar_mu=float(avar_mu),
+        avar_bk=(tau - 1.0) / tau ** 3,
+        avar_mk=max(ratio_covariance(view, index_set, v_star, v_star), 0.0),
+        avar_bu=max(bu_sigma2(tau, form.meta["pair_taus"], view.gradients[0]), 0.0) / tau ** 4,
+        avar_mu=float(max(best_rank, 0.0)),
         v_star=v_star,
         v_tilde=v_tilde,
-        tau=float(tau),
+        tau=tau,
     )
 
 
@@ -474,13 +493,11 @@ def ratio_covariance(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     """
     p = check_moment_power(p)
     q = check_moment_power(q)
-    tau = extremal_coefficient(measure, index_set)
-    mu = renormalized_measure(measure, index_set)
-    idx = index_set.zero_based()
-    v_on = _weights_on(index_set, v, measure.d)
-    w_on = _weights_on(index_set, w, measure.d)
-    x = (mu.atoms[:, idx] @ v_on) ** p
-    y = (mu.atoms[:, idx] @ w_on) ** q
-    mean_x = float(mu.probs @ x)
-    mean_y = float(mu.probs @ y)
-    return (float(mu.probs @ (x * y)) - mean_x * mean_y) / tau
+    view = population(measure, index_set)
+    tau = view.tau
+    theta, probs = view.theta, view.mu.probs
+    x = (theta @ _weights_on(index_set, v, view.measure.d)) ** p
+    y = (theta @ _weights_on(index_set, w, view.measure.d)) ** q
+    mean_x = float(probs @ x)
+    mean_y = float(probs @ y)
+    return (float(probs @ (x * y)) - mean_x * mean_y) / tau

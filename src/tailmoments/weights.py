@@ -83,42 +83,6 @@ def tau_moment_known(data, u: float, index_set: IndexSet) -> EstimateReport:
 # rank-based pipeline with perturbations
 # ---------------------------------------------------------------------------
 
-def scale_quotient(data, k: int, v: WeightVector, i: int,
-                   eps: float | None = None,
-                   inv_alpha_hat: float | None = None) -> float:
-    """Central difference quotient of the rank moment ratio in the i-th scale.
-
-    Both evaluations perturb the rank-scaled data by ``1 +/- eps`` in
-    component ``i`` before the indicator, the normalization, and the
-    weighting, so the quotient estimates the derivative of the perturbed
-    tail moment ratio with respect to that componentwise scale.  The step
-    defaults to ``k / n``.
-    """
-    x = matrix_values(data)
-    index_set = v.support
-    if i not in index_set:
-        raise ValueError(f"component {i} is not in the index set {index_set.members}")
-    eps = check_eps(eps, k, x.shape[0])
-    sample = rank_sample(data, k, index_set, inv_alpha_hat)
-    c_matrix, _ = sample.derivatives(eps)
-    return float(c_matrix[index_set.members.index(i)] @ v.on_support())
-
-
-def power_quotient(data, k: int, v: WeightVector,
-                   eps: float | None = None,
-                   inv_alpha_hat: float | None = None) -> float:
-    """Central difference quotient of the rank moment ratio in the power direction.
-
-    The two evaluations divide the angular exponent by ``1 + eps`` and
-    ``1 - eps`` while leaving the exceedance set untouched, estimating the
-    derivative with respect to the power parameter at one.
-    """
-    x = matrix_values(data)
-    eps = check_eps(eps, k, x.shape[0])
-    sample = rank_sample(data, k, v.support, inv_alpha_hat)
-    return float(sample.derivatives(eps)[1] @ v.on_support())
-
-
 def second_moment_matrix_ranks(data, k: int, index_set: IndexSet,
                                inv_alpha_hat: float | None = None) -> QuadraticForm:
     """Rank-based spectral second-moment matrix: the mean outer product of the angular parts."""

@@ -169,11 +169,8 @@ def test_estimators_reject_invalid_raw_data(kind, call):
 @pytest.mark.parametrize("call", [
     lambda x: tm.tau_moment_ranks(x, 0, tm.IndexSet([1, 2])),
     lambda x: tm.rank_variance_form(x, 0, tm.IndexSet([1, 2])),
-    lambda x: tm.scale_quotient(x, 0, tm.uniform_weights(tm.IndexSet([1, 2]), 2), 1),
-    lambda x: tm.power_quotient(x, 0, tm.uniform_weights(tm.IndexSet([1, 2]), 2)),
     lambda x: tm.stable_tail_variance(x, 0, tm.IndexSet([1, 2]), eps=0.1),
-], ids=["tau_moment_ranks", "rank_variance_form", "scale_quotient", "power_quotient",
-        "stable_tail_variance"])
+], ids=["tau_moment_ranks", "rank_variance_form", "stable_tail_variance"])
 def test_rank_routes_reject_k_zero_as_k_out_of_range(call):
     x = np.random.default_rng(8).pareto(1.0, size=(200, 2)) + 1.0
     with pytest.raises(tm.KOutOfRange):

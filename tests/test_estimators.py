@@ -41,6 +41,23 @@ def test_moment_ratio_known_raises_without_exceedances():
         tm.moment_ratio_known(X4, 100.0, HALF)
 
 
+@pytest.mark.parametrize("scenario", [(0.1, 0.2), (0.4, 0.6), (0.8, 0.9)])
+def test_moment_ratio_known_standard_error_matches_the_monte_carlo_spread(scenario):
+    """Over seeded replications the spread of the estimate agrees with the reported SE.
+
+    The sample std of R normal draws has relative standard error about
+    1/sqrt(2 (R - 1)), 0.041 at R = 300; the band is four of those.
+    """
+    n, k, reps = 4000, 100, 300
+    u = -1.0 / np.log(1.0 - k / n)
+    model = tm.make_scenario(*scenario)
+    reports = [tm.moment_ratio_known(tm.simulate(model, n, seed=rep), u, HALF)
+               for rep in range(reps)]
+    spread = np.std([r.estimate for r in reports], ddof=1)
+    ratio = spread / np.mean([r.std_error for r in reports])
+    assert abs(ratio - 1.0) <= 4.0 / np.sqrt(2.0 * (reps - 1))
+
+
 def test_moment_ratio_is_affine_in_the_weights():
     """For p = 1 the ratio is linear, so convex combinations pass through."""
     rng = np.random.default_rng(3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tailmoments as tm
+from tailmoments import oracle
 from tailmoments.oracle import (
     asymptotic_variances,
     extremal_coefficient,
@@ -169,6 +170,27 @@ def test_perturbed_moment_at_identity_reduces_to_plain_moment():
         )
 
 
+def test_perturbed_moment_takes_the_power_of_a_perturbation():
+    m = scenario(0.4, 0.6)
+    perturbation = tm.Perturbation([1.1, 0.9], 2.0, I12)
+    value = perturbed_moment(m, I12, [0.5, 0.5], perturbation)
+    assert value == perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9], beta=2.0)
+    assert value != perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9])
+    assert perturbed_moment(m, I12, [0.5, 0.5], perturbation, beta=2.0) == value
+
+
+def test_perturbed_moment_rejects_a_beta_contradicting_the_perturbation():
+    perturbation = tm.Perturbation([1.1, 0.9], 2.0, I12)
+    with pytest.raises(ValueError, match="beta"):
+        perturbed_moment(scenario(0.4, 0.6), I12, [0.5, 0.5], perturbation, beta=3.0)
+
+
+def test_perturbed_moment_rejects_a_perturbation_on_another_index_set():
+    perturbation = tm.Perturbation([1.1, 0.0], 2.0, tm.IndexSet([1]))
+    with pytest.raises(ValueError, match="another index set"):
+        perturbed_moment(scenario(0.4, 0.6), I12, [0.5, 0.5], perturbation)
+
+
 # -------------------------------------------------------------- derivatives
 
 def test_moment_derivatives_independent_coordinates():
@@ -296,10 +318,46 @@ def test_degenerate_scenarios():
     assert ind.avar_bu == pytest.approx(0.0, abs=1e-15)
 
 
+def test_one_call_renormalizes_the_measure_once(monkeypatch):
+    calls = []
+    original = oracle.renormalized_measure
+
+    def counting(measure, index_set):
+        calls.append(index_set.members)
+        return original(measure, index_set)
+
+    monkeypatch.setattr(oracle, "renormalized_measure", counting)
+    asymptotic_variances(scenario(0.4, 0.6), I12)
+    assert calls == [(1, 2)]
+    calls.clear()
+    rank_variance_matrix(scenario(0.4, 0.6), I12)
+    assert calls == [(1, 2)]
+
+
+def test_population_is_read_as_given_and_its_arrays_are_read_only():
+    m = scenario(0.4, 0.6)
+    view = oracle.population(m, I12)
+    assert oracle.population(view, I12) is view
+    other = oracle.population(view, tm.IndexSet([1]))
+    assert other is not view and other.measure is m
+    for array in (view.theta, view.second, view.entropy, *view.gradients):
+        assert not array.flags.writeable
+
+
 def test_asymptotic_variances_reject_unstandardized_measures():
     lopsided = tm.DiscreteSpectralMeasure(np.array([[1.0, 0.0]]), np.array([1.0]))
     with pytest.raises(tm.NotStandardized):
         asymptotic_variances(lopsided, I12)
+    # on a set without mass, functions needing tau still report the standardization first
+    second = tm.IndexSet([2])
+    for call in (lambda: asymptotic_variances(lopsided, second),
+                 lambda: rank_variance_matrix(lopsided, second),
+                 lambda: moment_derivatives(lopsided, second, [1.0]),
+                 lambda: ratio_covariance(lopsided, second, [1.0], [1.0])):
+        with pytest.raises(tm.NotStandardized):
+            call()
+    with pytest.raises(tm.DegenerateDirection):
+        spectral_second_moment(lopsided, second)
 
 
 # ------------------------------------------------------ rank variance matrix
