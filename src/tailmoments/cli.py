@@ -45,6 +45,7 @@ from .oracle import (
     optimal_weights,
     perturbed_moment,
 )
+from .samples import KnownSample, RankSample
 from .variance import minimize_quadratic_on_simplex
 from .weights import optimal_weights_known, rank_variance_form, tau_moment_known, tau_moment_ranks
 
@@ -113,40 +114,41 @@ def _cmd_estimate(args, parser) -> int:
     if args.weights and args.optimal:
         parser.error("--weights and --optimal are mutually exclusive")
 
+    # one tail sample per command, read by every call below
     if args.known_margins:
         scales = _parse_floats(args.scales) if args.scales else np.ones(d)
         std = standardize_known(x, args.alpha, scales)
         u = float(np.quantile(partial_max(std.values, index_set), args.u_quantile))
-        data = std.values
+        sample = KnownSample(std, u, index_set)
     else:
         k = args.k if args.k is not None else max(1, n // 20)
-        data = x
+        sample = RankSample(x, k, index_set)
 
     def pick_weights() -> WeightVector:
         if args.weights:
             return _embed_weights(_parse_floats(args.weights), index_set, d)
         if args.optimal:
             if args.known_margins:
-                return optimal_weights_known(data, u, index_set)[0]
-            form = rank_variance_form(data, k, index_set, eps=args.eps)
+                return optimal_weights_known(sample, u, index_set)[0]
+            form = rank_variance_form(sample, k, index_set, eps=args.eps)
             return minimize_quadratic_on_simplex(form, d=d)[0]
         return uniform_weights(index_set, d)
 
     if method == "bk":
-        report = benchmark_ratio_known(data, u, pick_weights())
+        report = benchmark_ratio_known(sample, u, pick_weights())
     elif method == "mk":
-        report = tau_moment_known(data, u, index_set)
+        report = tau_moment_known(sample, u, index_set)
     elif method == "moment":
         if args.known_margins:
-            report = moment_ratio_known(data, u, pick_weights(), p=args.p)
+            report = moment_ratio_known(sample, u, pick_weights(), p=args.p)
         else:
-            report = moment_ratio_ranks(data, k, pick_weights(), p=args.p)
+            report = moment_ratio_ranks(sample, k, pick_weights(), p=args.p)
     elif method == "hill":
-        report = hill_inverse_alpha(data, k, index_set)
+        report = hill_inverse_alpha(sample, k, index_set)
     elif method in ("bu", "stdf"):
-        report = stable_tail_estimate(data, k, index_set, eps=args.eps)
+        report = stable_tail_estimate(sample, k, index_set, eps=args.eps)
     elif method == "mu":
-        report = tau_moment_ranks(data, k, index_set, eps=args.eps)
+        report = tau_moment_ranks(sample, k, index_set, eps=args.eps)
     else:  # pragma: no cover - argparse restricts choices
         parser.error(f"unknown method {method}")
     _report_out(report, args.output)

@@ -9,6 +9,8 @@ index set, and ``a_l`` the angular part of ``(s o X_l)^(1/beta)``.  Dividing
 by the exceedance fraction (the ``p = 0`` case) gives ratio estimators whose
 limits are moments of the renormalized spectral vector; with unit weights and
 no perturbation the ratio estimates the reciprocal extremal coefficient.
+Every estimator reads ``M`` off one tail sample of :mod:`tailmoments.samples`,
+whose (count, m) angular parts are the ``a_l`` of the exceedances.
 
 Both margin conventions are covered: thresholding standardized data at a
 level ``u`` (known margins), and thresholding each column by its own k-th
@@ -27,62 +29,18 @@ from .core import (
     Perturbation,
     WeightVector,
     check_moment_power as _check_power,
-    matrix_values,
 )
 from .samples import known_sample, rank_sample
 from .variance import bu_sigma2, pairwise
-
-
-def moment_mean(data, u: float, v: WeightVector, p: int = 1,
-                perturbation: Perturbation | None = None) -> float:
-    """The empirical tail moment M(v, s, beta, p) at threshold u (mean over all n rows).
-
-    Parameters
-    ----------
-    data : StandardizedMatrix, DataMatrix, KnownSample or (n, d) array-like
-        Non-negative observations with comparable margins.
-    u : float
-        Threshold applied to the partial max of the perturbed row.
-    v : WeightVector
-        Simplex weights; their support fixes the index set when no
-        perturbation is given.
-    p : int
-        Non-negative integer moment power; ``p = 0`` counts exceedances.
-    perturbation : Perturbation, optional
-        Componentwise scales (applied before thresholding and powering) and
-        the power ``beta``; defaults to the identity on the support of ``v``.
-
-    Notes
-    -----
-    Rows whose perturbed partial max is zero contribute nothing, and an empty
-    exceedance set gives 0 rather than an error.
-    """
-    p = _check_power(p)
-    index_set = v.support if perturbation is None else perturbation.index_set
-    sample = known_sample(data, u, index_set, perturbation)
-    if sample.count == 0:
-        return 0.0
-    if p == 0:
-        return float(sample.count) / sample.n
-    contributions = (sample.angular @ v.weights) ** p
-    return float(np.sum(contributions)) / sample.n
-
-
-def exceedance_fraction(data, u: float, index_set: IndexSet,
-                        perturbation: Perturbation | None = None) -> float:
-    """Fraction of rows whose perturbed partial max over the index set exceeds u."""
-    if perturbation is not None:
-        index_set = perturbation.index_set
-    sample = known_sample(data, u, index_set, perturbation)
-    return float(sample.count) / sample.n
 
 
 def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
                        perturbation: Perturbation | None = None) -> EstimateReport:
     """Moment of the angular parts conditional on an exceedance, for standardized data.
 
-    The estimate is ``moment_mean / exceedance_fraction``; with ``p = 1`` and
-    simplex weights it converges to the reciprocal extremal coefficient of
+    The estimate is ``M(v, s, beta, p) / M(v, s, beta, 0)``, the mean of
+    ``(v' a_l)^p`` over the ``count`` exceedances; with ``p = 1`` and simplex
+    weights it converges to the reciprocal extremal coefficient of
     the support of ``v``, for any such ``v``.  The standard error is the
     plug-in ``sqrt(var_hat / count)``, with ``var_hat`` the variance of the
     p-th power over the ``count`` exceedances.
@@ -96,7 +54,7 @@ def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
     index_set = v.support if perturbation is None else perturbation.index_set
     sample = known_sample(data, u, index_set, perturbation)
     sample.require_exceedances()
-    projected = sample.angular @ v.weights
+    projected = sample.angular @ v.weights[index_set.zero_based()]
     powered = projected ** p if p != 1 else projected
     estimate = float(np.mean(powered)) if p > 0 else 1.0
     variance = float(np.mean(powered ** 2)) - estimate ** 2
@@ -153,31 +111,6 @@ def check_eps(eps, k: int, n: int) -> float:
     if not 0.0 < eps < 1.0:
         raise EpsOutOfRange(f"difference-quotient step must lie in (0, 1), got {eps}")
     return eps
-
-
-def rank_angular_parts(data, k: int, index_set: IndexSet,
-                       inv_alpha_hat: float | None = None):
-    """Exceedance mask and powered angular parts of the rank-scaled data.
-
-    Each column in the index set is divided by its own k-th largest value;
-    a row is an exceedance when its partial max ratio is strictly above one.
-    Exceeding rows are normalized by that partial max and raised entrywise
-    to the estimated tail index (the reciprocal of ``inv_alpha_hat``, which
-    is estimated by the Hill routine on the same rows when absent).
-
-    Returns
-    -------
-    mask : (n,) bool array
-    angular : (count, d) array, zero outside the index set
-    inv_alpha : float
-        The reciprocal tail index actually used.
-    """
-    sample = rank_sample(data, k, index_set, inv_alpha_hat)
-    if sample.inv_alpha is None:
-        sample.require_exceedances()
-    angular = np.zeros((sample.count, sample.d))
-    angular[:, index_set.zero_based()] = sample.angular
-    return sample.mask, angular, sample.inv_alpha
 
 
 def moment_ratio_ranks(data, k: int, v: WeightVector, p: int = 1,
@@ -251,10 +184,8 @@ def stable_tail_variance(data, k: int, index_set: IndexSet, eps: float) -> float
     exceedance functional with pairwise minimum moments obtained from
     two-component exceedance counts at the same level k.
     """
-    x = matrix_values(data)
-    m = index_set.size
-    eps = check_eps(eps, k, x.shape[0])
     sample = rank_sample(data, k, index_set)
+    eps = check_eps(eps, k, sample.n)
     sample.require_exceedances()
     tau_hat = sample.count / k
     c_matrix, _ = sample.derivatives(eps)
@@ -262,4 +193,5 @@ def stable_tail_variance(data, k: int, index_set: IndexSet, eps: float) -> float
     # recovered from the diagonal scale derivatives
     gradient = 1.0 - tau_hat * np.diag(c_matrix)
     # pairwise coefficients from pair exceedance counts at the same k
-    return bu_sigma2(tau_hat, pairwise(m, lambda a, b: sample.pair(a, b).count / k), gradient)
+    pair_taus = pairwise(index_set.size, lambda a, b: sample.pair(a, b).count / k)
+    return bu_sigma2(tau_hat, pair_taus, gradient)

@@ -57,7 +57,6 @@ class ExperimentConfig:
     seed: int
     u_quantile: float = 0.95
     eps: float | None = None
-    estimators: tuple[str, ...] = ESTIMATOR_NAMES
 
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.n))
@@ -76,15 +75,6 @@ class ExperimentConfig:
                 f"u_quantile must lie in (0, 1), got {self.u_quantile}")
         if self.eps is not None:
             object.__setattr__(self, "eps", check_eps(self.eps, self.k, self.n))
-        names = tuple(str(name).upper() for name in self.estimators)
-        unknown = [name for name in names if name not in ESTIMATOR_NAMES]
-        if unknown:
-            raise ValueError(f"unknown estimators: {unknown}")
-        if not names:
-            raise ValueError("at least one estimator is required")
-        # canonical order, duplicates dropped
-        names = tuple(name for name in ESTIMATOR_NAMES if name in names)
-        object.__setattr__(self, "estimators", names)
 
     def to_dict(self) -> dict:
         return {
@@ -95,7 +85,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "u_quantile": self.u_quantile,
             "eps": self.eps,
-            "estimators": list(self.estimators),
         }
 
     @classmethod
@@ -106,12 +95,10 @@ class ExperimentConfig:
             model = make_scenario(p, q)
         else:
             model = MaxLinearModel.from_dict(payload.pop("model"))
-        allowed = {"n", "k", "reps", "seed", "u_quantile", "eps", "estimators"}
+        allowed = {"n", "k", "reps", "seed", "u_quantile", "eps"}
         unknown = set(payload) - allowed
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        if "estimators" in payload:
-            payload["estimators"] = tuple(payload["estimators"])
         return cls(model=model, **payload)
 
 
@@ -161,9 +148,8 @@ class ExperimentReport:
                 for name, s in self.summaries.items()]
 
 
-def _single_rep(rep_seed: int, coeffs, n: int, k: int, u: float, eps: float,
-                estimators: tuple[str, ...]) -> dict:
-    """One repetition: simulate and apply each requested estimator.
+def _single_rep(rep_seed: int, coeffs, n: int, k: int, u: float, eps: float) -> dict:
+    """One repetition: simulate and apply the four estimators.
 
     Returns the reciprocal-coefficient estimate per method, or None when the
     method had no exceedances to work with (recorded as excluded).
@@ -172,28 +158,24 @@ def _single_rep(rep_seed: int, coeffs, n: int, k: int, u: float, eps: float,
     data = simulate(model, n, rep_seed)
     index_set = IndexSet(range(1, model.d + 1))
     # one tail sample per margin convention, shared by its two estimators
-    known = KnownSample(data, u, index_set) if {"BK", "MK"} & set(estimators) else None
-    ranks = RankSample(data, k, index_set) if {"BU", "MU"} & set(estimators) else None
+    known = KnownSample(data, u, index_set)
+    ranks = RankSample(data, k, index_set)
     out = {}
-    if "BK" in estimators:
-        v = uniform_weights(index_set, model.d)
-        try:
-            out["BK"] = benchmark_ratio_known(known, u, v).estimate
-        except NoExceedances:
-            out["BK"] = None
-    if "MK" in estimators:
-        try:
-            out["MK"] = tau_moment_known(known, u, index_set).estimate
-        except NoExceedances:
-            out["MK"] = None
-    if "BU" in estimators:
-        report = stable_tail_estimate(ranks, k, index_set)
-        out["BU"] = (1.0 / report.estimate) if report.estimate > 0 else None
-    if "MU" in estimators:
-        try:
-            out["MU"] = tau_moment_ranks(ranks, k, index_set, eps=eps).estimate
-        except NoExceedances:
-            out["MU"] = None
+    v = uniform_weights(index_set, model.d)
+    try:
+        out["BK"] = benchmark_ratio_known(known, u, v).estimate
+    except NoExceedances:
+        out["BK"] = None
+    try:
+        out["MK"] = tau_moment_known(known, u, index_set).estimate
+    except NoExceedances:
+        out["MK"] = None
+    report = stable_tail_estimate(ranks, k, index_set)
+    out["BU"] = (1.0 / report.estimate) if report.estimate > 0 else None
+    try:
+        out["MU"] = tau_moment_ranks(ranks, k, index_set, eps=eps).estimate
+    except NoExceedances:
+        out["MU"] = None
     return out
 
 
@@ -237,7 +219,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     eps = config.eps if config.eps is not None else config.k / config.n
 
     worker = partial(_single_rep, coeffs=model.coeffs, n=config.n, k=config.k,
-                     u=u, eps=eps, estimators=config.estimators)
+                     u=u, eps=eps)
     seeds = [derive_seed(config.seed, r) for r in range(config.reps)]
     workers = _worker_count(config.reps)
     if workers is None:
@@ -248,7 +230,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             results = list(pool.map(worker, seeds, chunksize=chunk))
 
     summaries = {}
-    for name in config.estimators:
+    for name in ESTIMATOR_NAMES:
         values = np.array([r[name] for r in results if r[name] is not None])
         excluded = config.reps - values.size
         if values.size == 0:
@@ -270,16 +252,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def table_experiments(reps: int = 5000, seed: int = 1, n: int = 1000,
                       k: int = 50, u_quantile: float = 0.95,
-                      eps: float | None = None,
-                      estimators: tuple[str, ...] = ESTIMATOR_NAMES
-                      ) -> dict[str, ExperimentReport]:
+                      eps: float | None = None) -> dict[str, ExperimentReport]:
     """The three benchmark scenarios at the standard settings, keyed scenario_1..3."""
     reports = {}
     for idx, (p, q) in enumerate(TABLE_SCENARIOS):
         config = ExperimentConfig(
             model=make_scenario(p, q), n=n, k=k, reps=reps,
             seed=derive_seed(seed, idx), u_quantile=u_quantile, eps=eps,
-            estimators=estimators,
         )
         reports[f"scenario_{idx + 1}"] = run_experiment(config)
     return reports

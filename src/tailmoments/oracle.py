@@ -173,13 +173,15 @@ class Population:
     """What the oracle reads of one measure on one index set, each part derived once.
 
     ``tau`` is the extremal coefficient of the set; it needs a standardized
-    base measure.  ``mu`` is the measure renormalized on the set and
-    ``theta`` its atoms on the set; ``second`` holds E[Theta_i Theta_j],
-    ``entropy`` E[-Theta_i log Theta_i], ``gradients`` the even, left and
-    right gradients of the mean partial max, and ``differentiable`` tells
-    whether the last two agree.  ``tau`` is derived on its first read, and
-    ``mu`` with the parts read from it on the first read of any of them, so
-    a function fails on the first part it reads.  The arrays are read-only.
+    base measure, whose checked coordinate mean ``mean`` also gives the
+    coefficient of any other index set through :meth:`coefficient`.  ``mu``
+    is the measure renormalized on the set and ``theta`` its atoms on the
+    set; ``second`` holds E[Theta_i Theta_j], ``entropy`` E[-Theta_i log
+    Theta_i], ``gradients`` the even, left and right gradients of the mean
+    partial max, and ``differentiable`` tells whether the last two agree.
+    ``tau`` is derived on its first read, and ``mu`` with the parts read
+    from it on the first read of any of them, so a function fails on the
+    first part it reads.  The arrays are read-only.
     """
 
     measure: DiscreteSpectralMeasure
@@ -188,6 +190,11 @@ class Population:
     @cached_property
     def tau(self) -> float:
         self.index_set.check_within(self.measure.d)
+        return self.coefficient(self.index_set)
+
+    @cached_property
+    def mean(self) -> float:
+        """The common coordinate mean E[Theta_i] of the base measure, checked once."""
         if not self.measure.is_base():
             raise NotStandardized(
                 "a base (sup-norm normalized) spectral measure is required")
@@ -196,11 +203,16 @@ class Population:
             raise NotStandardized(
                 "margins are not tail-equivalent: coordinate means of the spectral "
                 f"vector differ by {means.max() - means.min():.3g}")
-        mass = float(self.measure.probs @ partial_max(self.measure.atoms, self.index_set))
+        return float(means.mean())
+
+    def coefficient(self, index_set: IndexSet) -> float:
+        """The extremal coefficient of any index set of the measure, from the checked mean."""
+        mean = self.mean  # an unstandardized measure fails before a set without mass
+        mass = float(self.measure.probs @ partial_max(self.measure.atoms, index_set))
         if mass <= 0.0:
             raise DegenerateDirection(
-                f"the measure puts no mass on the index set {self.index_set.members}")
-        return 1.0 / float(means.mean()) * mass
+                f"the measure puts no mass on the index set {index_set.members}")
+        return 1.0 / mean * mass
 
     def __getattr__(self, name: str):
         """Derive ``mu`` and the parts read from it, all at once, on the first read of any."""
@@ -294,25 +306,25 @@ def pair_product_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
 
 
 def perturbed_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
-                     v, s, beta: float = 1.0, p: int = 1) -> float:
+                     v, s, beta: float | None = None, p: int = 1) -> float:
     """The population limit of the perturbed moment ratio.
 
     For componentwise scales ``s`` (a vector or a Perturbation) and power
     ``beta``, this is the partial-max-weighted mean of
     ``(v' angular(s o Theta)^(1/beta))^p`` divided by the mean partial max of
     ``s o Theta`` — the quantity whose scale and power derivatives enter the
-    rank-based variance corrections.  A Perturbation brings its own power and
-    must live on the index set; a ``beta`` other than the default 1 must then
-    equal the Perturbation's.
+    rank-based variance corrections.  ``beta=None`` means 1 for a vector
+    ``s``; a Perturbation brings its own power and must live on the index
+    set, and an explicit ``beta`` must then equal the Perturbation's.
     """
     p = check_moment_power(p)
     if isinstance(s, Perturbation):
         if s.index_set != index_set:
             raise ValueError("the perturbation lives on another index set")
-        if float(beta) not in (1.0, s.beta):
+        if beta is not None and float(beta) != s.beta:
             raise ValueError(f"beta={beta} contradicts the perturbation's beta={s.beta}")
         s, beta = s.s, s.beta
-    beta = float(beta)
+    beta = 1.0 if beta is None else float(beta)
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     view = population(measure, index_set)
@@ -416,8 +428,8 @@ def rank_variance_matrix(measure: DiscreteSpectralMeasure,
     view = population(measure, index_set)
     tau = view.tau
     members = index_set.members
-    pair_taus = pairwise(len(members), lambda a, b: extremal_coefficient(
-        view.measure, IndexSet((members[a], members[b]))))
+    pair_taus = pairwise(len(members), lambda a, b: view.coefficient(
+        IndexSet((members[a], members[b]))))
     c_matrix = view.c(np.eye(len(members)), view.gradients[0])
     return mu_form(index_set, tau, pair_taus, view.second, c_matrix, view.entropy,
                    differentiable=view.differentiable)

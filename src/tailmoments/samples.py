@@ -2,7 +2,9 @@
 
 A :class:`KnownSample` thresholds the (perturbed) partial max over an index
 set at a fixed level ``u``; a :class:`RankSample` thresholds each column at
-its own k-th largest value and carries Hill's estimate of 1/alpha.  The
+its own k-th largest value and carries Hill's estimate of 1/alpha.  Both
+hold the angular parts of their exceedances as a (count, m) array on the
+index set, and :func:`second_moments` gives their mean outer product.  The
 estimators accept a sample wherever they accept data, and read it when it
 was built for the same level and index set.
 """
@@ -19,7 +21,6 @@ from .core import (
     Perturbation,
     TailSample,
     matrix_values,
-    partial_max,
 )
 
 
@@ -64,11 +65,11 @@ def upper_order_statistics(x, k: int):
 class KnownSample(TailSample):
     """Rows whose perturbed partial max over an index set exceeds a level ``u``.
 
-    Without a perturbation the scaling is the indicator of the index set and
-    the power is one.  ``mask`` flags the ``count`` rows above ``u`` (never a
-    row that is zero on the index set), and ``angular`` holds their powers
-    ``(s o x)^(1/beta)`` divided by their own partial max: a (count, d)
-    array, zero outside the index set.
+    Without a perturbation the scaling is one and the power is one.
+    ``mask`` flags the ``count`` rows above ``u`` (never a row that is zero
+    on the index set), and ``angular`` holds their powers
+    ``(s o x)^(1/beta)`` on the index set divided by their own partial max:
+    a (count, m) array, as in :class:`RankSample`.
     """
 
     def __init__(self, data, u: float, index_set: IndexSet,
@@ -76,20 +77,19 @@ class KnownSample(TailSample):
         x = matrix_values(data)
         u = check_threshold(u)
         index_set.check_within(x.shape[1])
+        idx = index_set.zero_based()
         if perturbation is None:
-            s, beta = np.zeros(x.shape[1]), 1.0
-            s[index_set.zero_based()] = 1.0
+            s, beta = 1.0, 1.0
         elif perturbation.index_set != index_set:
             raise ValueError("the perturbation lives on another index set")
         else:
-            s, beta = perturbation.s, perturbation.beta
-        scaled = x * s  # zero outside the index set
-        norms = partial_max(scaled, index_set)
-        mask = (norms > u) & (norms > 0.0)
+            s, beta = perturbation.s[idx], perturbation.beta
+        scaled = x[:, idx] * s
+        mask = scaled.max(axis=1) > u  # u >= 0, so a row above it is non-zero
         powered = np.power(scaled[mask], 1.0 / beta)
         _store(self, values=x, u=u, index_set=index_set, perturbation=perturbation,
                mask=mask, count=int(np.count_nonzero(mask)),
-               angular=powered / partial_max(powered, index_set)[:, None])
+               angular=powered / powered.max(axis=1)[:, None])
 
     def require_exceedances(self) -> None:
         if self.count == 0:
@@ -198,3 +198,9 @@ def rank_sample(data, k: int, index_set: IndexSet,
             and data.inv_alpha_hat == inv_alpha_hat):
         return data
     return RankSample(data, k, index_set, inv_alpha_hat)
+
+
+def second_moments(sample: KnownSample | RankSample) -> np.ndarray:
+    """The (m, m) mean outer product of a sample's angular parts over its exceedances."""
+    sample.require_exceedances()
+    return sample.angular.T @ sample.angular / sample.count

@@ -19,7 +19,6 @@ from .core import (
     IndexSet,
     QuadraticForm,
     WeightVector,
-    matrix_values,
 )
 from .estimators import (  # noqa: F401 (stable_tail_variance is re-exported)
     check_eps,
@@ -27,7 +26,7 @@ from .estimators import (  # noqa: F401 (stable_tail_variance is re-exported)
     moment_ratio_ranks,
     stable_tail_variance,
 )
-from .samples import known_sample, rank_sample
+from .samples import known_sample, rank_sample, second_moments
 from .variance import minimize_quadratic_on_simplex, mu_form, pairwise
 
 
@@ -43,10 +42,8 @@ def second_moment_matrix_known(data, u: float, index_set: IndexSet) -> Quadratic
     exactly the conditional second moment of ``v' Theta``.
     """
     sample = known_sample(data, u, index_set)
-    sample.require_exceedances()
-    theta = sample.angular[:, index_set.zero_based()]
-    matrix = (theta.T @ theta) / sample.count
-    return QuadraticForm(index_set, matrix, meta={"u": sample.u, "count": sample.count})
+    return QuadraticForm(index_set, second_moments(sample),
+                         meta={"u": sample.u, "count": sample.count})
 
 
 def optimal_weights_known(data, u: float, index_set: IndexSet
@@ -83,17 +80,6 @@ def tau_moment_known(data, u: float, index_set: IndexSet) -> EstimateReport:
 # rank-based pipeline with perturbations
 # ---------------------------------------------------------------------------
 
-def second_moment_matrix_ranks(data, k: int, index_set: IndexSet,
-                               inv_alpha_hat: float | None = None) -> QuadraticForm:
-    """Rank-based spectral second-moment matrix: the mean outer product of the angular parts."""
-    sample = rank_sample(data, k, index_set, inv_alpha_hat)
-    sample.require_exceedances()
-    matrix = (sample.angular.T @ sample.angular) / sample.count
-    return QuadraticForm(index_set, matrix,
-                         meta={"k": int(k), "inv_alpha_hat": sample.inv_alpha,
-                               "count": sample.count})
-
-
 def _tau_hat(sample) -> float:
     """The extremal coefficient as the reciprocal of the uniform-weight rank ratio."""
     sample.require_exceedances()
@@ -115,16 +101,14 @@ def rank_variance_form(data, k: int, index_set: IndexSet,
     Gaussian of the ratio — the objective whose simplex minimizer gives the
     optimally weighted rank estimator.
     """
-    x = matrix_values(data)
-    m = index_set.size
-    eps = check_eps(eps, k, x.shape[0])
     sample = rank_sample(data, k, index_set, inv_alpha_hat)
+    eps = check_eps(eps, k, sample.n)
+    m = index_set.size
     tau = _tau_hat(sample)
     # pairwise extremal coefficients; at m = 2 the pair is the whole sample
     pair_taus = pairwise(m, lambda a, b: tau if m == 2 else _tau_hat(sample.pair(a, b)))
-    second_moments = (sample.angular.T @ sample.angular) / sample.count
     c_matrix, b = sample.derivatives(eps)
-    return mu_form(index_set, tau, pair_taus, second_moments, c_matrix, b, eps=eps,
+    return mu_form(index_set, tau, pair_taus, second_moments(sample), c_matrix, b, eps=eps,
                    inv_alpha_hat=sample.inv_alpha, k=int(k), exceedance_count=sample.count)
 
 
@@ -138,8 +122,6 @@ def tau_moment_ranks(data, k: int, index_set: IndexSet,
     tail-index estimate), and the attained objective yields the standard
     error ``sqrt(objective / k)``.
     """
-    x = matrix_values(data)
-    eps = check_eps(eps, k, x.shape[0])
     sample = rank_sample(data, k, index_set, inv_alpha_hat)
     form = rank_variance_form(sample, k, index_set, eps=eps, inv_alpha_hat=inv_alpha_hat)
     v_tilde, objective = minimize_quadratic_on_simplex(form, d=sample.d)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tailmoments as tm
+from tailmoments import samples
 from tailmoments.cli import main
 from tailmoments.io import read_matrix_csv
 
@@ -116,9 +117,48 @@ def test_estimate_weights_conflict_with_optimal(capsys, sample_csv):
     assert err.value.code == 2
 
 
+ONE_SAMPLE_COMMANDS = {
+    "bk": ["--known-margins", "--method", "bk"],
+    "mk": ["--known-margins", "--method", "mk"],
+    "moment-known-optimal": ["--known-margins", "--method", "moment", "--optimal"],
+    "hill": ["--method", "hill"],
+    "bu": ["--method", "bu", "--eps", "0.05"],
+    "mu": ["--method", "mu"],
+    "moment-optimal": ["--method", "moment", "--optimal"],
+    "moment-weights": ["--method", "moment", "--weights", "0.3,0.7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SAMPLE_COMMANDS))
+def test_estimate_builds_one_tail_sample_per_command(monkeypatch, capsys, sample_csv, name):
+    calls = []
+    order_statistics = samples.upper_order_statistics
+    known_init = samples.KnownSample.__init__
+
+    def counting_order_statistics(x, k):
+        calls.append("ranks")
+        return order_statistics(x, k)
+
+    def counting_known_init(self, *args, **kwargs):
+        calls.append("known")
+        known_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(samples, "upper_order_statistics", counting_order_statistics)
+    monkeypatch.setattr(samples.KnownSample, "__init__", counting_known_init)
+    argv = ONE_SAMPLE_COMMANDS[name]
+    code, _, _ = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2", *argv)
+    assert code == 0
+    assert calls == ["known" if "--known-margins" in argv else "ranks"]
+
+
 def test_estimate_data_errors_exit_one(capsys, sample_csv):
     code, _, err = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
                        "--method", "mu", "--k", "2000")
+    assert code == 1
+    # the sample is built before the default step k/n = 5 is checked
+    assert "error:" in err and "KOutOfRange" in err
+    code, _, err = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
+                       "--method", "mu", "--k", "20", "--eps", "5")
     assert code == 1
     assert "error:" in err and "EpsOutOfRange" in err
     code, _, err = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,3",

@@ -10,22 +10,28 @@ X4 = np.array([[10.0, 10.0], [12.0, 6.0], [0.5, 0.2], [0.1, 0.3]])
 HALF = tm.make_weight_vector([1, 1], I12)
 
 
+def _moment_mean(sample, v, p=1):
+    """M(v, 1, 1, p): the sum of (v' a_l)^p over the sample's exceedances, over n."""
+    return float(np.sum((sample.angular @ v.on_support()) ** p)) / sample.n
+
+
 def test_moment_mean_example():
-    assert tm.moment_mean(X4, 5.0, HALF) == 0.4375
+    assert _moment_mean(tm.KnownSample(X4, 5.0, I12), HALF) == 0.4375
 
 
 def test_moment_mean_p_zero_counts_exceedances():
-    assert tm.moment_mean(X4, 5.0, HALF, p=0) == tm.exceedance_fraction(X4, 5.0, I12)
+    sample = tm.KnownSample(X4, 5.0, I12)
+    assert _moment_mean(sample, HALF, p=0) == sample.count / sample.n == 0.5
 
 
 def test_moment_mean_empty_exceedance_set_is_zero():
-    assert tm.moment_mean(X4, 100.0, HALF) == 0.0
+    sample = tm.KnownSample(X4, 100.0, I12)
+    assert sample.angular.shape == (0, 2)
+    assert _moment_mean(sample, HALF) == 0.0
 
 
 def test_exceedance_fraction_thresholds():
-    assert tm.exceedance_fraction(X4, 5.0, I12) == 0.5
-    assert tm.exceedance_fraction(X4, 11.0, I12) == 0.25
-    assert tm.exceedance_fraction(X4, 100.0, I12) == 0.0
+    assert [tm.KnownSample(X4, u, I12).count for u in (5.0, 11.0, 100.0)] == [2, 1, 0]
 
 
 def test_moment_ratio_known_example():
@@ -126,12 +132,10 @@ def test_moment_ratio_ranks_is_invariant_under_scaled_powers():
 def test_rank_angular_parts_shape_and_normalization():
     rng = np.random.default_rng(6)
     x = rng.pareto(1.0, size=(150, 3)) + 1.0
-    s = tm.IndexSet([1, 3])
-    mask, angular, inv_alpha = tm.rank_angular_parts(x, 15, s)
-    assert angular.shape == (int(mask.sum()), 3)
-    assert np.all(angular[:, 1] == 0.0)  # column outside the index set
-    assert np.allclose(tm.partial_max(angular, s), 1.0)
-    assert inv_alpha > 0
+    sample = tm.RankSample(x, 15, tm.IndexSet([1, 3]))
+    assert sample.angular.shape == (int(sample.mask.sum()), 2)  # columns 1 and 3 only
+    assert np.allclose(sample.angular.max(axis=1), 1.0)
+    assert sample.inv_alpha > 0
 
 
 def test_stable_tail_estimate_examples():

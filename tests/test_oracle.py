@@ -185,6 +185,15 @@ def test_perturbed_moment_rejects_a_beta_contradicting_the_perturbation():
         perturbed_moment(scenario(0.4, 0.6), I12, [0.5, 0.5], perturbation, beta=3.0)
 
 
+def test_perturbed_moment_tells_an_explicit_unit_beta_from_the_default():
+    m = scenario(0.4, 0.6)
+    perturbation = tm.Perturbation([1.1, 0.9], 2.0, I12)
+    with pytest.raises(ValueError, match="beta"):
+        perturbed_moment(m, I12, [0.5, 0.5], perturbation, beta=1.0)
+    assert perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9]) == \
+        perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9], beta=1.0)
+
+
 def test_perturbed_moment_rejects_a_perturbation_on_another_index_set():
     perturbation = tm.Perturbation([1.1, 0.0], 2.0, tm.IndexSet([1]))
     with pytest.raises(ValueError, match="another index set"):
@@ -332,6 +341,27 @@ def test_one_call_renormalizes_the_measure_once(monkeypatch):
     calls.clear()
     rank_variance_matrix(scenario(0.4, 0.6), I12)
     assert calls == [(1, 2)]
+
+
+def test_pair_coefficients_reuse_the_checked_mean(monkeypatch):
+    rng = np.random.default_rng(8)
+    coeffs = rng.uniform(size=(4, 6)) ** 2
+    model = tm.MaxLinearModel(coeffs / coeffs.sum(axis=1, keepdims=True))
+    measure = tm.model_spectral_measure(model)
+    index_set = tm.IndexSet([1, 2, 3, 4])
+    calls = []
+    original = oracle.mean_intensity
+
+    def counting(measure):
+        calls.append(measure)
+        return original(measure)
+
+    monkeypatch.setattr(oracle, "mean_intensity", counting)
+    form = rank_variance_matrix(measure, index_set)
+    assert len(calls) == 1
+    for a, b in [(0, 1), (0, 3), (2, 3)]:
+        pair = tm.IndexSet((a + 1, b + 1))
+        assert form.meta["pair_taus"][a, b] == oracle.Population(measure, pair).tau
 
 
 def test_population_is_read_as_given_and_its_arrays_are_read_only():

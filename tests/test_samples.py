@@ -21,7 +21,7 @@ def test_single_rep_matches_the_plain_public_calls(p, q):
     n, k, eps = 1000, 50, 0.05
     u = -1.0 / np.log(0.95)
     for rep_seed in range(30):
-        fast = _single_rep(rep_seed, model.coeffs, n, k, u, eps, tm.ESTIMATOR_NAMES)
+        fast = _single_rep(rep_seed, model.coeffs, n, k, u, eps)
         x = np.array(tm.simulate(model, n, rep_seed).values)
         plain = {
             "BK": tm.benchmark_ratio_known(x, u, tm.uniform_weights(I12, 2)).estimate,
@@ -43,8 +43,21 @@ def test_one_replication_computes_the_anchors_once(monkeypatch):
 
     monkeypatch.setattr(samples, "upper_order_statistics", counting)
     model = tm.make_scenario(0.4, 0.6)
-    _single_rep(3, model.coeffs, 1000, 50, -1.0 / np.log(0.95), 0.05, tm.ESTIMATOR_NAMES)
+    _single_rep(3, model.coeffs, 1000, 50, -1.0 / np.log(0.95), 0.05)
     assert calls == [50]
+
+
+def test_tau_moment_ranks_validates_a_raw_array_once(monkeypatch):
+    calls = []
+    original = tm.core._data_array
+
+    def counting(values, name):
+        calls.append(name)
+        return original(values, name)
+
+    monkeypatch.setattr(tm.core, "_data_array", counting)
+    tm.tau_moment_ranks(_pareto(6), 40, tm.IndexSet([1, 3]))
+    assert len(calls) == 1
 
 
 # ------------------------------------------------ samples read by estimators
@@ -66,7 +79,7 @@ def test_estimators_read_a_matching_sample_and_rebuild_a_mismatched_one():
     u = float(np.quantile(tm.partial_max(x, s), 0.9))
     known = tm.KnownSample(x, u, s)
     assert samples.known_sample(known, u, s) is known
-    assert tm.exceedance_fraction(known, 2 * u, s) == tm.exceedance_fraction(x, 2 * u, s)
+    assert samples.known_sample(known, 2 * u, s).count == tm.KnownSample(x, 2 * u, s).count
     assert tm.tau_moment_known(known, u, s).estimate == tm.tau_moment_known(x, u, s).estimate
 
 
@@ -106,6 +119,47 @@ def test_pair_sub_samples_equal_fresh_pair_samples():
 
 
 # ------------------------------------------------ differential checks of fast paths
+
+def _d_wide_known_sample(x, u, index_set, perturbation=None):
+    """The (count, d) angular parts, zero outside the index set: the earlier full-width layout."""
+    if perturbation is None:
+        s, beta = np.zeros(x.shape[1]), 1.0
+        s[index_set.zero_based()] = 1.0
+    else:
+        s, beta = perturbation.s, perturbation.beta
+    scaled = x * s
+    norms = tm.partial_max(scaled, index_set)
+    mask = (norms > u) & (norms > 0.0)
+    powered = np.power(scaled[mask], 1.0 / beta)
+    return mask, powered / tm.partial_max(powered, index_set)[:, None]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_known_sample_on_a_subset_matches_the_full_width_formula(seed):
+    rng = np.random.default_rng(seed)
+    x = _pareto(seed, n=500, d=5)
+    index_set = tm.IndexSet([1, 3, 4])
+    idx = index_set.zero_based()
+    u = float(np.quantile(tm.partial_max(x, index_set), 0.9))
+    scales = np.zeros(5)
+    scales[idx] = rng.uniform(0.8, 1.25, size=3)
+    for perturbation in (None, tm.Perturbation(scales, rng.uniform(0.8, 1.25), index_set)):
+        sample = tm.KnownSample(x, u, index_set, perturbation)
+        mask, wide = _d_wide_known_sample(x, u, index_set, perturbation)
+        assert np.array_equal(sample.mask, mask) and sample.count == mask.sum()
+        assert sample.angular.shape == (sample.count, 3)
+        assert np.all(np.delete(wide, idx, axis=1) == 0.0)
+        assert np.max(np.abs(sample.angular - wide[:, idx])) <= 1e-12
+        v = tm.make_weight_vector(np.where(np.isin(np.arange(5), idx), rng.uniform(size=5), 0.0),
+                                  index_set)
+        for p in range(4):
+            want = float(np.mean((wide @ v.weights) ** p))
+            got = tm.moment_ratio_known(x, u, v, p, perturbation).estimate
+            assert abs(got - want) <= 1e-12 * abs(want)
+        if perturbation is None:
+            got = tm.second_moment_matrix_known(x, u, index_set).matrix
+            assert np.max(np.abs(got - wide[:, idx].T @ wide[:, idx] / mask.sum())) <= 1e-12
+
 
 @pytest.mark.parametrize("seed", range(5))
 def test_row_restricted_scale_differences_equal_the_unrestricted_ones(seed):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tailmoments as tm
+from tailmoments.samples import second_moments
 from tailmoments.weights import rank_variance_form, stable_tail_variance
 
 I12 = tm.IndexSet([1, 2])
@@ -35,8 +36,8 @@ def test_second_moment_matrix_alternating_extremes_is_diagonal():
 
 
 def test_second_moment_matrix_ranks_example():
-    q = tm.second_moment_matrix_ranks(XR, 2, I12, inv_alpha_hat=1.0)
-    assert q.matrix.tolist() == [[0.53125, 0.25], [0.25, 0.53125]]
+    sample = tm.RankSample(XR, 2, I12, inv_alpha_hat=1.0)
+    assert second_moments(sample).tolist() == [[0.53125, 0.25], [0.25, 0.53125]]
 
 
 def test_second_moment_matrix_reproduces_squared_ratio():
