@@ -15,8 +15,6 @@ import numpy as np
 #: absolute tolerance for weight normalization and matrix symmetry checks
 WEIGHT_TOL = 1e-12
 SYM_TOL = 1e-12
-#: tolerance for the estimate * inverse_estimate == 1 report invariant
-REPORT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -166,37 +164,6 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class StandardizedMatrix:
-    """Margin-standardized observations with the transformation metadata recorded."""
-
-    values: np.ndarray
-    alpha: float
-    scales: np.ndarray
-
-    def __init__(self, values, alpha: float, scales):
-        arr = _data_array(values, "values")
-        alpha = float(alpha)
-        if alpha <= 0:
-            raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
-        sc = _as_float_array(scales, "scales", 1)
-        if sc.shape[0] != arr.shape[1]:
-            raise ValueError("one scale per column is required")
-        if np.any(sc <= 0):
-            raise NonPositiveScale("all scales must be positive")
-        object.__setattr__(self, "values", _freeze(arr))
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "scales", _freeze(sc))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-
 # ---------------------------------------------------------------------------
 # weight vectors on the simplex
 # ---------------------------------------------------------------------------
@@ -255,21 +222,16 @@ def make_weight_vector(raw, support: IndexSet) -> WeightVector:
     ------
     ValueError
         If any entry is not finite.
-    SupportViolation
-        If any entry outside the support is non-zero.
     NegativeWeight
-        If any entry on the support is negative.
+        If any entry is negative.
     ZeroSum
         If the entries sum to zero (nothing to normalize).
+    SupportViolation
+        If any entry outside the support is non-zero (raised by :class:`WeightVector`).
     """
     w = _as_float_array(raw, "raw", 1)
     if not np.all(np.isfinite(w)):  # before dividing: inf / inf would warn
         raise ValueError("raw weights must be finite")
-    support.check_within(w.shape[0])
-    outside = np.ones(w.shape[0], dtype=bool)
-    outside[support.zero_based()] = False
-    if np.any(w[outside] != 0.0):
-        raise SupportViolation("raw weight outside the support is non-zero")
     if np.any(w < 0):
         raise NegativeWeight("raw weights must be non-negative")
     total = float(w.sum())
@@ -388,10 +350,11 @@ class QuadraticForm:
     def evaluate(self, v) -> float:
         """v^T A v for a WeightVector, a full-length vector, or an |I|-vector."""
         if isinstance(v, WeightVector):
-            x = v.on_support()
+            x = v.weights[self.index_set.zero_based()]
         else:
             x = np.asarray(v, dtype=float)
             if x.shape[0] != self.index_set.size:
+                self.index_set.check_within(x.shape[0])
                 x = x[self.index_set.zero_based()]
         return float(x @ self.matrix @ x)
 
@@ -404,7 +367,6 @@ class EstimateReport:
     exceedance_count: int
     method: str
     parameters: Mapping[str, object] = field(default_factory=dict)
-    inverse_estimate: float | None = None
     std_error: float | None = None
 
     def __post_init__(self):
@@ -416,11 +378,12 @@ class EstimateReport:
             object.__setattr__(self, "std_error", float(self.std_error))
             if self.std_error < 0:
                 raise ValueError("std_error must be non-negative")
-        if self.inverse_estimate is not None:
-            object.__setattr__(self, "inverse_estimate", float(self.inverse_estimate))
-            if self.estimate > 0 and abs(self.estimate * self.inverse_estimate - 1.0) > REPORT_TOL:
-                raise ValueError("inverse_estimate must be the reciprocal of estimate")
         object.__setattr__(self, "parameters", dict(self.parameters))
+
+    @property
+    def inverse_estimate(self) -> float | None:
+        """``1 / estimate`` for a positive estimate, else None."""
+        return 1.0 / self.estimate if self.estimate > 0 else None
 
     def to_dict(self) -> dict:
         return {
@@ -477,11 +440,11 @@ class TailSample:
 
 
 def matrix_values(data) -> np.ndarray:
-    """The (n, d) float array of a DataMatrix, StandardizedMatrix, tail sample, or array-like.
+    """The (n, d) float array of a DataMatrix, a tail sample, or an array-like.
 
     Array-likes get the checks of :class:`DataMatrix`; the other types were checked when built.
     """
-    if isinstance(data, (DataMatrix, StandardizedMatrix, TailSample)):
+    if isinstance(data, (DataMatrix, TailSample)):
         return data.values
     return _data_array(data, "data")
 

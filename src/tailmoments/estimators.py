@@ -25,8 +25,8 @@ from .core import (
     EpsOutOfRange,
     EstimateReport,
     IndexSet,
-    KOutOfRange,
     Perturbation,
+    SupportViolation,
     WeightVector,
     check_moment_power as _check_power,
 )
@@ -47,11 +47,15 @@ def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
 
     Raises
     ------
+    SupportViolation
+        If ``v`` has support outside the perturbation's index set.
     NoExceedances
         If no row exceeds the threshold.
     """
     p = _check_power(p)
     index_set = v.support if perturbation is None else perturbation.index_set
+    if any(j not in index_set for j in v.support):
+        raise SupportViolation("the weights' support is not inside the perturbation's index set")
     sample = known_sample(data, u, index_set, perturbation)
     sample.require_exceedances()
     projected = sample.angular @ v.weights[index_set.zero_based()]
@@ -61,7 +65,6 @@ def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
     std_error = float(np.sqrt(max(variance, 0.0) / sample.count))
     return EstimateReport(
         estimate=estimate,
-        inverse_estimate=(1.0 / estimate) if estimate > 0 else None,
         std_error=std_error,
         exceedance_count=sample.count,
         method="moment_known",
@@ -86,7 +89,6 @@ def benchmark_ratio_known(data, u: float, v: WeightVector) -> EstimateReport:
     estimate = numerator / denominator
     return EstimateReport(
         estimate=estimate,
-        inverse_estimate=(1.0 / estimate) if estimate > 0 else None,
         std_error=float(np.sqrt(estimate * (1.0 - estimate) / denominator)),
         exceedance_count=denominator,
         method="benchmark",
@@ -99,12 +101,7 @@ def benchmark_ratio_known(data, u: float, v: WeightVector) -> EstimateReport:
 # ---------------------------------------------------------------------------
 
 def check_eps(eps, k: int, n: int) -> float:
-    """Validate a difference-quotient step, ``k / n`` when absent; it must lie in (0, 1).
-
-    A level ``k < 1`` raises :class:`KOutOfRange` first, whatever the step.
-    """
-    if k < 1:
-        raise KOutOfRange(f"k={k} must be at least 1")
+    """Validate a difference-quotient step, ``k / n`` when absent; it must lie in (0, 1)."""
     if eps is None:
         eps = k / n
     eps = float(eps)
@@ -131,7 +128,6 @@ def moment_ratio_ranks(data, k: int, v: WeightVector, p: int = 1,
     estimate = float(np.mean((sample.angular @ v.on_support()) ** p)) if p > 0 else 1.0
     return EstimateReport(
         estimate=estimate,
-        inverse_estimate=(1.0 / estimate) if estimate > 0 else None,
         std_error=None,
         exceedance_count=sample.count,
         method="moment_ranks",
@@ -153,8 +149,8 @@ def stable_tail_estimate(data, k: int, index_set: IndexSet,
     eps : float, optional
         When given, a difference-quotient step used to estimate the gradient
         of the stable tail dependence function, from which the plug-in
-        standard error ``sqrt(sigma2 / (tau^4 * k))`` is assembled; when
-        absent the standard error is omitted.
+        standard error ``sqrt(sigma2 / k)`` of the coefficient is assembled;
+        when absent the standard error is omitted.
     """
     sample = rank_sample(data, k, index_set)
     n = sample.n
@@ -165,10 +161,9 @@ def stable_tail_estimate(data, k: int, index_set: IndexSet,
         eps = check_eps(eps, k, n)
         if estimate > 0:
             sigma2 = stable_tail_variance(sample, k, index_set, eps)
-            std_error = float(np.sqrt(max(sigma2, 0.0) / (estimate ** 4 * k)))
+            std_error = float(np.sqrt(max(sigma2, 0.0) / k))
     return EstimateReport(
         estimate=estimate,
-        inverse_estimate=(1.0 / estimate) if estimate > 0 else None,
         std_error=std_error,
         exceedance_count=count,
         method="stdf",

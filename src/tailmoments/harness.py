@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -77,26 +77,19 @@ class ExperimentConfig:
             object.__setattr__(self, "eps", check_eps(self.eps, self.k, self.n))
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "n": self.n,
-            "k": self.k,
-            "reps": self.reps,
-            "seed": self.seed,
-            "u_quantile": self.u_quantile,
-            "eps": self.eps,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["model"] = self.model.to_dict()
+        return out
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        """The config of a payload that holds a ``model`` dict or a ``scenario`` (p, q)."""
         payload = dict(payload)
         if "scenario" in payload:
-            p, q = payload.pop("scenario")
-            model = make_scenario(p, q)
+            model = make_scenario(*payload.pop("scenario"))
         else:
             model = MaxLinearModel.from_dict(payload.pop("model"))
-        allowed = {"n", "k", "reps", "seed", "u_quantile", "eps"}
-        unknown = set(payload) - allowed
+        unknown = set(payload) - {f.name for f in fields(cls) if f.name != "model"}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(model=model, **payload)
@@ -106,7 +99,6 @@ class ExperimentConfig:
 class MethodSummary:
     """Bias and spread of one estimator's reciprocal-coefficient estimates."""
 
-    method: str
     bias: float
     emp_std: float | None
     theo_std: float
@@ -114,13 +106,7 @@ class MethodSummary:
     mean_estimate: float
 
     def to_dict(self) -> dict:
-        return {
-            "bias": self.bias,
-            "emp_std": self.emp_std,
-            "theo_std": self.theo_std,
-            "excluded": self.excluded,
-            "mean_estimate": self.mean_estimate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -129,9 +115,13 @@ class ExperimentReport:
 
     config: ExperimentConfig
     tau: float
-    inv_tau: float
     u_threshold: float
     summaries: dict[str, MethodSummary]
+
+    @property
+    def inv_tau(self) -> float:
+        """The reciprocal extremal coefficient, the target of every estimator."""
+        return 1.0 / self.tau
 
     def to_dict(self) -> dict:
         return {
@@ -148,7 +138,7 @@ class ExperimentReport:
                 for name, s in self.summaries.items()]
 
 
-def _single_rep(rep_seed: int, coeffs, n: int, k: int, u: float, eps: float) -> dict:
+def _single_rep(rep_seed: int, coeffs, n: int, k: int, u: float, eps: float | None) -> dict:
     """One repetition: simulate and apply the four estimators.
 
     Returns the reciprocal-coefficient estimate per method, or None when the
@@ -216,10 +206,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "BU": float(np.sqrt(av.avar_bu / config.k)),
         "MU": float(np.sqrt(av.avar_mu / config.k)),
     }
-    eps = config.eps if config.eps is not None else config.k / config.n
-
     worker = partial(_single_rep, coeffs=model.coeffs, n=config.n, k=config.k,
-                     u=u, eps=eps)
+                     u=u, eps=config.eps)
     seeds = [derive_seed(config.seed, r) for r in range(config.reps)]
     workers = _worker_count(config.reps)
     if workers is None:
@@ -239,15 +227,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         mean = float(values.mean())
         emp_std = float(values.std(ddof=1)) if values.size > 1 else None
         summaries[name] = MethodSummary(
-            method=name,
             bias=mean - inv_tau,
             emp_std=emp_std,
             theo_std=theo[name],
             excluded=excluded,
             mean_estimate=mean,
         )
-    return ExperimentReport(config=config, tau=av.tau, inv_tau=inv_tau,
-                            u_threshold=float(u), summaries=summaries)
+    return ExperimentReport(config=config, tau=av.tau, u_threshold=float(u),
+                            summaries=summaries)
 
 
 def table_experiments(reps: int = 5000, seed: int = 1, n: int = 1000,

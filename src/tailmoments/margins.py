@@ -11,17 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    DataMatrix,
     EstimateReport,
     IndexSet,
     NonPositiveAlpha,
     NonPositiveScale,
-    StandardizedMatrix,
     matrix_values,
 )
 from .samples import rank_sample
 
 
-def standardize_known(data, alpha: float, scales) -> StandardizedMatrix:
+def standardize_known(data, alpha: float, scales) -> DataMatrix:
     """Transform each entry x to x**alpha / scale_column.
 
     The power is applied first, then the division, so the resulting columns
@@ -36,6 +36,12 @@ def standardize_known(data, alpha: float, scales) -> StandardizedMatrix:
         Common tail index of the margins; must be positive.
     scales : (d,) array-like
         Positive per-column scale constants.
+
+    Returns
+    -------
+    DataMatrix
+        The transformed observations; a non-finite result, such as an
+        overflow, is rejected like any other data.
     """
     x = matrix_values(data)
     alpha = float(alpha)
@@ -46,7 +52,7 @@ def standardize_known(data, alpha: float, scales) -> StandardizedMatrix:
         raise ValueError("scales must be a vector with one entry per column")
     if np.any(sc <= 0):
         raise NonPositiveScale("all scales must be positive")
-    return StandardizedMatrix(np.power(x, alpha) / sc, alpha, sc)
+    return DataMatrix(np.power(x, alpha) / sc)
 
 
 def scaled_by_order_statistics(data, k: int, index_set: IndexSet) -> np.ndarray:
@@ -84,7 +90,6 @@ def hill_inverse_alpha(data, k: int, index_set: IndexSet) -> EstimateReport:
     alpha_hat = 1.0 / sample.hill
     return EstimateReport(
         estimate=sample.hill,
-        inverse_estimate=alpha_hat,
         std_error=1.0 / (alpha_hat * np.sqrt(sample.count)),
         exceedance_count=sample.count,
         method="hill",

@@ -67,7 +67,6 @@ def tau_moment_known(data, u: float, index_set: IndexSet) -> EstimateReport:
     base = moment_ratio_known(sample, u, v_star, p=1)
     return EstimateReport(
         estimate=base.estimate,
-        inverse_estimate=base.inverse_estimate,
         std_error=base.std_error,
         exceedance_count=base.exceedance_count,
         method="mk",
@@ -128,7 +127,6 @@ def tau_moment_ranks(data, k: int, index_set: IndexSet,
     base = moment_ratio_ranks(sample, k, v_tilde, p=1, inv_alpha_hat=inv_alpha_hat)
     return EstimateReport(
         estimate=base.estimate,
-        inverse_estimate=base.inverse_estimate,
         std_error=float(np.sqrt(max(objective, 0.0) / k)),
         exceedance_count=base.exceedance_count,
         method="mu",

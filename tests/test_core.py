@@ -44,6 +44,8 @@ def test_make_weight_vector_rejects_mass_off_support():
 def test_make_weight_vector_rejects_negative_and_zero_sum():
     with pytest.raises(tm.NegativeWeight):
         tm.make_weight_vector([1, -1], tm.IndexSet([1, 2]))
+    with pytest.raises(tm.NegativeWeight):  # negativity is checked before the support
+        tm.make_weight_vector([0, 0, -1], tm.IndexSet([1, 2]))
     with pytest.raises(tm.ZeroSum):
         tm.make_weight_vector([0, 0], tm.IndexSet([1, 2]))
     with pytest.raises(ValueError, match="finite"):
@@ -116,14 +118,27 @@ def test_quadratic_form_is_read_only_and_evaluates():
         q.matrix[0, 0] = 9.0
 
 
+def test_quadratic_form_reads_weights_on_its_own_index_set():
+    q = tm.QuadraticForm(tm.IndexSet([1, 2]), np.array([[2.0, 1.0], [1.0, 3.0]]))
+    assert q.evaluate(tm.basis_weights(tm.IndexSet([1]), 2, 1)) == 2.0
+    assert q.evaluate(tm.basis_weights(tm.IndexSet([2]), 2, 2)) == 3.0
+
+
+def test_quadratic_form_rejects_a_vector_too_short_for_its_index_set():
+    q = tm.QuadraticForm(tm.IndexSet([1, 2]), np.eye(2))
+    with pytest.raises(ValueError, match="out of range"):
+        q.evaluate([1.0])
+
+
 def test_estimate_report_checks_inverse():
-    with pytest.raises(ValueError):
-        tm.EstimateReport(estimate=2.0, inverse_estimate=0.3, std_error=None,
-                          exceedance_count=1, method="x", parameters={})
+    assert tm.EstimateReport(estimate=2.0, exceedance_count=1, method="x").inverse_estimate == 0.5
+    assert tm.EstimateReport(estimate=0.0, exceedance_count=1, method="x").inverse_estimate is None
+    with pytest.raises(TypeError):
+        tm.EstimateReport(estimate=2.0, inverse_estimate=0.5, exceedance_count=1, method="x")
 
 
 def test_estimate_report_to_dict_serializes_arrays():
-    rep = tm.EstimateReport(estimate=2.0, inverse_estimate=0.5, std_error=0.1,
+    rep = tm.EstimateReport(estimate=2.0, std_error=0.1,
                             exceedance_count=3, method="x",
                             parameters={"weights": np.array([0.5, 0.5])})
     d = rep.to_dict()
