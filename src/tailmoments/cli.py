@@ -17,6 +17,7 @@ from .core import (
     EstimationError,
     IndexSet,
     WeightVector,
+    embed,
     make_weight_vector,
     partial_max,
     uniform_weights,
@@ -76,14 +77,10 @@ def _parse_scenario(text: str) -> tuple[float, float]:
 
 def _embed_weights(raw: np.ndarray, index_set: IndexSet, d: int) -> WeightVector:
     if raw.size == index_set.size:
-        full = np.zeros(d)
-        full[index_set.zero_based()] = raw
-    elif raw.size == d:
-        full = raw
-    else:
-        raise ValueError(
-            f"--weights needs {index_set.size} or {d} entries, got {raw.size}")
-    return make_weight_vector(full, index_set)
+        raw = embed(raw, index_set, d)
+    elif raw.size != d:
+        raise ValueError(f"--weights needs {index_set.size} or {d} entries, got {raw.size}")
+    return make_weight_vector(raw, index_set)
 
 
 def _report_out(report, output: str) -> None:
@@ -328,10 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except EstimationError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (EstimationError, ValueError, OSError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -134,6 +134,38 @@ class IndexSet:
         return len(self.members)
 
 
+def embed(values, index_set: IndexSet, d: int) -> np.ndarray:
+    """Zero-filled length-d vectors holding ``values`` on the index set, along the last axis."""
+    values = np.asarray(values, dtype=float)
+    out = np.zeros(values.shape[:-1] + (d,))
+    out[..., index_set.zero_based()] = values
+    return out
+
+
+def restrict(v, index_set: IndexSet, d: int) -> np.ndarray:
+    """The |I| coordinates on the index set of a WeightVector, an |I|-vector or a d-vector.
+
+    A WeightVector off the index set raises SupportViolation, another length ValueError.
+    """
+    if isinstance(v, WeightVector):
+        if any(j not in index_set for j in v.support):
+            raise SupportViolation(f"the weights' support {v.support.members} is not "
+                                   f"inside the index set {index_set.members}")
+        return v.weights[index_set.zero_based()]
+    arr = np.asarray(v, dtype=float)
+    if arr.shape[0] == index_set.size:
+        return arr
+    if arr.shape[0] != d:
+        raise ValueError(f"vectors must have length {index_set.size} or {d}, got {arr.shape[0]}")
+    index_set.check_within(d)
+    return arr[index_set.zero_based()]
+
+
+def _zero_outside(arr: np.ndarray, index_set: IndexSet) -> bool:
+    """True when every entry of ``arr`` off the index set is exactly zero (a NaN is not)."""
+    return np.count_nonzero(arr) == np.count_nonzero(arr[index_set.zero_based()])
+
+
 def _data_array(values, name: str) -> np.ndarray:
     """``values`` as a non-empty 2-d float array with finite, non-negative entries."""
     arr = _as_float_array(values, name, 2)
@@ -182,9 +214,7 @@ class WeightVector:
     def __init__(self, weights, support: IndexSet):
         w = _as_float_array(weights, "weights", 1)
         support.check_within(w.shape[0])
-        outside = np.ones(w.shape[0], dtype=bool)
-        outside[support.zero_based()] = False
-        if np.any(w[outside] != 0.0):
+        if not _zero_outside(w, support):
             raise SupportViolation("weights must be exactly zero outside the support")
         if np.any(w < 0):
             raise NegativeWeight("weights must be non-negative")
@@ -242,18 +272,14 @@ def make_weight_vector(raw, support: IndexSet) -> WeightVector:
 
 def uniform_weights(support: IndexSet, d: int) -> WeightVector:
     """The barycenter of the simplex face spanned by ``support``."""
-    w = np.zeros(d)
-    w[support.zero_based()] = 1.0 / support.size
-    return WeightVector(w, support)
+    return WeightVector(embed(np.full(support.size, 1.0 / support.size), support, d), support)
 
 
 def basis_weights(support: IndexSet, d: int, j: int) -> WeightVector:
     """The standard basis vector 1_{j} as a weight vector (j must lie in support)."""
     if j not in support:
         raise ValueError(f"index {j} is not in the support {support.members}")
-    w = np.zeros(d)
-    w[j - 1] = 1.0
-    return WeightVector(w, support)
+    return WeightVector(embed(np.equal(support.members, j), support, d), support)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +303,7 @@ class Perturbation:
         arr = _as_float_array(s, "s", 1)
         index_set.check_within(arr.shape[0])
         idx = index_set.zero_based()
-        outside = np.ones(arr.shape[0], dtype=bool)
-        outside[idx] = False
-        if np.any(arr[outside] != 0.0):
+        if not _zero_outside(arr, index_set):
             raise ValueError("perturbation scales must be zero outside the index set")
         if np.any(arr[idx] <= 0.0) or not np.all(np.isfinite(arr)):
             raise ValueError("perturbation scales must be positive and finite on the index set")
@@ -308,16 +332,12 @@ class Perturbation:
     @classmethod
     def indicator(cls, index_set: IndexSet, d: int, beta: float = 1.0) -> "Perturbation":
         """The unperturbed scaling 1_I (ones on the index set, zero elsewhere)."""
-        s = np.zeros(d)
-        s[index_set.zero_based()] = 1.0
-        return cls(s, beta, index_set)
+        return cls(embed(np.ones(index_set.size), index_set, d), beta, index_set)
 
     @classmethod
     def scaled(cls, index_set: IndexSet, d: int, scales, beta: float = 1.0) -> "Perturbation":
         """An arbitrary positive scaling on the index set."""
-        s = np.zeros(d)
-        s[index_set.zero_based()] = np.asarray(scales, dtype=float)
-        return cls(s, beta, index_set)
+        return cls(embed(scales, index_set, d), beta, index_set)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +350,8 @@ class QuadraticForm:
 
     index_set: IndexSet
     matrix: np.ndarray
-    meta: Mapping[str, object] = field(default_factory=dict)
 
-    def __init__(self, index_set: IndexSet, matrix, meta: Mapping[str, object] | None = None):
+    def __init__(self, index_set: IndexSet, matrix):
         mat = _as_float_array(matrix, "matrix", 2)
         m = index_set.size
         if mat.shape != (m, m):
@@ -345,17 +364,10 @@ class QuadraticForm:
         mat = 0.5 * (mat + mat.T)
         object.__setattr__(self, "index_set", index_set)
         object.__setattr__(self, "matrix", _freeze(mat))
-        object.__setattr__(self, "meta", dict(meta) if meta else {})
 
     def evaluate(self, v) -> float:
         """v^T A v for a WeightVector, a full-length vector, or an |I|-vector."""
-        if isinstance(v, WeightVector):
-            x = v.weights[self.index_set.zero_based()]
-        else:
-            x = np.asarray(v, dtype=float)
-            if x.shape[0] != self.index_set.size:
-                self.index_set.check_within(x.shape[0])
-                x = x[self.index_set.zero_based()]
+        x = restrict(v, self.index_set, v.d if isinstance(v, WeightVector) else len(v))
         return float(x @ self.matrix @ x)
 
 

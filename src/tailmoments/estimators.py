@@ -26,9 +26,9 @@ from .core import (
     EstimateReport,
     IndexSet,
     Perturbation,
-    SupportViolation,
     WeightVector,
     check_moment_power as _check_power,
+    restrict,
 )
 from .samples import known_sample, rank_sample
 from .variance import bu_sigma2, pairwise
@@ -54,11 +54,10 @@ def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
     """
     p = _check_power(p)
     index_set = v.support if perturbation is None else perturbation.index_set
-    if any(j not in index_set for j in v.support):
-        raise SupportViolation("the weights' support is not inside the perturbation's index set")
+    weights = restrict(v, index_set, v.d)
     sample = known_sample(data, u, index_set, perturbation)
     sample.require_exceedances()
-    projected = sample.angular @ v.weights[index_set.zero_based()]
+    projected = sample.angular @ weights
     powered = projected ** p if p != 1 else projected
     estimate = float(np.mean(powered)) if p > 0 else 1.0
     variance = float(np.mean(powered ** 2)) - estimate ** 2

@@ -138,13 +138,13 @@ class ExperimentReport:
                 for name, s in self.summaries.items()]
 
 
-def _single_rep(rep_seed: int, coeffs, n: int, k: int, u: float, eps: float | None) -> dict:
+def _single_rep(rep_seed: int, model: MaxLinearModel, n: int, k: int, u: float,
+                eps: float | None) -> dict:
     """One repetition: simulate and apply the four estimators.
 
     Returns the reciprocal-coefficient estimate per method, or None when the
     method had no exceedances to work with (recorded as excluded).
     """
-    model = MaxLinearModel(coeffs)
     data = simulate(model, n, rep_seed)
     index_set = IndexSet(range(1, model.d + 1))
     # one tail sample per margin convention, shared by its two estimators
@@ -206,7 +206,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "BU": float(np.sqrt(av.avar_bu / config.k)),
         "MU": float(np.sqrt(av.avar_mu / config.k)),
     }
-    worker = partial(_single_rep, coeffs=model.coeffs, n=config.n, k=config.k,
+    worker = partial(_single_rep, model=model, n=config.n, k=config.k,
                      u=u, eps=config.eps)
     seeds = [derive_seed(config.seed, r) for r in range(config.reps)]
     workers = _worker_count(config.reps)

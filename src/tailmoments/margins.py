@@ -16,6 +16,7 @@ from .core import (
     IndexSet,
     NonPositiveAlpha,
     NonPositiveScale,
+    embed,
     matrix_values,
 )
 from .samples import rank_sample
@@ -62,9 +63,7 @@ def scaled_by_order_statistics(data, k: int, index_set: IndexSet) -> np.ndarray:
     to zero, so downstream partial maxima over the index set are unaffected.
     """
     sample = rank_sample(data, k, index_set)
-    out = np.zeros_like(sample.values)
-    out[:, index_set.zero_based()] = sample.ratios
-    return out
+    return embed(sample.ratios, index_set, sample.d)
 
 
 def hill_inverse_alpha(data, k: int, index_set: IndexSet) -> EstimateReport:

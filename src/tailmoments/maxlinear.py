@@ -84,6 +84,9 @@ class MaxLinearModel:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
+    def __eq__(self, other) -> bool:  # the generated one would compare arrays
+        return isinstance(other, MaxLinearModel) and np.array_equal(self.coeffs, other.coeffs)
+
     @property
     def d(self) -> int:
         return self.coeffs.shape[0]

@@ -33,6 +33,7 @@ from .core import (
     WeightVector,
     check_moment_power,
     partial_max,
+    restrict,
 )
 from .variance import bu_sigma2, minimize_quadratic_on_simplex, mu_form, pairwise
 
@@ -128,19 +129,6 @@ class DiscreteSpectralMeasure:
                    IndexSet(normalized_on) if normalized_on else None)
 
 
-def _weights_on(index_set: IndexSet, v, d: int) -> np.ndarray:
-    """Coerce a WeightVector / full-length vector / |I|-vector to I coordinates."""
-    if isinstance(v, WeightVector):
-        return v.weights[index_set.zero_based()]
-    arr = np.asarray(v, dtype=float)
-    if arr.shape[0] == index_set.size:
-        return arr
-    if arr.shape[0] == d:
-        return arr[index_set.zero_based()]
-    raise ValueError(
-        f"vectors must have length {index_set.size} or {d}, got {arr.shape[0]}")
-
-
 def mean_intensity(measure: DiscreteSpectralMeasure) -> np.ndarray:
     """E[Theta_i] for every coordinate, under the measure as given."""
     return measure.atoms.T @ measure.probs
@@ -174,14 +162,14 @@ class Population:
 
     ``tau`` is the extremal coefficient of the set; it needs a standardized
     base measure, whose checked coordinate mean ``mean`` also gives the
-    coefficient of any other index set through :meth:`coefficient`.  ``mu``
+    coefficient of any other index set through :meth:`coefficient`, and
+    ``pair_taus`` those of the pairs of the set (ones on the diagonal).  ``mu``
     is the measure renormalized on the set and ``theta`` its atoms on the
     set; ``second`` holds E[Theta_i Theta_j], ``entropy`` E[-Theta_i log
     Theta_i], ``gradients`` the even, left and right gradients of the mean
     partial max, and ``differentiable`` tells whether the last two agree.
-    ``tau`` is derived on its first read, and ``mu`` with the parts read
-    from it on the first read of any of them, so a function fails on the
-    first part it reads.  The arrays are read-only.
+    Each part is derived on its first read, ``mu`` with the parts read from
+    it, so a function fails on the first part it reads.  The arrays are read-only.
     """
 
     measure: DiscreteSpectralMeasure
@@ -213,6 +201,13 @@ class Population:
             raise DegenerateDirection(
                 f"the measure puts no mass on the index set {index_set.members}")
         return 1.0 / mean * mass
+
+    @cached_property
+    def pair_taus(self) -> np.ndarray:
+        m = self.index_set.members
+        taus = pairwise(len(m), lambda a, b: self.coefficient(IndexSet((m[a], m[b]))))
+        taus.flags.writeable = False
+        return taus
 
     def __getattr__(self, name: str):
         """Derive ``mu`` and the parts read from it, all at once, on the first read of any."""
@@ -269,7 +264,7 @@ def spectral_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     """E[(v' Theta)^p] under the measure renormalized on the index set."""
     p = check_moment_power(p)
     view = population(measure, index_set)
-    projected = view.theta @ _weights_on(index_set, v, view.measure.d)
+    projected = view.theta @ restrict(v, index_set, view.measure.d)
     return float(view.mu.probs @ projected ** p)
 
 
@@ -329,10 +324,10 @@ def perturbed_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
         raise ValueError(f"beta must be positive, got {beta}")
     view = population(measure, index_set)
     theta = view.theta
-    scales = _weights_on(index_set, s, view.measure.d)
+    scales = restrict(s, index_set, view.measure.d)
     if np.any(scales < 0):
         raise ValueError("perturbation scales must be non-negative")
-    weights = _weights_on(index_set, v, view.measure.d)
+    weights = restrict(v, index_set, view.measure.d)
     scaled = theta * scales
     peaks = scaled.max(axis=1)
     denominator = float(view.mu.probs @ peaks)
@@ -388,7 +383,7 @@ def moment_derivatives(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     """
     view = population(measure, index_set)
     view.tau  # read first, so an unstandardized measure fails before its renormalization
-    weights = _weights_on(index_set, v, view.measure.d)
+    weights = restrict(v, index_set, view.measure.d)
     even, left, right = view.gradients
     return MomentDerivatives(
         index_set=index_set,
@@ -411,8 +406,7 @@ def optimal_weights(measure: DiscreteSpectralMeasure, index_set: IndexSet
                     ) -> tuple[WeightVector, float]:
     """Simplex weights minimizing E[(v' Theta)^2] on the index set, with the value."""
     view = population(measure, index_set)
-    form = QuadraticForm(index_set, view.second, meta={"kind": "second_moment"})
-    return minimize_quadratic_on_simplex(form, d=view.measure.d)
+    return minimize_quadratic_on_simplex(QuadraticForm(index_set, view.second), d=view.measure.d)
 
 
 def rank_variance_matrix(measure: DiscreteSpectralMeasure,
@@ -426,21 +420,16 @@ def rank_variance_matrix(measure: DiscreteSpectralMeasure,
     derivative estimates).
     """
     view = population(measure, index_set)
-    tau = view.tau
-    members = index_set.members
-    pair_taus = pairwise(len(members), lambda a, b: view.coefficient(
-        IndexSet((members[a], members[b]))))
-    c_matrix = view.c(np.eye(len(members)), view.gradients[0])
-    return mu_form(index_set, tau, pair_taus, view.second, c_matrix, view.entropy,
-                   differentiable=view.differentiable)
+    tau = view.tau  # read first, so an unstandardized measure fails before its renormalization
+    c_matrix = view.c(np.eye(index_set.size), view.gradients[0])
+    return mu_form(index_set, tau, view.pair_taus, view.second, c_matrix, view.entropy)
 
 
 def rank_asymptotic_variance(measure: DiscreteSpectralMeasure,
                              index_set: IndexSet, v) -> float:
     """The limiting variance of the rank-based weighted ratio at the given weights."""
-    form = rank_variance_matrix(measure, index_set)
-    weights = _weights_on(index_set, v, measure.d)
-    return float(weights @ form.matrix @ weights)
+    view = population(measure, index_set)
+    return rank_variance_matrix(view, index_set).evaluate(restrict(v, index_set, view.measure.d))
 
 
 @dataclass(frozen=True)
@@ -487,7 +476,7 @@ def asymptotic_variances(measure: DiscreteSpectralMeasure,
     return AsymptoticVariances(
         avar_bk=(tau - 1.0) / tau ** 3,
         avar_mk=max(ratio_covariance(view, index_set, v_star, v_star), 0.0),
-        avar_bu=max(bu_sigma2(tau, form.meta["pair_taus"], view.gradients[0]), 0.0) / tau ** 4,
+        avar_bu=max(bu_sigma2(tau, view.pair_taus, view.gradients[0]), 0.0) / tau ** 4,
         avar_mu=float(max(best_rank, 0.0)),
         v_star=v_star,
         v_tilde=v_tilde,
@@ -508,8 +497,8 @@ def ratio_covariance(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     view = population(measure, index_set)
     tau = view.tau
     theta, probs = view.theta, view.mu.probs
-    x = (theta @ _weights_on(index_set, v, view.measure.d)) ** p
-    y = (theta @ _weights_on(index_set, w, view.measure.d)) ** q
+    x = (theta @ restrict(v, index_set, view.measure.d)) ** p
+    y = (theta @ restrict(w, index_set, view.measure.d)) ** q
     mean_x = float(probs @ x)
     mean_y = float(probs @ y)
     return (float(probs @ (x * y)) - mean_x * mean_y) / tau

@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from .core import IndexSet, QuadraticForm, WeightVector
+from .core import IndexSet, QuadraticForm, WeightVector, embed
 
 
 def pairwise(m: int, coefficient) -> np.ndarray:
@@ -38,9 +38,8 @@ def bu_sigma2(tau: float, pair_taus: np.ndarray, gradient: np.ndarray) -> float:
     return float(tau ** 3 * (gradient @ minimum @ gradient) - tau)
 
 
-def mu_form(index_set: IndexSet, tau: float, pair_taus: np.ndarray,
-            second_moments: np.ndarray, c_matrix: np.ndarray, b: np.ndarray,
-            **meta) -> QuadraticForm:
+def mu_form(index_set: IndexSet, tau: float, pair_taus: np.ndarray, second_moments: np.ndarray,
+            c_matrix: np.ndarray, b: np.ndarray) -> QuadraticForm:
     """The limiting variance of the rank ratio at simplex weights v, as the form v'Av.
 
     Writing E for the second-moment matrix, C for the scale-derivative
@@ -53,8 +52,7 @@ def mu_form(index_set: IndexSet, tau: float, pair_taus: np.ndarray,
             - (b m' + m b') + (1/tau) b b',
 
     with ``Ebar = E - J / tau^2``, ``D[i, j] = 2 - tau_{ij}`` (tau times the
-    pairwise minimum moments), and ``m = C' b``.  The meta holds ``tau``,
-    ``pair_taus``, then ``meta``, then the condition number of A.
+    pairwise minimum moments), and ``m = C' b``.
     """
     m = b.shape[0]
     ones = np.ones((m, m))
@@ -68,10 +66,7 @@ def mu_form(index_set: IndexSet, tau: float, pair_taus: np.ndarray,
         - (np.outer(b, mixed) + np.outer(mixed, b))
         + np.outer(b, b) / tau
     )
-    matrix = 0.5 * (matrix + matrix.T)
-    condition = float(np.linalg.cond(matrix)) if np.any(matrix) else float("inf")
-    return QuadraticForm(index_set, matrix, meta={
-        "tau": tau, "pair_taus": pair_taus, **meta, "condition_number": condition})
+    return QuadraticForm(index_set, 0.5 * (matrix + matrix.T))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +184,4 @@ def minimize_quadratic_on_simplex(form: QuadraticForm, d: int | None = None
                                               and norm < best_norm - 1e-12):
             best_w, best_value, best_norm = w, value, norm
 
-    full = np.zeros(d)
-    full[index_set.zero_based()] = best_w
-    return WeightVector(full, index_set), best_value
+    return WeightVector(embed(best_w, index_set, d), index_set), best_value

@@ -20,12 +20,7 @@ from .core import (
     QuadraticForm,
     WeightVector,
 )
-from .estimators import (  # noqa: F401 (stable_tail_variance is re-exported)
-    check_eps,
-    moment_ratio_known,
-    moment_ratio_ranks,
-    stable_tail_variance,
-)
+from .estimators import check_eps, moment_ratio_known, moment_ratio_ranks
 from .samples import known_sample, rank_sample, second_moments
 from .variance import minimize_quadratic_on_simplex, mu_form, pairwise
 
@@ -42,8 +37,7 @@ def second_moment_matrix_known(data, u: float, index_set: IndexSet) -> Quadratic
     exactly the conditional second moment of ``v' Theta``.
     """
     sample = known_sample(data, u, index_set)
-    return QuadraticForm(index_set, second_moments(sample),
-                         meta={"u": sample.u, "count": sample.count})
+    return QuadraticForm(index_set, second_moments(sample))
 
 
 def optimal_weights_known(data, u: float, index_set: IndexSet
@@ -107,8 +101,7 @@ def rank_variance_form(data, k: int, index_set: IndexSet,
     # pairwise extremal coefficients; at m = 2 the pair is the whole sample
     pair_taus = pairwise(m, lambda a, b: tau if m == 2 else _tau_hat(sample.pair(a, b)))
     c_matrix, b = sample.derivatives(eps)
-    return mu_form(index_set, tau, pair_taus, second_moments(sample), c_matrix, b, eps=eps,
-                   inv_alpha_hat=sample.inv_alpha, k=int(k), exceedance_count=sample.count)
+    return mu_form(index_set, tau, pair_taus, second_moments(sample), c_matrix, b)
 
 
 def tau_moment_ranks(data, k: int, index_set: IndexSet,
@@ -119,19 +112,20 @@ def tau_moment_ranks(data, k: int, index_set: IndexSet,
     The plug-in variance form is minimized over the simplex, the first-moment
     rank ratio is evaluated at the minimizing weights (with the same
     tail-index estimate), and the attained objective yields the standard
-    error ``sqrt(objective / k)``.
+    error ``sqrt(objective / k)``; the report adds the form's condition number.
     """
     sample = rank_sample(data, k, index_set, inv_alpha_hat)
     form = rank_variance_form(sample, k, index_set, eps=eps, inv_alpha_hat=inv_alpha_hat)
     v_tilde, objective = minimize_quadratic_on_simplex(form, d=sample.d)
     base = moment_ratio_ranks(sample, k, v_tilde, p=1, inv_alpha_hat=inv_alpha_hat)
+    condition = float(np.linalg.cond(form.matrix)) if np.any(form.matrix) else float("inf")
     return EstimateReport(
         estimate=base.estimate,
         std_error=float(np.sqrt(max(objective, 0.0) / k)),
         exceedance_count=base.exceedance_count,
         method="mu",
-        parameters={"k": int(k), "eps": form.meta["eps"],
-                    "inv_alpha_hat": form.meta["inv_alpha_hat"],
+        parameters={"k": int(k), "eps": check_eps(eps, k, sample.n),
+                    "inv_alpha_hat": sample.inv_alpha,
                     "weights": v_tilde.weights, "index_set": index_set,
-                    "objective": objective},
+                    "objective": objective, "condition_number": condition},
     )

@@ -27,6 +27,7 @@ def test_config_round_trips_through_dict():
     assert np.array_equal(again.model.coeffs, cfg.model.coeffs)
     assert (again.n, again.k, again.reps, again.seed) == (400, 20, 8, 7)
     assert again.to_dict() == cfg.to_dict()
+    assert again == cfg
 
 
 def test_config_validation():

@@ -41,3 +41,29 @@ def test_modules_are_layered():
     # prepare() raises CycleError otherwise
     del graph["__init__"]
     TopologicalSorter({module: set(imports) for module, imports in graph.items()}).prepare()
+
+
+def _writes_through_zero_based(tree: ast.AST) -> list[int]:
+    """Lines that assign into a subscript indexed by a ``.zero_based()`` call."""
+    def indexes_by_zero_based(target) -> bool:
+        return isinstance(target, ast.Subscript) and any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "zero_based" for node in ast.walk(target.slice))
+
+    lines = []
+    for node in ast.walk(tree):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        lines += [node.lineno for t in targets for sub in ast.walk(t)
+                  if indexes_by_zero_based(sub)]
+    return lines
+
+
+def test_only_core_lays_out_vectors_on_an_index_set():
+    # a length-d vector is written from |I| values by core.embed alone
+    writers = {path.stem: _writes_through_zero_based(ast.parse(path.read_text()))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: lines for module, lines in writers.items()
+            if lines and module != "core"} == {}
+    assert writers["core"]  # the guard sees core.embed

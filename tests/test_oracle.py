@@ -357,11 +357,30 @@ def test_pair_coefficients_reuse_the_checked_mean(monkeypatch):
         return original(measure)
 
     monkeypatch.setattr(oracle, "mean_intensity", counting)
-    form = rank_variance_matrix(measure, index_set)
+    view = oracle.Population(measure, index_set)
+    rank_variance_matrix(view, index_set)
     assert len(calls) == 1
     for a, b in [(0, 1), (0, 3), (2, 3)]:
         pair = tm.IndexSet((a + 1, b + 1))
-        assert form.meta["pair_taus"][a, b] == oracle.Population(measure, pair).tau
+        assert view.pair_taus[a, b] == oracle.Population(measure, pair).tau
+
+
+I1 = tm.IndexSet([1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, v: tm.QuadraticForm(I1, [[2.0]]).evaluate(v),
+    lambda m, v: spectral_moment(m, I1, v),
+    lambda m, v: perturbed_moment(m, I1, v, [1.0]),
+    lambda m, v: moment_derivatives(m, I1, v),
+    lambda m, v: rank_asymptotic_variance(m, I1, v),
+    lambda m, v: ratio_covariance(m, I1, v, v),
+], ids=["evaluate", "spectral_moment", "perturbed_moment", "moment_derivatives",
+        "rank_asymptotic_variance", "ratio_covariance"])
+def test_weights_outside_the_index_set_are_rejected(call):
+    # weights that would be dropped off the set no longer sum to one on it
+    with pytest.raises(tm.SupportViolation):
+        call(scenario(0.4, 0.6), tm.uniform_weights(I12, 2))
 
 
 def test_population_is_read_as_given_and_its_arrays_are_read_only():

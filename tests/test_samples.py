@@ -21,7 +21,7 @@ def test_single_rep_matches_the_plain_public_calls(p, q):
     n, k, eps = 1000, 50, 0.05
     u = -1.0 / np.log(0.95)
     for rep_seed in range(30):
-        fast = _single_rep(rep_seed, model.coeffs, n, k, u, eps)
+        fast = _single_rep(rep_seed, model, n, k, u, eps)
         x = np.array(tm.simulate(model, n, rep_seed).values)
         plain = {
             "BK": tm.benchmark_ratio_known(x, u, tm.uniform_weights(I12, 2)).estimate,
@@ -43,7 +43,7 @@ def test_one_replication_computes_the_anchors_once(monkeypatch):
 
     monkeypatch.setattr(samples, "upper_order_statistics", counting)
     model = tm.make_scenario(0.4, 0.6)
-    _single_rep(3, model.coeffs, 1000, 50, -1.0 / np.log(0.95), 0.05)
+    _single_rep(3, model, 1000, 50, -1.0 / np.log(0.95), 0.05)
     assert calls == [50]
 
 

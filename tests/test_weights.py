@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import tailmoments as tm
+from tailmoments.estimators import stable_tail_variance
 from tailmoments.samples import second_moments
-from tailmoments.weights import rank_variance_form, stable_tail_variance
+from tailmoments.weights import rank_variance_form
 
 I12 = tm.IndexSet([1, 2])
 
@@ -190,6 +191,13 @@ def test_stable_tail_std_error_clamps_the_plug_in():
     rep = tm.stable_tail_estimate(x, 25, I12, eps=0.05)
     assert rep.std_error is not None
     assert np.isfinite(rep.std_error) and rep.std_error >= 0.0
+
+
+def test_mu_reports_the_condition_number_of_its_variance_form():
+    x = tm.simulate(tm.make_scenario(0.4, 0.6), 2000, seed=5).values
+    report = tm.tau_moment_ranks(x, 100, I12, eps=0.05)
+    form = rank_variance_form(x, 100, I12, eps=0.05)
+    assert report.parameters["condition_number"] == np.linalg.cond(form.matrix)
 
 
 def test_stable_tail_variance_is_consistent():
