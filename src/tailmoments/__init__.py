@@ -7,6 +7,8 @@ discrete spectral measures, weight optimization on the simplex, a max-linear
 simulation model, and a Monte Carlo harness comparing the estimators.
 """
 
+import types as _types
+
 from .core import (
     DataMatrix,
     DegenerateDirection,
@@ -94,78 +96,7 @@ from .weights import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticVariances",
-    "DataMatrix",
-    "DegenerateDirection",
-    "DiscreteSpectralMeasure",
-    "ESTIMATOR_NAMES",
-    "EpsOutOfRange",
-    "EstimateReport",
-    "EstimationError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "IndexSet",
-    "KOutOfRange",
-    "KnownSample",
-    "MaxLinearModel",
-    "MethodSummary",
-    "MomentDerivatives",
-    "NegativeWeight",
-    "NoExceedances",
-    "NonPositiveAlpha",
-    "NonPositiveScale",
-    "NonSymmetric",
-    "NotStandardized",
-    "ParamOutOfRange",
-    "Perturbation",
-    "QuadraticForm",
-    "RankSample",
-    "SupportViolation",
-    "WeightVector",
-    "ZeroSum",
-    "asymptotic_variances",
-    "basis_weights",
-    "benchmark_ratio_known",
-    "derive_seed",
-    "extremal_coefficient",
-    "frechet_sample",
-    "hill_inverse_alpha",
-    "make_scenario",
-    "make_weight_vector",
-    "mean_intensity",
-    "minimize_quadratic_on_simplex",
-    "model_spectral_measure",
-    "moment_derivatives",
-    "moment_ratio_known",
-    "moment_ratio_ranks",
-    "negative_entropy_vector",
-    "optimal_weights",
-    "optimal_weights_known",
-    "pair_product_moment",
-    "partial_max",
-    "perturbed_moment",
-    "rank_asymptotic_variance",
-    "rank_variance_form",
-    "rank_variance_matrix",
-    "ratio_covariance",
-    "read_matrix_csv",
-    "renormalized_measure",
-    "run_experiment",
-    "scaled_by_order_statistics",
-    "second_moment_matrix_known",
-    "simulate",
-    "spectral_moment",
-    "spectral_second_moment",
-    "stable_tail_estimate",
-    "stable_tail_variance",
-    "standardize_known",
-    "table_experiments",
-    "tau_moment_known",
-    "tau_moment_ranks",
-    "uniform_open",
-    "uniform_weights",
-    "upper_order_statistics",
-    "variance_grid",
-    "write_matrix_csv",
-]
+# every public name bound above; modules are left out, so a star-import
+# never shadows the standard library's io
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

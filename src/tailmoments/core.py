@@ -148,6 +148,8 @@ def restrict(v, index_set: IndexSet, d: int) -> np.ndarray:
     A WeightVector off the index set raises SupportViolation, another length ValueError.
     """
     if isinstance(v, WeightVector):
+        if v.d != d:
+            raise ValueError(f"the weights have length {v.d}, not the dimension {d} read in")
         if any(j not in index_set for j in v.support):
             raise SupportViolation(f"the weights' support {v.support.members} is not "
                                    f"inside the index set {index_set.members}")
@@ -433,30 +435,12 @@ def check_moment_power(p) -> int:
     return p
 
 
-class TailSample:
-    """Base of the immutable tail samples of :mod:`tailmoments.samples`.
-
-    ``values`` holds the checked (n, d) data a sample was built from.
-    """
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-
 def matrix_values(data) -> np.ndarray:
-    """The (n, d) float array of a DataMatrix, a tail sample, or an array-like.
+    """The (n, d) float array of a DataMatrix (a tail sample is one) or an array-like.
 
-    Array-likes get the checks of :class:`DataMatrix`; the other types were checked when built.
+    Array-likes get the checks of :class:`DataMatrix`; a DataMatrix was checked when built.
     """
-    if isinstance(data, (DataMatrix, TailSample)):
+    if isinstance(data, DataMatrix):
         return data.values
     return _data_array(data, "data")
 
@@ -480,3 +464,13 @@ def partial_max(x, index_set: IndexSet):
         index_set.check_within(arr.shape[1])
         return np.max(arr[:, idx], axis=1)
     raise ValueError("x must be a vector or a matrix")
+
+
+def exceedances(columns: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row maxima ``ell`` of (n, m) columns, the mask ``ell > level`` and those rows / ``ell``.
+
+    The one exceedance step of the estimators and the oracle; a level >= 0 divides by no zero.
+    """
+    ell = columns.max(axis=1)
+    mask = ell > level
+    return ell, mask, columns[mask] / ell[mask, None]

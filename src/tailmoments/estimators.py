@@ -49,13 +49,15 @@ def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
     ------
     SupportViolation
         If ``v`` has support outside the perturbation's index set.
+    ValueError
+        If ``v`` has another length than the data have columns.
     NoExceedances
         If no row exceeds the threshold.
     """
     p = _check_power(p)
     index_set = v.support if perturbation is None else perturbation.index_set
-    weights = restrict(v, index_set, v.d)
     sample = known_sample(data, u, index_set, perturbation)
+    weights = restrict(v, index_set, sample.d)
     sample.require_exceedances()
     projected = sample.angular @ weights
     powered = projected ** p if p != 1 else projected
@@ -82,6 +84,7 @@ def benchmark_ratio_known(data, u: float, v: WeightVector) -> EstimateReport:
     ``sqrt(est * (1 - est) / count)``.
     """
     sample = known_sample(data, u, v.support)
+    restrict(v, v.support, sample.d)  # weights for another dimension raise ValueError
     sample.require_exceedances()
     denominator = sample.count
     numerator = int(np.count_nonzero(sample.values @ v.weights > sample.u))
@@ -124,7 +127,8 @@ def moment_ratio_ranks(data, k: int, v: WeightVector, p: int = 1,
     index_set = v.support
     sample = rank_sample(data, k, index_set, inv_alpha_hat)
     sample.require_exceedances()
-    estimate = float(np.mean((sample.angular @ v.on_support()) ** p)) if p > 0 else 1.0
+    weights = restrict(v, index_set, sample.d)
+    estimate = float(np.mean((sample.angular @ weights) ** p)) if p > 0 else 1.0
     return EstimateReport(
         estimate=estimate,
         std_error=None,

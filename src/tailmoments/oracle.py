@@ -32,6 +32,7 @@ from .core import (
     QuadraticForm,
     WeightVector,
     check_moment_power,
+    exceedances,
     partial_max,
     restrict,
 )
@@ -328,14 +329,12 @@ def perturbed_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     if np.any(scales < 0):
         raise ValueError("perturbation scales must be non-negative")
     weights = restrict(v, index_set, view.measure.d)
-    scaled = theta * scales
-    peaks = scaled.max(axis=1)
+    peaks, keep, unit = exceedances(theta * scales, 0.0)
     denominator = float(view.mu.probs @ peaks)
     if denominator <= 0.0:
         raise DegenerateDirection(
             "the scaled measure puts no mass on the index set")
-    keep = peaks > 0.0
-    angular = np.power(scaled[keep] / peaks[keep, None], 1.0 / beta)
+    angular = np.power(unit, 1.0 / beta)
     numerator = float((view.mu.probs[keep] * peaks[keep]) @ (angular @ weights) ** p)
     return numerator / denominator
 

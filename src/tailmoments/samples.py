@@ -14,22 +14,36 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    DataMatrix,
     EstimationError,
     IndexSet,
     KOutOfRange,
     NoExceedances,
     Perturbation,
-    TailSample,
+    exceedances,
     matrix_values,
 )
 
 
-def _store(sample: TailSample, **fields) -> None:
-    """Set the fields of a sample once; arrays it derived become read-only."""
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray) and name != "values":
-            value.flags.writeable = False
-        object.__setattr__(sample, name, value)
+class _Sample(DataMatrix):
+    """An immutable tail sample of checked (n, d) ``values``, compared and hashed by identity."""
+
+    _level = "its order-statistic threshold"  # named by require_exceedances, formatted with self
+    __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _store(self, **fields) -> None:
+        """Set the fields once; arrays the sample derived become read-only."""
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray) and name != "values":
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def require_exceedances(self) -> None:
+        if self.count == 0:
+            raise NoExceedances("no partial maximum exceeds " + self._level.format(self))
 
 
 def check_threshold(u) -> float:
@@ -62,15 +76,17 @@ def upper_order_statistics(x, k: int):
     return float(value) if arr.ndim == 1 else value
 
 
-class KnownSample(TailSample):
+class KnownSample(_Sample):
     """Rows whose perturbed partial max over an index set exceeds a level ``u``.
 
     Without a perturbation the scaling is one and the power is one.
     ``mask`` flags the ``count`` rows above ``u`` (never a row that is zero
-    on the index set), and ``angular`` holds their powers
-    ``(s o x)^(1/beta)`` on the index set divided by their own partial max:
-    a (count, m) array, as in :class:`RankSample`.
+    on the index set), and ``angular`` holds those rows of ``s o x`` on the
+    index set divided by their own partial max, to the power ``1/beta``: a
+    (count, m) array, as in :class:`RankSample`.
     """
+
+    _level = "the threshold u={0.u}"
 
     def __init__(self, data, u: float, index_set: IndexSet,
                  perturbation: Perturbation | None = None):
@@ -84,16 +100,10 @@ class KnownSample(TailSample):
             raise ValueError("the perturbation lives on another index set")
         else:
             s, beta = perturbation.s[idx], perturbation.beta
-        scaled = x[:, idx] * s
-        mask = scaled.max(axis=1) > u  # u >= 0, so a row above it is non-zero
-        powered = np.power(scaled[mask], 1.0 / beta)
-        _store(self, values=x, u=u, index_set=index_set, perturbation=perturbation,
-               mask=mask, count=int(np.count_nonzero(mask)),
-               angular=powered / powered.max(axis=1)[:, None])
-
-    def require_exceedances(self) -> None:
-        if self.count == 0:
-            raise NoExceedances(f"no partial maximum exceeds the threshold u={self.u}")
+        _, mask, unit = exceedances(x[:, idx] * s, u)
+        self._store(values=x, u=u, index_set=index_set, perturbation=perturbation,
+                    mask=mask, count=int(np.count_nonzero(mask)),
+                    angular=np.power(unit, 1.0 / beta))
 
 
 def known_sample(data, u: float, index_set: IndexSet,
@@ -107,15 +117,13 @@ def known_sample(data, u: float, index_set: IndexSet,
 
 def _scaled_means(ratios: np.ndarray, scales: np.ndarray, power: float) -> np.ndarray:
     """Column means of the powered angular parts after scaling the ratio columns."""
-    y = ratios * scales
-    ell = y.max(axis=1)
-    mask = ell > 1.0
+    _, mask, unit = exceedances(ratios * scales, 1.0)
     if not np.any(mask):
         raise NoExceedances("no partial maximum exceeds its order-statistic threshold")
-    return np.power(y[mask] / ell[mask, None], power).mean(axis=0)
+    return np.power(unit, power).mean(axis=0)
 
 
-class RankSample(TailSample):
+class RankSample(_Sample):
     """Rank-scaled columns of an index set and the rows where their maximum exceeds one.
 
     ``anchors`` are the per-column k-th largest values, ``ratios`` the (n, m)
@@ -144,16 +152,14 @@ class RankSample(TailSample):
 
     def _fill(self, x, k, index_set, inv_alpha_hat, anchors, ratios) -> None:
         n = x.shape[0]
-        ell = ratios.max(axis=1)
-        mask = ell > 1.0
+        ell, mask, unit = exceedances(ratios, 1.0)
         count = int(np.count_nonzero(mask))
-        unit = ratios[mask] / ell[mask, None]
         hill = (float(np.sum(np.log(ell[mask]))) / n) / (count / n) if count else None
         inv_alpha = hill if inv_alpha_hat is None else inv_alpha_hat
-        _store(self, values=x, k=k, index_set=index_set, inv_alpha_hat=inv_alpha_hat,
-               anchors=anchors, ratios=ratios, ell=ell, mask=mask, count=count,
-               unit=unit, hill=hill, inv_alpha=inv_alpha,
-               angular=None if inv_alpha is None else np.power(unit, 1.0 / inv_alpha))
+        self._store(values=x, k=k, index_set=index_set, inv_alpha_hat=inv_alpha_hat,
+                    anchors=anchors, ratios=ratios, ell=ell, mask=mask, count=count,
+                    unit=unit, hill=hill, inv_alpha=inv_alpha,
+                    angular=None if inv_alpha is None else np.power(unit, 1.0 / inv_alpha))
 
     def pair(self, a: int, b: int) -> RankSample:
         """The sub-sample on positions ``a < b``, from these anchors and ratios.
@@ -165,10 +171,6 @@ class RankSample(TailSample):
         out._fill(self.values, self.k, IndexSet((members[a], members[b])),
                   self.inv_alpha_hat, self.anchors[[a, b]], self.ratios[:, [a, b]])
         return out
-
-    def require_exceedances(self) -> None:
-        if self.count == 0:
-            raise NoExceedances("no partial maximum exceeds its order-statistic threshold")
 
     def derivatives(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
         """Central difference quotients ``(R(+eps) - R(-eps)) / (2 eps)`` of the basis ratios R.

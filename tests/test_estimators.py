@@ -64,6 +64,19 @@ def test_moment_ratio_known_standard_error_matches_the_monte_carlo_spread(scenar
     assert abs(ratio - 1.0) <= 4.0 / np.sqrt(2.0 * (reps - 1))
 
 
+@pytest.mark.parametrize("scenario", [(0.1, 0.2), (0.4, 0.6), (0.8, 0.9)])
+def test_benchmark_ratio_standard_error_matches_the_monte_carlo_spread(scenario):
+    """The binomial plug-in SE of BK agrees with its spread, in the band of the MK test above."""
+    n, k, reps = 4000, 100, 300
+    u = -1.0 / np.log(1.0 - k / n)
+    model = tm.make_scenario(*scenario)
+    reports = [tm.benchmark_ratio_known(tm.simulate(model, n, seed=rep), u, HALF)
+               for rep in range(reps)]
+    spread = np.std([r.estimate for r in reports], ddof=1)
+    ratio = spread / np.mean([r.std_error for r in reports])
+    assert abs(ratio - 1.0) <= 4.0 / np.sqrt(2.0 * (reps - 1))
+
+
 @pytest.mark.parametrize("scenario", [(0.1, 0.2), (0.4, 0.6)])
 def test_stable_tail_standard_error_matches_the_monte_carlo_spread(scenario):
     """The reported SE is on the scale of the estimate, the coefficient itself.
@@ -85,6 +98,23 @@ def test_moment_ratio_known_rejects_weights_outside_the_perturbation():
     pert = tm.Perturbation([1.0, 0.0], 1.0, tm.IndexSet([1]))
     with pytest.raises(tm.SupportViolation):
         tm.moment_ratio_known(X4, 5.0, HALF, perturbation=pert)
+
+
+SCENARIO_2 = tm.make_scenario(0.4, 0.6)
+WEIGHTS_FOR_D3 = tm.uniform_weights(I12, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: tm.spectral_moment(tm.model_spectral_measure(SCENARIO_2), I12, WEIGHTS_FOR_D3),
+    lambda x: tm.moment_ratio_known(x, 5.0, WEIGHTS_FOR_D3),
+    lambda x: tm.moment_ratio_ranks(x, 50, WEIGHTS_FOR_D3),
+    lambda x: tm.benchmark_ratio_known(x, 5.0, WEIGHTS_FOR_D3),
+], ids=["spectral_moment", "moment_ratio_known", "moment_ratio_ranks", "benchmark_ratio_known"])
+def test_weights_built_for_another_dimension_are_rejected(call):
+    """Length-3 weights on {1, 2} against two columns: each call names both lengths."""
+    x = tm.simulate(SCENARIO_2, 500, seed=0)
+    with pytest.raises(ValueError, match="length 3, not the dimension 2"):
+        call(x)
 
 
 def test_moment_ratio_is_affine_in_the_weights():

@@ -67,3 +67,20 @@ def test_only_core_lays_out_vectors_on_an_index_set():
     assert {module: lines for module, lines in writers.items()
             if lines and module != "core"} == {}
     assert writers["core"]  # the guard sees core.embed
+
+
+def _row_maxima(tree: ast.AST) -> list[int]:
+    """Lines that call ``max`` (a builtin, a function or a method) with ``axis=1``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (getattr(node.func, "attr", None) == "max"
+                 or getattr(node.func, "id", None) == "max")
+            and any(kw.arg == "axis" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value == 1 for kw in node.keywords)]
+
+
+def test_only_core_takes_row_maxima():
+    # the exceedance step (row max, threshold, divide by the max) is core.exceedances
+    calls = {path.stem: _row_maxima(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: lines for module, lines in calls.items() if lines and module != "core"} == {}
+    assert calls["core"]  # the guard sees core.exceedances

@@ -118,6 +118,15 @@ def test_pair_sub_samples_equal_fresh_pair_samples():
         pair.angular[0, 0] = 2.0
 
 
+def test_samples_are_data_matrices_compared_by_identity():
+    x = _pareto(7)
+    known, ranks = tm.KnownSample(x, 5.0, I12), tm.RankSample(x, 30, I12)
+    assert isinstance(known, tm.DataMatrix) and isinstance(ranks, tm.DataMatrix)
+    assert (known.n, known.d) == (ranks.n, ranks.d) == x.shape
+    assert known == known and known != tm.KnownSample(x, 5.0, I12)
+    assert len({known, ranks, tm.KnownSample(x, 5.0, I12)}) == 3
+
+
 # ------------------------------------------------ differential checks of fast paths
 
 def _d_wide_known_sample(x, u, index_set, perturbation=None):
