@@ -80,7 +80,6 @@ from .oracle import (
     rank_asymptotic_variance,
     rank_variance_matrix,
     ratio_covariance,
-    renormalized_measure,
     spectral_moment,
     spectral_second_moment,
 )

@@ -24,7 +24,7 @@ from .core import (
     ParamOutOfRange,
     uniform_weights,
 )
-from .estimators import benchmark_ratio_known, check_eps, stable_tail_estimate
+from .estimators import benchmark_ratio_known, stable_tail_estimate
 from .maxlinear import (
     MaxLinearModel,
     derive_seed,
@@ -56,7 +56,6 @@ class ExperimentConfig:
     reps: int
     seed: int
     u_quantile: float = 0.95
-    eps: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.n))
@@ -73,8 +72,6 @@ class ExperimentConfig:
         if not 0.0 < self.u_quantile < 1.0:
             raise ParamOutOfRange(
                 f"u_quantile must lie in (0, 1), got {self.u_quantile}")
-        if self.eps is not None:
-            object.__setattr__(self, "eps", check_eps(self.eps, self.k, self.n))
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -138,8 +135,7 @@ class ExperimentReport:
                 for name, s in self.summaries.items()]
 
 
-def _single_rep(rep_seed: int, model: MaxLinearModel, n: int, k: int, u: float,
-                eps: float | None) -> dict:
+def _single_rep(rep_seed: int, model: MaxLinearModel, n: int, k: int, u: float) -> dict:
     """One repetition: simulate and apply the four estimators.
 
     Returns the reciprocal-coefficient estimate per method, or None when the
@@ -163,7 +159,7 @@ def _single_rep(rep_seed: int, model: MaxLinearModel, n: int, k: int, u: float,
     report = stable_tail_estimate(ranks, k, index_set)
     out["BU"] = (1.0 / report.estimate) if report.estimate > 0 else None
     try:
-        out["MU"] = tau_moment_ranks(ranks, k, index_set, eps=eps).estimate
+        out["MU"] = tau_moment_ranks(ranks, k, index_set).estimate
     except NoExceedances:
         out["MU"] = None
     return out
@@ -206,8 +202,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "BU": float(np.sqrt(av.avar_bu / config.k)),
         "MU": float(np.sqrt(av.avar_mu / config.k)),
     }
-    worker = partial(_single_rep, model=model, n=config.n, k=config.k,
-                     u=u, eps=config.eps)
+    worker = partial(_single_rep, model=model, n=config.n, k=config.k, u=u)
     seeds = [derive_seed(config.seed, r) for r in range(config.reps)]
     workers = _worker_count(config.reps)
     if workers is None:
@@ -238,14 +233,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def table_experiments(reps: int = 5000, seed: int = 1, n: int = 1000,
-                      k: int = 50, u_quantile: float = 0.95,
-                      eps: float | None = None) -> dict[str, ExperimentReport]:
+                      k: int = 50, u_quantile: float = 0.95) -> dict[str, ExperimentReport]:
     """The three benchmark scenarios at the standard settings, keyed scenario_1..3."""
     reports = {}
     for idx, (p, q) in enumerate(TABLE_SCENARIOS):
         config = ExperimentConfig(
             model=make_scenario(p, q), n=n, k=k, reps=reps,
-            seed=derive_seed(seed, idx), u_quantile=u_quantile, eps=eps,
+            seed=derive_seed(seed, idx), u_quantile=u_quantile,
         )
         reports[f"scenario_{idx + 1}"] = run_experiment(config)
     return reports

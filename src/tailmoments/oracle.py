@@ -48,18 +48,15 @@ ARGMAX_TOL = 1e-8
 class DiscreteSpectralMeasure:
     """Finitely supported spectral measure: atoms (rows) with probabilities.
 
-    ``normalized_on`` records the index set over which every atom's partial
-    max equals one — ``None`` means the full coordinate set (the plain
-    sup-norm normalization of a base spectral measure).  Atoms and
-    probabilities are exactly renormalized by the constructor after a
-    tolerance check, so downstream identities hold to machine precision.
+    Every atom has sup-norm one.  Atoms and probabilities are exactly
+    renormalized by the constructor after a tolerance check, so downstream
+    identities hold to machine precision.
     """
 
     atoms: np.ndarray
     probs: np.ndarray
-    normalized_on: IndexSet | None = None
 
-    def __init__(self, atoms, probs, normalized_on: IndexSet | None = None):
+    def __init__(self, atoms, probs):
         atoms = np.asarray(atoms, dtype=float)
         if atoms.ndim != 2:
             raise ValueError("atoms must be a 2-dimensional array (one atom per row)")
@@ -72,21 +69,14 @@ class DiscreteSpectralMeasure:
             raise ValueError("atom probabilities must be strictly positive")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValueError("atom probabilities must sum to 1 within 1e-12")
-        norm_set = normalized_on if normalized_on is not None else IndexSet(
-            range(1, atoms.shape[1] + 1))
-        norm_set.check_within(atoms.shape[1])
-        peaks = partial_max(atoms, norm_set)
+        peaks, _, atoms = exceedances(atoms, 0.0)
         if np.any(np.abs(peaks - 1.0) > STANDARDIZED_TOL):
-            raise ValueError(
-                "every atom must have partial max 1 (within 1e-9) over the "
-                "normalization set")
-        atoms = atoms / peaks[:, None]
+            raise ValueError("every atom must have sup-norm 1 (within 1e-9)")
         probs = probs / probs.sum()
         atoms.flags.writeable = False
         probs.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "normalized_on", normalized_on)
 
     @property
     def d(self) -> int:
@@ -95,11 +85,6 @@ class DiscreteSpectralMeasure:
     @property
     def size(self) -> int:
         return self.atoms.shape[0]
-
-    def is_base(self) -> bool:
-        """True when normalized over the full coordinate set (sup-norm one)."""
-        return (self.normalized_on is None
-                or self.normalized_on.members == tuple(range(1, self.d + 1)))
 
     def merged(self, tol: float = 1e-12) -> "DiscreteSpectralMeasure":
         """Combine atoms that coincide within ``tol``, summing their probabilities."""
@@ -114,20 +99,17 @@ class DiscreteSpectralMeasure:
             else:
                 kept_atoms.append(row)
                 kept_probs.append(weight)
-        return DiscreteSpectralMeasure(np.array(kept_atoms), np.array(kept_probs),
-                                       self.normalized_on)
+        return DiscreteSpectralMeasure(np.array(kept_atoms), np.array(kept_probs))
 
     def to_dict(self) -> dict:
-        payload = {"atoms": self.atoms.tolist(), "probs": self.probs.tolist()}
-        if self.normalized_on is not None:
-            payload["normalized_on"] = list(self.normalized_on.members)
-        return payload
+        return {"atoms": self.atoms.tolist(), "probs": self.probs.tolist()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DiscreteSpectralMeasure":
-        normalized_on = payload.get("normalized_on")
-        return cls(payload["atoms"], payload["probs"],
-                   IndexSet(normalized_on) if normalized_on else None)
+        unknown = set(payload) - {"atoms", "probs"}
+        if unknown:
+            raise ValueError(f"unknown measure fields: {sorted(unknown)}")
+        return cls(payload["atoms"], payload["probs"])
 
 
 def mean_intensity(measure: DiscreteSpectralMeasure) -> np.ndarray:
@@ -135,26 +117,18 @@ def mean_intensity(measure: DiscreteSpectralMeasure) -> np.ndarray:
     return measure.atoms.T @ measure.probs
 
 
-def renormalized_measure(measure: DiscreteSpectralMeasure,
-                         index_set: IndexSet) -> DiscreteSpectralMeasure:
-    """Change of measure to partial-max-one atoms over the index set.
+def _renormalized(columns: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms' columns on an index set, renormalized on it, with their probabilities.
 
-    Atoms are divided by their partial max over the set and reweighted
+    Atoms are divided by their partial max over the columns and reweighted
     proportionally to it; atoms with zero partial max disappear.  The result
     is the spectral measure "seen from" extremes of the index set.
     """
-    index_set.check_within(measure.d)
-    if (measure.normalized_on is not None
-            and measure.normalized_on.members == index_set.members):
-        return measure
-    peaks = partial_max(measure.atoms, index_set)
-    keep = peaks > 0.0
+    peaks, keep, theta = exceedances(columns, 0.0)
     if not np.any(keep):
-        raise DegenerateDirection(
-            f"the measure puts no mass on the index set {index_set.members}")
-    atoms = measure.atoms[keep] / peaks[keep, None]
-    probs = measure.probs[keep] * peaks[keep]
-    return DiscreteSpectralMeasure(atoms, probs / probs.sum(), index_set)
+        raise DegenerateDirection("no atom has a positive partial max on the index set")
+    weights = probs[keep] * peaks[keep]
+    return theta, weights / weights.sum()
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,15 +136,16 @@ class Population:
     """What the oracle reads of one measure on one index set, each part derived once.
 
     ``tau`` is the extremal coefficient of the set; it needs a standardized
-    base measure, whose checked coordinate mean ``mean`` also gives the
+    measure, whose checked coordinate mean ``mean`` also gives the
     coefficient of any other index set through :meth:`coefficient`, and
-    ``pair_taus`` those of the pairs of the set (ones on the diagonal).  ``mu``
-    is the measure renormalized on the set and ``theta`` its atoms on the
-    set; ``second`` holds E[Theta_i Theta_j], ``entropy`` E[-Theta_i log
-    Theta_i], ``gradients`` the even, left and right gradients of the mean
-    partial max, and ``differentiable`` tells whether the last two agree.
-    Each part is derived on its first read, ``mu`` with the parts read from
-    it, so a function fails on the first part it reads.  The arrays are read-only.
+    ``pair_taus`` those of the pairs of the set (ones on the diagonal).
+    ``theta`` and ``probs`` are the atoms on the set and their probabilities
+    under the measure renormalized on it; ``second`` holds E[Theta_i Theta_j],
+    ``entropy`` E[-Theta_i log Theta_i], ``gradients`` the even, left and
+    right gradients of the mean partial max, and ``differentiable`` tells
+    whether the last two agree.  Each part is derived on its first read,
+    ``theta`` and ``probs`` with the parts read from them, so a function fails
+    on the first part it reads.  The arrays are read-only.
     """
 
     measure: DiscreteSpectralMeasure
@@ -183,10 +158,7 @@ class Population:
 
     @cached_property
     def mean(self) -> float:
-        """The common coordinate mean E[Theta_i] of the base measure, checked once."""
-        if not self.measure.is_base():
-            raise NotStandardized(
-                "a base (sup-norm normalized) spectral measure is required")
+        """The common coordinate mean E[Theta_i] of the measure, checked once."""
         means = mean_intensity(self.measure)
         if float(means.max() - means.min()) > STANDARDIZED_TOL:
             raise NotStandardized(
@@ -211,24 +183,25 @@ class Population:
         return taus
 
     def __getattr__(self, name: str):
-        """Derive ``mu`` and the parts read from it, all at once, on the first read of any."""
-        if name not in ("mu", "theta", "second", "entropy", "gradients", "differentiable"):
+        """Derive ``theta``, ``probs`` and the parts read from them together, on the first read."""
+        if name not in ("theta", "probs", "second", "entropy", "gradients", "differentiable"):
             raise AttributeError(name)
-        mu = renormalized_measure(self.measure, self.index_set)
-        theta = mu.atoms[:, self.index_set.zero_based()]
+        self.index_set.check_within(self.measure.d)
+        theta, probs = _renormalized(self.measure.atoms[:, self.index_set.zero_based()],
+                                     self.measure.probs)
         # increasing s_i moves the partial max (exactly 1 here) when i is among
         # the argmax set (right gradient), decreasing it when i is the unique
         # argmax (left gradient); ties are split evenly in between
         top = theta >= 1.0 - ARGMAX_TOL
         sizes = top.sum(axis=1)
         indicators = (top / sizes[:, None], top & (sizes == 1)[:, None], top)
-        even, left, right = (x.T.astype(float) @ mu.probs for x in indicators)
+        even, left, right = (x.T.astype(float) @ probs for x in indicators)
         logs = np.log(np.where(theta > 0, theta, 1.0))
-        second = theta.T @ (mu.probs[:, None] * theta)
-        entropy = np.where(theta > 0.0, -theta * logs, 0.0).T @ mu.probs
-        for array in (theta, second, entropy, even, left, right):
+        second = theta.T @ (probs[:, None] * theta)
+        entropy = np.where(theta > 0.0, -theta * logs, 0.0).T @ probs
+        for array in (theta, probs, second, entropy, even, left, right):
             array.flags.writeable = False
-        self.__dict__.update(mu=mu, theta=theta, second=second, entropy=entropy,
+        self.__dict__.update(theta=theta, probs=probs, second=second, entropy=entropy,
                              gradients=(even, left, right),
                              differentiable=bool(np.max(np.abs(right - left)) <= ARGMAX_TOL))
         return self.__dict__[name]
@@ -254,7 +227,7 @@ def extremal_coefficient(measure: DiscreteSpectralMeasure,
                          index_set: IndexSet) -> float:
     """The extremal coefficient of the index set, between 1 and its size.
 
-    Requires a standardized base measure; equals the reciprocal mean
+    Requires a standardized measure; equals the reciprocal mean
     coordinate times the mean partial max over the index set.
     """
     return population(measure, index_set).tau
@@ -266,7 +239,7 @@ def spectral_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     p = check_moment_power(p)
     view = population(measure, index_set)
     projected = view.theta @ restrict(v, index_set, view.measure.d)
-    return float(view.mu.probs @ projected ** p)
+    return float(view.probs @ projected ** p)
 
 
 def spectral_second_moment(measure: DiscreteSpectralMeasure,
@@ -279,7 +252,7 @@ def pair_product_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
                         i: int, j: int) -> float:
     """E[Theta_i Theta_j] on the index set, cross-checked against the pair identity.
 
-    When the index set is exactly {i, j} and the input is a standardized base
+    When the index set is exactly {i, j} and the input is a standardized
     measure, the product moment must equal ``2 / tau_ij - 1`` (one of the two
     renormalized coordinates is always one), and a violation is reported as
     an internal error.
@@ -287,8 +260,8 @@ def pair_product_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     if i not in index_set or j not in index_set:
         raise ValueError(f"components {i}, {j} must lie in {index_set.members}")
     view = population(measure, index_set)
-    atoms = view.mu.atoms
-    value = float(view.mu.probs @ (atoms[:, i - 1] * atoms[:, j - 1]))
+    a, b = index_set.members.index(i), index_set.members.index(j)
+    value = float(view.probs @ (view.theta[:, a] * view.theta[:, b]))
     if i != j and set(index_set.members) == {i, j}:
         try:
             tau_pair = view.tau
@@ -324,19 +297,12 @@ def perturbed_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     view = population(measure, index_set)
-    theta = view.theta
     scales = restrict(s, index_set, view.measure.d)
     if np.any(scales < 0):
         raise ValueError("perturbation scales must be non-negative")
     weights = restrict(v, index_set, view.measure.d)
-    peaks, keep, unit = exceedances(theta * scales, 0.0)
-    denominator = float(view.mu.probs @ peaks)
-    if denominator <= 0.0:
-        raise DegenerateDirection(
-            "the scaled measure puts no mass on the index set")
-    angular = np.power(unit, 1.0 / beta)
-    numerator = float((view.mu.probs[keep] * peaks[keep]) @ (angular @ weights) ** p)
-    return numerator / denominator
+    theta, probs = _renormalized(view.theta * scales, view.probs)
+    return float(probs @ (np.power(theta, 1.0 / beta) @ weights) ** p)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +344,7 @@ def moment_derivatives(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     Uses the identity ``c_i(v) = (v_i - (sum v) * dE_i) / tau_I`` where
     ``dE_i`` is the argmax-probability gradient of the mean partial max, and
     ``c_beta(v) = sum_i v_i E[-Theta_i log Theta_i]``.  Requires a
-    standardized base measure (the extremal coefficient enters the formula).
+    standardized measure (the extremal coefficient enters the formula).
     """
     view = population(measure, index_set)
     view.tau  # read first, so an unstandardized measure fails before its renormalization
@@ -495,7 +461,7 @@ def ratio_covariance(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     q = check_moment_power(q)
     view = population(measure, index_set)
     tau = view.tau
-    theta, probs = view.theta, view.mu.probs
+    theta, probs = view.theta, view.probs
     x = (theta @ restrict(v, index_set, view.measure.d)) ** p
     y = (theta @ restrict(w, index_set, view.measure.d)) ** q
     mean_x = float(probs @ x)

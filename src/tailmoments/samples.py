@@ -35,15 +35,20 @@ class _Sample(DataMatrix):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _store(self, **fields) -> None:
-        """Set the fields once; arrays the sample derived become read-only."""
+        """Set the fields once; their arrays become read-only."""
         for name, value in fields.items():
-            if isinstance(value, np.ndarray) and name != "values":
+            if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def require_exceedances(self) -> None:
         if self.count == 0:
             raise NoExceedances("no partial maximum exceeds " + self._level.format(self))
+
+
+def _own_values(data) -> np.ndarray:
+    """The checked (n, d) values of ``data``: a DataMatrix's own, else a copy of the array."""
+    return data.values if isinstance(data, DataMatrix) else matrix_values(data).copy()
 
 
 def check_threshold(u) -> float:
@@ -90,7 +95,7 @@ class KnownSample(_Sample):
 
     def __init__(self, data, u: float, index_set: IndexSet,
                  perturbation: Perturbation | None = None):
-        x = matrix_values(data)
+        x = _own_values(data)
         u = check_threshold(u)
         index_set.check_within(x.shape[1])
         idx = index_set.zero_based()
@@ -136,7 +141,7 @@ class RankSample(_Sample):
 
     def __init__(self, data, k: int, index_set: IndexSet,
                  inv_alpha_hat: float | None = None):
-        x = matrix_values(data)
+        x = _own_values(data)
         if inv_alpha_hat is not None:
             inv_alpha_hat = float(inv_alpha_hat)
             if not 0.0 < inv_alpha_hat < np.inf:

@@ -73,6 +73,15 @@ def test_oracle_rejects_unstandardized_measure(capsys, tmp_path):
     assert "NotStandardized" in err
 
 
+def test_oracle_rejects_a_measure_normalized_on_a_subset(capsys, tmp_path):
+    measure = {"atoms": [[1.0, 0.5], [1.0, 4.0]], "probs": [0.8, 0.2], "normalized_on": [1]}
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(measure))
+    code, _, err = run(capsys, "oracle", "--measure", str(path), "--index-set", "1", "--tau")
+    assert code == 1
+    assert "normalized_on" in err
+
+
 def test_estimate_rank_method(capsys, sample_csv):
     code, out, _ = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
                        "--method", "mu", "--k", "20")

@@ -39,10 +39,8 @@ def test_config_validation():
         small_config(u_quantile=1.5)
     with pytest.raises(ValueError, match="unknown config fields"):
         tm.ExperimentConfig.from_dict({**small_config().to_dict(), "estimators": ["BK"]})
-    with pytest.raises(tm.EpsOutOfRange):
-        small_config(eps=5.0)
-    with pytest.raises(tm.EpsOutOfRange):
-        small_config(eps=0.0)
+    with pytest.raises(ValueError, match=r"unknown config fields: \['eps'\]"):
+        tm.ExperimentConfig.from_dict({**small_config().to_dict(), "eps": 0.05})
 
 
 def test_run_experiment_is_deterministic():

@@ -84,3 +84,39 @@ def test_only_core_takes_row_maxima():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {module: lines for module, lines in calls.items() if lines and module != "core"} == {}
     assert calls["core"]  # the guard sees core.exceedances
+
+
+def _thresholds_partial_max(tree: ast.AST) -> list[int]:
+    """Lines that compare, or divide by, a name bound from a ``partial_max(...)`` call."""
+    def calls_partial_max(node) -> bool:
+        return isinstance(node, ast.Call) and "partial_max" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    names = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and calls_partial_max(node.value) for t in node.targets if isinstance(t, ast.Name)}
+
+    def reads_one(node) -> bool:
+        return any(isinstance(sub, ast.Name) and sub.id in names for sub in ast.walk(node))
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and reads_one(node):
+            lines.append(node.lineno)
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, (ast.Div, ast.FloorDiv))
+              and reads_one(node.right if isinstance(node, ast.BinOp) else node.value)):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_only_core_thresholds_or_divides_by_a_partial_max():
+    # renormalizing by a partial max is core.exceedances, also at level 0
+    found = {path.stem: _thresholds_partial_max(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "core"}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+    # the guard sees a renormalization written by hand
+    by_hand = ("peaks = partial_max(atoms, index_set)\n"
+               "keep = peaks > 0.0\n"
+               "theta = atoms[keep] / peaks[keep, None]\n"
+               "probs = probs[keep] * peaks[keep]\n")
+    assert _thresholds_partial_max(ast.parse(by_hand)) == [2, 3]

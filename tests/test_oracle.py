@@ -17,7 +17,6 @@ from tailmoments.oracle import (
     rank_asymptotic_variance,
     rank_variance_matrix,
     ratio_covariance,
-    renormalized_measure,
     spectral_moment,
     spectral_second_moment,
 )
@@ -45,22 +44,34 @@ def test_measure_validates_probabilities_and_normalization():
         tm.DiscreteSpectralMeasure(np.array([[1.0, 0.5]]), np.array([0.5]))
     with pytest.raises(ValueError):
         tm.DiscreteSpectralMeasure(np.array([[0.5, 0.9]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="sup-norm 1"):
+        tm.DiscreteSpectralMeasure(np.array([[1.0, 0.5], [0.0, 0.0]]), np.array([0.5, 0.5]))
+
+
+def test_measure_json_holds_only_atoms_and_probs():
+    m = scenario(0.4, 0.6)
+    again = tm.DiscreteSpectralMeasure.from_dict(m.to_dict())
+    assert sorted(m.to_dict()) == ["atoms", "probs"]
+    assert np.array_equal(again.atoms, m.atoms) and np.array_equal(again.probs, m.probs)
+    with pytest.raises(ValueError, match="normalized_on"):
+        tm.DiscreteSpectralMeasure.from_dict({**m.to_dict(), "normalized_on": [1]})
 
 
 def test_renormalized_measure_example():
     m = tm.DiscreteSpectralMeasure(np.array([[1.0, 0.5], [0.25, 1.0]]), np.array([0.5, 0.5]))
-    out = renormalized_measure(m, tm.IndexSet([1]))
-    assert out.atoms.tolist() == [[1.0, 0.5], [1.0, 4.0]]
-    assert out.probs.tolist() == [0.8, 0.2]
+    view = oracle.Population(m, tm.IndexSet([1]))
+    assert view.theta.tolist() == [[1.0], [1.0]]
+    assert view.probs.tolist() == [0.8, 0.2]
 
 
 def test_renormalized_measure_drops_null_directions():
     m = tm.DiscreteSpectralMeasure(
         np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0.25, 0.5, 0.25])
     )
-    out = renormalized_measure(m, tm.IndexSet([1]))
-    assert len(out.probs) == 2  # the pure second-coordinate atom cannot appear
-    assert np.all(out.atoms[:, 0] == 1.0)
+    view = oracle.Population(m, tm.IndexSet([1]))
+    assert len(view.probs) == 2  # the pure second-coordinate atom cannot appear
+    assert np.all(view.theta[:, 0] == 1.0)
+    assert view.probs.tolist() == [0.5, 0.5]
 
 
 def test_mean_intensity_of_scenario_measures_is_flat():
@@ -192,6 +203,11 @@ def test_perturbed_moment_tells_an_explicit_unit_beta_from_the_default():
         perturbed_moment(m, I12, [0.5, 0.5], perturbation, beta=1.0)
     assert perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9]) == \
         perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9], beta=1.0)
+
+
+def test_perturbed_moment_with_zero_scales_is_degenerate():
+    with pytest.raises(tm.DegenerateDirection):
+        perturbed_moment(scenario(0.4, 0.6), I12, [0.5, 0.5], [0.0, 0.0])
 
 
 def test_perturbed_moment_rejects_a_perturbation_on_another_index_set():
@@ -329,18 +345,18 @@ def test_degenerate_scenarios():
 
 def test_one_call_renormalizes_the_measure_once(monkeypatch):
     calls = []
-    original = oracle.renormalized_measure
+    original = oracle._renormalized
 
-    def counting(measure, index_set):
-        calls.append(index_set.members)
-        return original(measure, index_set)
+    def counting(columns, probs):
+        calls.append(columns.shape[1])
+        return original(columns, probs)
 
-    monkeypatch.setattr(oracle, "renormalized_measure", counting)
+    monkeypatch.setattr(oracle, "_renormalized", counting)
     asymptotic_variances(scenario(0.4, 0.6), I12)
-    assert calls == [(1, 2)]
+    assert calls == [2]
     calls.clear()
     rank_variance_matrix(scenario(0.4, 0.6), I12)
-    assert calls == [(1, 2)]
+    assert calls == [2]
 
 
 def test_pair_coefficients_reuse_the_checked_mean(monkeypatch):

@@ -18,16 +18,16 @@ def _pareto(seed, n=600, d=3):
 @pytest.mark.parametrize("p, q", TABLE_SCENARIOS)
 def test_single_rep_matches_the_plain_public_calls(p, q):
     model = tm.make_scenario(p, q)
-    n, k, eps = 1000, 50, 0.05
+    n, k = 1000, 50
     u = -1.0 / np.log(0.95)
     for rep_seed in range(30):
-        fast = _single_rep(rep_seed, model, n, k, u, eps)
+        fast = _single_rep(rep_seed, model, n, k, u)
         x = np.array(tm.simulate(model, n, rep_seed).values)
         plain = {
             "BK": tm.benchmark_ratio_known(x, u, tm.uniform_weights(I12, 2)).estimate,
             "MK": tm.tau_moment_known(x, u, I12).estimate,
             "BU": 1.0 / tm.stable_tail_estimate(x, k, I12).estimate,
-            "MU": tm.tau_moment_ranks(x, k, I12, eps=eps).estimate,
+            "MU": tm.tau_moment_ranks(x, k, I12).estimate,
         }
         for name, value in plain.items():
             assert abs(fast[name] - value) <= 1e-12, (rep_seed, name)
@@ -43,7 +43,7 @@ def test_one_replication_computes_the_anchors_once(monkeypatch):
 
     monkeypatch.setattr(samples, "upper_order_statistics", counting)
     model = tm.make_scenario(0.4, 0.6)
-    _single_rep(3, model, 1000, 50, -1.0 / np.log(0.95), 0.05)
+    _single_rep(3, model, 1000, 50, -1.0 / np.log(0.95))
     assert calls == [50]
 
 
@@ -125,6 +125,27 @@ def test_samples_are_data_matrices_compared_by_identity():
     assert (known.n, known.d) == (ranks.n, ranks.d) == x.shape
     assert known == known and known != tm.KnownSample(x, 5.0, I12)
     assert len({known, ranks, tm.KnownSample(x, 5.0, I12)}) == 3
+
+
+def test_samples_do_not_alias_the_callers_array():
+    x = np.random.default_rng(0).pareto(1.5, size=(200, 2)) + 1.0
+    known, ranks = tm.KnownSample(x, 5.0, I12), tm.RankSample(x, 20, I12)
+    v = tm.uniform_weights(I12, 2)
+    reports = {
+        "BK": lambda: tm.benchmark_ratio_known(known, 5.0, v),
+        "MK": lambda: tm.tau_moment_known(known, 5.0, I12),
+        "moment": lambda: tm.moment_ratio_known(known, 5.0, v),
+        "BU": lambda: tm.stable_tail_estimate(ranks, 20, I12),
+        "MU": lambda: tm.tau_moment_ranks(ranks, 20, I12),
+        "Hill": lambda: tm.hill_inverse_alpha(ranks, 20, I12),
+    }
+    before = {name: report().to_dict() for name, report in reports.items()}
+    assert before["BK"]["estimate"] > 0
+    x[:] = 0.0
+    assert {name: report().to_dict() for name, report in reports.items()} == before
+    assert not known.values.flags.writeable and not ranks.values.flags.writeable
+    data = tm.DataMatrix(np.ones((3, 2)))
+    assert tm.KnownSample(data, 0.5, I12).values is data.values  # read as is
 
 
 # ------------------------------------------------ differential checks of fast paths
