@@ -68,25 +68,19 @@ from .maxlinear import (
 from .oracle import (
     AsymptoticVariances,
     DiscreteSpectralMeasure,
-    MomentDerivatives,
+    Population,
     asymptotic_variances,
     extremal_coefficient,
     mean_intensity,
-    moment_derivatives,
-    negative_entropy_vector,
     optimal_weights,
-    pair_product_moment,
     perturbed_moment,
-    rank_asymptotic_variance,
     rank_variance_matrix,
     ratio_covariance,
     spectral_moment,
-    spectral_second_moment,
 )
 from .samples import KnownSample, RankSample, upper_order_statistics
 from .variance import minimize_quadratic_on_simplex
 from .weights import (
-    optimal_weights_known,
     rank_variance_form,
     second_moment_matrix_known,
     tau_moment_known,

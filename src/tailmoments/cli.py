@@ -48,10 +48,15 @@ from .oracle import (
 )
 from .samples import KnownSample, RankSample
 from .variance import minimize_quadratic_on_simplex
-from .weights import optimal_weights_known, rank_variance_form, tau_moment_known, tau_moment_ranks
+from .weights import (
+    rank_variance_form,
+    second_moment_matrix_known,
+    tau_moment_known,
+    tau_moment_ranks,
+)
 
 _KNOWN_METHODS = {"bk", "mk"}
-_RANK_METHODS = {"hill", "bu", "stdf", "mu"}
+_RANK_METHODS = {"hill", "bu", "mu"}
 
 
 def _parse_index_set(text: str) -> IndexSet:
@@ -125,9 +130,8 @@ def _cmd_estimate(args, parser) -> int:
         if args.weights:
             return _embed_weights(_parse_floats(args.weights), index_set, d)
         if args.optimal:
-            if args.known_margins:
-                return optimal_weights_known(sample, u, index_set)[0]
-            form = rank_variance_form(sample, k, index_set, eps=args.eps)
+            form = (second_moment_matrix_known(sample, u, index_set) if args.known_margins
+                    else rank_variance_form(sample, k, index_set, eps=args.eps))
             return minimize_quadratic_on_simplex(form, d=d)[0]
         return uniform_weights(index_set, d)
 
@@ -142,7 +146,7 @@ def _cmd_estimate(args, parser) -> int:
             report = moment_ratio_ranks(sample, k, pick_weights(), p=args.p)
     elif method == "hill":
         report = hill_inverse_alpha(sample, k, index_set)
-    elif method in ("bu", "stdf"):
+    elif method == "bu":
         report = stable_tail_estimate(sample, k, index_set, eps=args.eps)
     elif method == "mu":
         report = tau_moment_ranks(sample, k, index_set, eps=args.eps)

@@ -101,7 +101,7 @@ class IndexSet:
     members: tuple[int, ...]
 
     def __init__(self, members: Sequence[int]):
-        mem = tuple(int(m) for m in members)
+        mem = tuple(check_integer(m, "a component index") for m in members)
         if len(mem) == 0:
             raise ValueError("index set must be non-empty")
         if any(m < 1 for m in mem):
@@ -290,45 +290,24 @@ def basis_weights(support: IndexSet, d: int, j: int) -> WeightVector:
 
 @dataclass(frozen=True)
 class Perturbation:
-    """A componentwise scale factor s (supported on an index set) and a power beta.
-
-    ``delta`` records the admissible band: every scale on the index set and
-    beta itself lie in [(1+delta)^-1, 1+delta].
-    """
+    """A componentwise scale factor s (supported on an index set) and a power beta."""
 
     s: np.ndarray
     beta: float
-    delta: float
     index_set: IndexSet
 
-    def __init__(self, s, beta: float, index_set: IndexSet, delta: float | None = None):
+    def __init__(self, s, beta: float, index_set: IndexSet):
         arr = _as_float_array(s, "s", 1)
         index_set.check_within(arr.shape[0])
-        idx = index_set.zero_based()
         if not _zero_outside(arr, index_set):
             raise ValueError("perturbation scales must be zero outside the index set")
-        if np.any(arr[idx] <= 0.0) or not np.all(np.isfinite(arr)):
+        if np.any(arr[index_set.zero_based()] <= 0.0) or not np.all(np.isfinite(arr)):
             raise ValueError("perturbation scales must be positive and finite on the index set")
         beta = float(beta)
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        on = arr[idx]
-        minimal = max(
-            float(np.max(on)) - 1.0,
-            1.0 / float(np.min(on)) - 1.0,
-            beta - 1.0,
-            1.0 / beta - 1.0,
-            0.0,
-        )
-        if delta is None:
-            delta = minimal
-        else:
-            delta = float(delta)
-            if delta < minimal - 1e-15:
-                raise ValueError("declared delta does not cover the scales/beta")
+        if not 0.0 < beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {beta}")
         object.__setattr__(self, "s", _freeze(arr))
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "index_set", index_set)
 
     @classmethod
@@ -425,11 +404,20 @@ def _plain(obj):
     return obj
 
 
+def check_integer(value, name: str) -> int:
+    """``value`` as an int; a non-integral or non-finite value raises ValueError, not truncated."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != value:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return out
+
+
 def check_moment_power(p) -> int:
     """Validate a moment power: must be a non-negative integer; returns it as int."""
-    if p != int(p):
-        raise ValueError(f"the moment power p must be a non-negative integer, got {p}")
-    p = int(p)
+    p = check_integer(p, "the moment power p")
     if p < 0:
         raise ValueError(f"the moment power p must be non-negative, got {p}")
     return p

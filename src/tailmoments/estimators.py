@@ -134,7 +134,7 @@ def moment_ratio_ranks(data, k: int, v: WeightVector, p: int = 1,
         std_error=None,
         exceedance_count=sample.count,
         method="moment_ranks",
-        parameters={"k": int(k), "p": p, "weights": v.weights,
+        parameters={"k": sample.k, "p": p, "weights": v.weights,
                     "index_set": index_set, "inv_alpha_hat": sample.inv_alpha},
     )
 
@@ -156,7 +156,7 @@ def stable_tail_estimate(data, k: int, index_set: IndexSet,
         when absent the standard error is omitted.
     """
     sample = rank_sample(data, k, index_set)
-    n = sample.n
+    n, k = sample.n, sample.k
     count = sample.count
     estimate = (n / k) * (count / n)
     std_error = None
@@ -170,7 +170,7 @@ def stable_tail_estimate(data, k: int, index_set: IndexSet,
         std_error=std_error,
         exceedance_count=count,
         method="stdf",
-        parameters={"k": int(k), "index_set": index_set, "n": n,
+        parameters={"k": k, "index_set": index_set, "n": n,
                     **({"eps": eps} if eps is not None else {})},
     )
 
@@ -183,6 +183,7 @@ def stable_tail_variance(data, k: int, index_set: IndexSet, eps: float) -> float
     two-component exceedance counts at the same level k.
     """
     sample = rank_sample(data, k, index_set)
+    k = sample.k
     eps = check_eps(eps, k, sample.n)
     sample.require_exceedances()
     tau_hat = sample.count / k

@@ -22,6 +22,7 @@ from .core import (
     KOutOfRange,
     NoExceedances,
     ParamOutOfRange,
+    check_integer,
     uniform_weights,
 )
 from .estimators import benchmark_ratio_known, stable_tail_estimate
@@ -58,10 +59,8 @@ class ExperimentConfig:
     u_quantile: float = 0.95
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "reps", int(self.reps))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name in ("n", "k", "reps", "seed"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         object.__setattr__(self, "u_quantile", float(self.u_quantile))
         if self.n < 2:
             raise ValueError("n must be at least 2")

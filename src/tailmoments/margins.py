@@ -92,5 +92,5 @@ def hill_inverse_alpha(data, k: int, index_set: IndexSet) -> EstimateReport:
         std_error=1.0 / (alpha_hat * np.sqrt(sample.count)),
         exceedance_count=sample.count,
         method="hill",
-        parameters={"k": int(k), "index_set": index_set, "n": sample.n},
+        parameters={"k": sample.k, "index_set": index_set, "n": sample.n},
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, ParamOutOfRange
+from .core import DataMatrix, ParamOutOfRange, check_integer
 from .oracle import DiscreteSpectralMeasure
 
 # splitmix64 constants
@@ -140,7 +140,7 @@ def simulate(model: MaxLinearModel, n: int, seed: int) -> DataMatrix:
     sub-block of rows is reproducible in isolation and identical components
     of the model yield bitwise identical data columns.
     """
-    n = int(n)
+    n = check_integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     m = model.factors
@@ -159,6 +159,6 @@ def frechet_sample(n: int, alpha: float, seed: int) -> np.ndarray:
     alpha = float(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    counters = np.arange(int(n), dtype=np.uint64)
+    counters = np.arange(check_integer(n, "n"), dtype=np.uint64)
     z = -1.0 / np.log(uniform_open(seed, counters))
     return z ** (1.0 / alpha)

@@ -10,7 +10,8 @@ theoretical column of simulation reports.  Each function reads one
 :class:`Population` view of the measure on its index set, which
 renormalizes the measure once and derives tau, the second moments, the
 entropy vector and the argmax gradients once; a function handed a view
-for its index set reads that view.  The variances and the optimal weights
+for its index set reads that view, and a caller after one of those parts
+reads it off the view.  The variances and the optimal weights
 come from :mod:`tailmoments.variance`, whose formulas the plug-in
 estimators share; this module imports nothing else from the package but
 ``core``.
@@ -25,7 +26,6 @@ import numpy as np
 
 from .core import (
     DegenerateDirection,
-    EstimationError,
     IndexSet,
     NotStandardized,
     Perturbation,
@@ -206,13 +206,15 @@ class Population:
                              differentiable=bool(np.max(np.abs(right - left)) <= ARGMAX_TOL))
         return self.__dict__[name]
 
-    def c(self, weights: np.ndarray, gradient: np.ndarray) -> np.ndarray:
+    def c(self, weights, gradient: np.ndarray) -> np.ndarray:
         """Scale derivatives ``(w_i - (sum w) * gradient_i) / tau`` of the perturbed moment.
 
-        ``weights`` is one |I|-vector, or a matrix with a weight vector in each
-        column: at ``np.eye(m)``, entry (i, j) is the i-th derivative at basis
-        weights j.
+        ``weights`` is a vector read through ``core.restrict`` (a WeightVector,
+        an |I|- or a d-vector), or an |I|-row matrix with a weight vector in
+        each column: at ``np.eye(m)``, entry (i, j) is the i-th derivative at
+        basis weights j.  The power derivative at v is ``v @ entropy``.
         """
+        weights = restrict(weights, self.index_set, self.measure.d)
         return (weights - np.multiply.outer(gradient, weights.sum(axis=0))) / self.tau
 
 
@@ -242,38 +244,6 @@ def spectral_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     return float(view.probs @ projected ** p)
 
 
-def spectral_second_moment(measure: DiscreteSpectralMeasure,
-                           index_set: IndexSet) -> np.ndarray:
-    """The matrix E[Theta_i Theta_j] over the index set, renormalized on it."""
-    return population(measure, index_set).second
-
-
-def pair_product_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
-                        i: int, j: int) -> float:
-    """E[Theta_i Theta_j] on the index set, cross-checked against the pair identity.
-
-    When the index set is exactly {i, j} and the input is a standardized
-    measure, the product moment must equal ``2 / tau_ij - 1`` (one of the two
-    renormalized coordinates is always one), and a violation is reported as
-    an internal error.
-    """
-    if i not in index_set or j not in index_set:
-        raise ValueError(f"components {i}, {j} must lie in {index_set.members}")
-    view = population(measure, index_set)
-    a, b = index_set.members.index(i), index_set.members.index(j)
-    value = float(view.probs @ (view.theta[:, a] * view.theta[:, b]))
-    if i != j and set(index_set.members) == {i, j}:
-        try:
-            tau_pair = view.tau
-        except NotStandardized:
-            tau_pair = None
-        if tau_pair is not None and abs(value - (2.0 / tau_pair - 1.0)) > 1e-9:
-            raise EstimationError(
-                "internal inconsistency: pair product moment does not match "
-                "the extremal-coefficient identity")
-    return value
-
-
 def perturbed_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
                      v, s, beta: float | None = None, p: int = 1) -> float:
     """The population limit of the perturbed moment ratio.
@@ -294,8 +264,8 @@ def perturbed_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
             raise ValueError(f"beta={beta} contradicts the perturbation's beta={s.beta}")
         s, beta = s.s, s.beta
     beta = 1.0 if beta is None else float(beta)
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     view = population(measure, index_set)
     scales = restrict(s, index_set, view.measure.d)
     if np.any(scales < 0):
@@ -303,64 +273,6 @@ def perturbed_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     weights = restrict(v, index_set, view.measure.d)
     theta, probs = _renormalized(view.theta * scales, view.probs)
     return float(probs @ (np.power(theta, 1.0 / beta) @ weights) ** p)
-
-
-# ---------------------------------------------------------------------------
-# derivatives of the perturbed moment at the unperturbed point
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MomentDerivatives:
-    """Scale and power derivatives of the perturbed moment at s = 1, beta = 1, p = 1.
-
-    ``c`` holds the two-sided (even tie-splitting) scale derivatives for each
-    member of the index set and ``c_beta`` the power derivative.  When some
-    atom attains its partial max in several components the scale derivatives
-    differ by direction: ``differentiable`` is then False and the one-sided
-    values are attached (the reported ``c`` is their average).
-    """
-
-    index_set: IndexSet
-    c: np.ndarray
-    c_beta: float
-    partial_e: np.ndarray
-    differentiable: bool
-    left_c: np.ndarray
-    right_c: np.ndarray
-    left_partial_e: np.ndarray
-    right_partial_e: np.ndarray
-
-
-def negative_entropy_vector(measure: DiscreteSpectralMeasure,
-                            index_set: IndexSet) -> np.ndarray:
-    """E[-Theta_i log Theta_i] for i in the index set, renormalized on it."""
-    return population(measure, index_set).entropy
-
-
-def moment_derivatives(measure: DiscreteSpectralMeasure, index_set: IndexSet,
-                       v) -> MomentDerivatives:
-    """Closed-form derivatives of the perturbed moment for given weights.
-
-    Uses the identity ``c_i(v) = (v_i - (sum v) * dE_i) / tau_I`` where
-    ``dE_i`` is the argmax-probability gradient of the mean partial max, and
-    ``c_beta(v) = sum_i v_i E[-Theta_i log Theta_i]``.  Requires a
-    standardized measure (the extremal coefficient enters the formula).
-    """
-    view = population(measure, index_set)
-    view.tau  # read first, so an unstandardized measure fails before its renormalization
-    weights = restrict(v, index_set, view.measure.d)
-    even, left, right = view.gradients
-    return MomentDerivatives(
-        index_set=index_set,
-        c=view.c(weights, even),
-        c_beta=float(weights @ view.entropy),
-        partial_e=even,
-        differentiable=view.differentiable,
-        left_c=view.c(weights, left),
-        right_c=view.c(weights, right),
-        left_partial_e=left,
-        right_partial_e=right,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +300,6 @@ def rank_variance_matrix(measure: DiscreteSpectralMeasure,
     tau = view.tau  # read first, so an unstandardized measure fails before its renormalization
     c_matrix = view.c(np.eye(index_set.size), view.gradients[0])
     return mu_form(index_set, tau, view.pair_taus, view.second, c_matrix, view.entropy)
-
-
-def rank_asymptotic_variance(measure: DiscreteSpectralMeasure,
-                             index_set: IndexSet, v) -> float:
-    """The limiting variance of the rank-based weighted ratio at the given weights."""
-    view = population(measure, index_set)
-    return rank_variance_matrix(view, index_set).evaluate(restrict(v, index_set, view.measure.d))
 
 
 @dataclass(frozen=True)

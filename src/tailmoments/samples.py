@@ -20,6 +20,7 @@ from .core import (
     KOutOfRange,
     NoExceedances,
     Perturbation,
+    check_integer,
     exceedances,
     matrix_values,
 )
@@ -67,11 +68,13 @@ def upper_order_statistics(x, k: int):
 
     Raises
     ------
+    ValueError
+        If k is not an integer.
     KOutOfRange
         If k < 1 or k > n.
     """
     arr = np.asarray(x, dtype=float)
-    k = int(k)
+    k = check_integer(k, "k")
     if arr.ndim not in (1, 2):
         raise ValueError("x must be a vector or a matrix")
     n = arr.shape[0]
@@ -153,6 +156,7 @@ class RankSample(_Sample):
             raise EstimationError(
                 "a k-th upper order statistic is zero; the ratio data are undefined"
             )
+        # upper_order_statistics checked that k is an integer
         self._fill(x, int(k), index_set, inv_alpha_hat, anchors, columns / anchors)
 
     def _fill(self, x, k, index_set, inv_alpha_hat, anchors, ratios) -> None:
@@ -201,7 +205,7 @@ class RankSample(_Sample):
 def rank_sample(data, k: int, index_set: IndexSet,
                 inv_alpha_hat: float | None = None) -> RankSample:
     """The sample to read: ``data`` itself if it was built for these arguments, else a new one."""
-    if (isinstance(data, RankSample) and data.k == int(k) and data.index_set == index_set
+    if (isinstance(data, RankSample) and data.k == k and data.index_set == index_set
             and data.inv_alpha_hat == inv_alpha_hat):
         return data
     return RankSample(data, k, index_set, inv_alpha_hat)

@@ -18,7 +18,6 @@ from .core import (
     EstimateReport,
     IndexSet,
     QuadraticForm,
-    WeightVector,
 )
 from .estimators import check_eps, moment_ratio_known, moment_ratio_ranks
 from .samples import known_sample, rank_sample, second_moments
@@ -40,14 +39,6 @@ def second_moment_matrix_known(data, u: float, index_set: IndexSet) -> Quadratic
     return QuadraticForm(index_set, second_moments(sample))
 
 
-def optimal_weights_known(data, u: float, index_set: IndexSet
-                          ) -> tuple[WeightVector, float]:
-    """Weights minimizing the empirical second moment of v'Theta over exceedances."""
-    sample = known_sample(data, u, index_set)
-    form = second_moment_matrix_known(sample, u, index_set)
-    return minimize_quadratic_on_simplex(form, d=sample.d)
-
-
 def tau_moment_known(data, u: float, index_set: IndexSet) -> EstimateReport:
     """Optimally weighted moment-ratio estimate of the reciprocal extremal coefficient.
 
@@ -57,7 +48,8 @@ def tau_moment_known(data, u: float, index_set: IndexSet) -> EstimateReport:
     ratio at those weights.
     """
     sample = known_sample(data, u, index_set)
-    v_star, objective = optimal_weights_known(sample, u, index_set)
+    form = second_moment_matrix_known(sample, u, index_set)
+    v_star, objective = minimize_quadratic_on_simplex(form, d=sample.d)
     base = moment_ratio_known(sample, u, v_star, p=1)
     return EstimateReport(
         estimate=base.estimate,
@@ -95,7 +87,7 @@ def rank_variance_form(data, k: int, index_set: IndexSet,
     optimally weighted rank estimator.
     """
     sample = rank_sample(data, k, index_set, inv_alpha_hat)
-    eps = check_eps(eps, k, sample.n)
+    eps = check_eps(eps, sample.k, sample.n)
     m = index_set.size
     tau = _tau_hat(sample)
     # pairwise extremal coefficients; at m = 2 the pair is the whole sample
@@ -121,10 +113,10 @@ def tau_moment_ranks(data, k: int, index_set: IndexSet,
     condition = float(np.linalg.cond(form.matrix)) if np.any(form.matrix) else float("inf")
     return EstimateReport(
         estimate=base.estimate,
-        std_error=float(np.sqrt(max(objective, 0.0) / k)),
+        std_error=float(np.sqrt(max(objective, 0.0) / sample.k)),
         exceedance_count=base.exceedance_count,
         method="mu",
-        parameters={"k": int(k), "eps": check_eps(eps, k, sample.n),
+        parameters={"k": sample.k, "eps": check_eps(eps, sample.k, sample.n),
                     "inv_alpha_hat": sample.inv_alpha,
                     "weights": v_tilde.weights, "index_set": index_set,
                     "objective": objective, "condition_number": condition},

@@ -119,6 +119,15 @@ def test_estimate_rank_method_rejects_known_flags(capsys, sample_csv):
     assert err.value.code == 2
 
 
+def test_estimate_has_no_second_name_for_bu(capsys, sample_csv):
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--input", sample_csv, "--index-set", "1,2", "--method", "stdf"])
+    assert err.value.code == 2
+    code, out, _ = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
+                       "--method", "bu")
+    assert code == 0 and json.loads(out)["method"] == "stdf"
+
+
 def test_estimate_weights_conflict_with_optimal(capsys, sample_csv):
     with pytest.raises(SystemExit) as err:
         main(["estimate", "--input", sample_csv, "--index-set", "1,2", "--known-margins",

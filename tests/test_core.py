@@ -11,9 +11,11 @@ def test_index_set_members_and_lookup():
     assert s.size == 2
     assert 1 in s and 3 in s and 2 not in s
     assert s.zero_based().tolist() == [0, 2]
+    assert tm.IndexSet([1.0, np.int64(3)]) == s
 
 
-@pytest.mark.parametrize("bad", [[], [0, 1], [1, 1], [3, 1], [-2]])
+@pytest.mark.parametrize("bad", [[], [0, 1], [1, 1], [3, 1], [-2],
+                                 [1.7, 2.2], [1, 2.5], [1, np.inf], [np.nan], ["1"]])
 def test_index_set_rejects_bad_members(bad):
     with pytest.raises(ValueError):
         tm.IndexSet(bad)
@@ -82,7 +84,6 @@ def test_perturbation_indicator_is_identity_on_support():
     pert = tm.Perturbation.indicator(s, 3)
     assert pert.s.tolist() == [1.0, 0.0, 1.0]
     assert pert.beta == 1.0
-    assert pert.delta == 0.0
 
 
 def test_perturbation_validates_scales_and_beta():
@@ -95,12 +96,10 @@ def test_perturbation_validates_scales_and_beta():
         tm.Perturbation([1.0, 1.0], -2.0, s)
 
 
-def test_perturbation_delta_band():
-    s = tm.IndexSet([1, 2])
-    pert = tm.Perturbation([2.0, 1.0], 1.0, s)
-    assert pert.delta == 1.0  # max(2 - 1, 1/1 - 1, ...) = 1
-    with pytest.raises(ValueError):
-        tm.Perturbation([2.0, 1.0], 1.0, s, delta=0.5)
+@pytest.mark.parametrize("beta", [np.nan, np.inf])
+def test_perturbation_rejects_a_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        tm.Perturbation([1.0, 1.0], beta, tm.IndexSet([1, 2]))
 
 
 def test_quadratic_form_requires_symmetry():
@@ -153,6 +152,15 @@ def test_check_moment_power():
         check_moment_power(-1)
     with pytest.raises(ValueError):
         check_moment_power(1.5)
+
+
+@pytest.mark.parametrize("p", [np.inf, -np.inf, np.nan])
+def test_check_moment_power_rejects_a_non_finite_power(p):
+    with pytest.raises(ValueError, match="the moment power p must be an integer"):
+        check_moment_power(p)
+    x = np.array([[10.0, 10.0], [12.0, 6.0]])
+    with pytest.raises(ValueError, match="the moment power p must be an integer"):
+        tm.moment_ratio_known(x, 5.0, tm.uniform_weights(tm.IndexSet([1, 2]), 2), p=p)
 
 
 # ------------------------------------------------- validation at the boundary

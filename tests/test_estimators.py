@@ -209,6 +209,18 @@ def test_stable_tail_estimate_checks_eps_without_exceedances():
     assert rep.parameters["eps"] == 0.5
 
 
+def test_stable_tail_estimate_rejects_a_non_integral_k():
+    x = np.random.default_rng(3).pareto(1.0, size=(1000, 2)) + 1.0
+    for data in (x, tm.RankSample(x, 50, I12)):
+        with pytest.raises(ValueError, match="k must be an integer, got 50.9"):
+            tm.stable_tail_estimate(data, 50.9, I12)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        tm.upper_order_statistics(x, np.inf)
+    report = tm.stable_tail_estimate(x, np.float64(50.0), I12)
+    assert report.to_dict() == tm.stable_tail_estimate(x, 50, I12).to_dict()
+    assert type(report.parameters["k"]) is int
+
+
 def test_stable_tail_estimate_converges_to_the_extremal_coefficient():
     model = tm.make_scenario(0.1, 0.2)
     x = tm.simulate(model, 40000, seed=21)

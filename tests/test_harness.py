@@ -30,6 +30,14 @@ def test_config_round_trips_through_dict():
     assert again == cfg
 
 
+@pytest.mark.parametrize("field,value", [("n", 100.9), ("k", 20.5), ("reps", np.inf),
+                                         ("seed", np.nan)])
+def test_config_rejects_a_non_integral_count(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        small_config(**{field: value})
+    assert small_config(n=400.0).n == 400
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(reps=0)

@@ -73,6 +73,16 @@ def test_frechet_sample_distribution():
     assert float(np.mean(z <= 1.0)) == pytest.approx(math.exp(-1.0), abs=0.005)
 
 
+def test_sample_sizes_are_checked_not_truncated():
+    model = tm.make_scenario(0.4, 0.6)
+    for call in (lambda n: simulate(model, n, seed=1), lambda n: frechet_sample(n, 1.0, seed=1)):
+        for n in (100.9, np.inf, np.nan):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                call(n)
+    assert np.array_equal(simulate(model, 100.0, seed=1).values,
+                          simulate(model, 100, seed=1).values)
+
+
 def test_simulate_is_reproducible_and_extends_by_row():
     model = make_scenario(0.3, 0.7)
     a = simulate(model, 10, seed=42)

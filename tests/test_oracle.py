@@ -9,16 +9,11 @@ from tailmoments.oracle import (
     asymptotic_variances,
     extremal_coefficient,
     mean_intensity,
-    moment_derivatives,
-    negative_entropy_vector,
     optimal_weights,
-    pair_product_moment,
     perturbed_moment,
-    rank_asymptotic_variance,
     rank_variance_matrix,
     ratio_covariance,
     spectral_moment,
-    spectral_second_moment,
 )
 
 import _exact_reference as exact
@@ -133,20 +128,20 @@ def test_second_moment_matrix_matches_exact_enumeration(p, q):
     m = scenario(p, q)
     atoms, probs = rationalized(m)
     want = np.array(exact.second_moment_matrix(atoms, probs, (1, 2)), dtype=float)
-    np.testing.assert_allclose(spectral_second_moment(m, I12), want, rtol=1e-13)
+    np.testing.assert_allclose(tm.Population(m, I12).second, want, rtol=1e-13)
 
 
 def test_pair_product_moment_identity():
-    """E[Theta_i^I Theta_j^I] = (2 - tau_ij) ... via the polarization identity
-    2 E[Theta_i Theta_j] = E[(Theta_i + Theta_j)^2] - E[Theta_i^2] - E[Theta_j^2]."""
-    for p, q in SCENARIOS:
-        m = scenario(p, q)
-        direct = spectral_second_moment(m, I12)[0, 1]
-        assert pair_product_moment(m, I12, 1, 2) == pytest.approx(direct, rel=1e-13)
+    """E[Theta_1 Theta_2] = 2 / tau_12 - 1: on the pair, one renormalized coordinate is one."""
+    for p, q in SCENARIOS + RANDOM_PQS:
+        view = tm.Population(scenario(p, q), I12)
+        product = float(view.probs @ (view.theta[:, 0] * view.theta[:, 1]))
+        assert view.second[0, 1] == pytest.approx(product, rel=1e-13, abs=1e-15)
+        assert view.second[0, 1] == pytest.approx(2.0 / view.tau - 1.0, abs=1e-9)
 
 
 def test_negative_entropy_vector_scenario_value():
-    b = negative_entropy_vector(scenario(0.1, 0.2), I12)
+    b = tm.Population(scenario(0.1, 0.2), I12).entropy
     assert b[0] == pytest.approx(math.log(250.0) / 40.0, rel=1e-13)
     assert b[0] == b[1]
 
@@ -205,6 +200,12 @@ def test_perturbed_moment_tells_an_explicit_unit_beta_from_the_default():
         perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9], beta=1.0)
 
 
+@pytest.mark.parametrize("beta", [np.nan, np.inf])
+def test_perturbed_moment_rejects_a_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        perturbed_moment(scenario(0.4, 0.6), I12, [0.5, 0.5], [1.0, 1.0], beta=beta)
+
+
 def test_perturbed_moment_with_zero_scales_is_degenerate():
     with pytest.raises(tm.DegenerateDirection):
         perturbed_moment(scenario(0.4, 0.6), I12, [0.5, 0.5], [0.0, 0.0])
@@ -219,40 +220,40 @@ def test_perturbed_moment_rejects_a_perturbation_on_another_index_set():
 # -------------------------------------------------------------- derivatives
 
 def test_moment_derivatives_independent_coordinates():
-    ind = tm.DiscreteSpectralMeasure(np.eye(2), np.array([0.5, 0.5]))
-    d = moment_derivatives(ind, I12, [1.0, 0.0])
-    assert d.differentiable
-    assert d.c.tolist() == [0.25, -0.25]
-    assert d.partial_e.tolist() == [0.5, 0.5]
+    view = tm.Population(tm.DiscreteSpectralMeasure(np.eye(2), np.array([0.5, 0.5])), I12)
+    even = view.gradients[0]
+    assert view.differentiable
+    assert view.c([1.0, 0.0], even).tolist() == [0.25, -0.25]
+    assert even.tolist() == [0.5, 0.5]
 
 
 def test_moment_derivatives_scenario_center():
-    d = moment_derivatives(scenario(0.1, 0.2), I12, [0.5, 0.5])
-    assert d.c.tolist() == [0.0, 0.0]
-    assert d.c_beta == pytest.approx(math.log(250.0) / 40.0, rel=1e-13)
+    view = tm.Population(scenario(0.1, 0.2), I12)
+    v = np.array([0.5, 0.5])
+    assert view.c(v, view.gradients[0]).tolist() == [0.0, 0.0]
+    assert v @ view.entropy == pytest.approx(math.log(250.0) / 40.0, rel=1e-13)
 
 
 def test_moment_derivatives_full_dependence_is_one_sided():
-    full = tm.DiscreteSpectralMeasure(np.array([[1.0, 1.0]]), np.array([1.0]))
-    d = moment_derivatives(full, I12, [1.0, 0.0])
-    assert not d.differentiable
-    assert d.left_c.tolist() == [1.0, 0.0]
-    assert d.right_c.tolist() == [0.0, -1.0]
-    assert d.c.tolist() == [0.5, -0.5]  # even split between the one-sided limits
-    assert d.left_partial_e.tolist() == [0.0, 0.0]
-    assert d.right_partial_e.tolist() == [1.0, 1.0]
-    assert d.partial_e.tolist() == [0.5, 0.5]
+    view = tm.Population(tm.DiscreteSpectralMeasure(np.array([[1.0, 1.0]]), np.array([1.0])), I12)
+    even, left, right = view.gradients
+    assert not view.differentiable
+    assert view.c([1.0, 0.0], left).tolist() == [1.0, 0.0]
+    assert view.c([1.0, 0.0], right).tolist() == [0.0, -1.0]
+    assert view.c([1.0, 0.0], even).tolist() == [0.5, -0.5]  # even split of the one-sided limits
+    assert left.tolist() == [0.0, 0.0]
+    assert right.tolist() == [1.0, 1.0]
+    assert even.tolist() == [0.5, 0.5]
 
 
 def test_scale_derivatives_sum_to_zero():
     """Scaling all coordinates together leaves the ratio invariant (Euler)."""
     rng = np.random.default_rng(29)
     for p, q in SCENARIOS:
-        m = scenario(p, q)
+        view = tm.Population(scenario(p, q), I12)
         for _ in range(5):
             v = rng.dirichlet([1.0, 1.0])
-            d = moment_derivatives(m, I12, v)
-            assert float(d.c.sum()) == pytest.approx(0.0, abs=1e-13)
+            assert float(view.c(v, view.gradients[0]).sum()) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_derivatives_match_central_differences():
@@ -260,7 +261,8 @@ def test_derivatives_match_central_differences():
     for p, q in SCENARIOS:
         m = scenario(p, q)
         v = rng.dirichlet([1.0, 1.0])
-        d = moment_derivatives(m, I12, v)
+        view = tm.Population(m, I12)
+        c, c_beta = view.c(v, view.gradients[0]), v @ view.entropy
         for i in range(2):
             h = 1e-6
             s_up = np.ones(2)
@@ -268,10 +270,10 @@ def test_derivatives_match_central_differences():
             s_dn = np.ones(2)
             s_dn[i] -= h
             quot = (perturbed_moment(m, I12, v, s_up) - perturbed_moment(m, I12, v, s_dn)) / (2 * h)
-            assert quot == pytest.approx(d.c[i], abs=1e-6)
+            assert quot == pytest.approx(c[i], abs=1e-6)
         quot_b = (perturbed_moment(m, I12, v, [1.0, 1.0], 1.0 + 1e-6)
                   - perturbed_moment(m, I12, v, [1.0, 1.0], 1.0 - 1e-6)) / (2e-6)
-        assert quot_b == pytest.approx(d.c_beta, abs=1e-6)
+        assert quot_b == pytest.approx(c_beta, abs=1e-6)
 
 
 # ------------------------------------------------------- optimal weights, QP
@@ -388,10 +390,10 @@ I1 = tm.IndexSet([1])
     lambda m, v: tm.QuadraticForm(I1, [[2.0]]).evaluate(v),
     lambda m, v: spectral_moment(m, I1, v),
     lambda m, v: perturbed_moment(m, I1, v, [1.0]),
-    lambda m, v: moment_derivatives(m, I1, v),
-    lambda m, v: rank_asymptotic_variance(m, I1, v),
+    lambda m, v: tm.Population(m, I1).c(v, np.zeros(1)),
+    lambda m, v: rank_variance_matrix(m, I1).evaluate(v),
     lambda m, v: ratio_covariance(m, I1, v, v),
-], ids=["evaluate", "spectral_moment", "perturbed_moment", "moment_derivatives",
+], ids=["evaluate", "spectral_moment", "perturbed_moment", "c",
         "rank_asymptotic_variance", "ratio_covariance"])
 def test_weights_outside_the_index_set_are_rejected(call):
     # weights that would be dropped off the set no longer sum to one on it
@@ -417,12 +419,11 @@ def test_asymptotic_variances_reject_unstandardized_measures():
     second = tm.IndexSet([2])
     for call in (lambda: asymptotic_variances(lopsided, second),
                  lambda: rank_variance_matrix(lopsided, second),
-                 lambda: moment_derivatives(lopsided, second, [1.0]),
                  lambda: ratio_covariance(lopsided, second, [1.0], [1.0])):
         with pytest.raises(tm.NotStandardized):
             call()
     with pytest.raises(tm.DegenerateDirection):
-        spectral_second_moment(lopsided, second)
+        tm.Population(lopsided, second).second
 
 
 # ------------------------------------------------------ rank variance matrix
@@ -432,7 +433,7 @@ def test_rank_variance_matrix_scenario_center():
     q = rank_variance_matrix(m, I12)
     v = np.array([0.5, 0.5])
     assert float(v @ q.matrix @ v) == pytest.approx(0.011315471958625724, rel=1e-14)
-    assert rank_asymptotic_variance(m, I12, v) == pytest.approx(0.011315471958625724, rel=1e-14)
+    assert q.evaluate(v) == pytest.approx(0.011315471958625724, rel=1e-14)
     np.testing.assert_allclose(q.matrix, q.matrix.T, atol=0.0)
 
 
@@ -449,10 +450,10 @@ def test_rank_variance_matrix_minimum_is_avar_mu(p, q):
 def test_rank_variance_is_nonnegative_on_the_simplex():
     rng = np.random.default_rng(37)
     for p, q in SCENARIOS + RANDOM_PQS[:4]:
-        m = scenario(p, q)
+        form = rank_variance_matrix(scenario(p, q), I12)
         for _ in range(10):
             v = rng.dirichlet([1.0, 1.0])
-            assert rank_asymptotic_variance(m, I12, v) >= -1e-13
+            assert form.evaluate(v) >= -1e-13
 
 
 # --------------------------------------------------------- ratio covariance

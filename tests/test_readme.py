@@ -11,7 +11,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_readme_python_blocks_run():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
-    assert len(blocks) == 3
+    assert len(blocks) == 4
     namespace = {}
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -20,3 +20,4 @@ def test_readme_python_blocks_run():
     assert time.perf_counter() - start < 2.0
     assert "1.3333333333333333" in out.getvalue()
     assert namespace["report"].estimate > 0
+    assert namespace["c_matrix"].shape == (2, 2)

@@ -112,11 +112,11 @@ def test_optimal_weights_known_agrees_with_direct_minimization():
     rng = np.random.default_rng(14)
     x = rng.pareto(1.0, size=(500, 2)) + 1.0
     u = float(np.quantile(tm.partial_max(x, I12), 0.92))
-    w, val = tm.optimal_weights_known(x, u, I12)
+    report = tm.tau_moment_known(x, u, I12)
     q = tm.second_moment_matrix_known(x, u, I12)
     w2, val2 = tm.minimize_quadratic_on_simplex(q)
-    assert w.weights.tolist() == w2.weights.tolist()
-    assert val == val2
+    assert report.parameters["weights"].tolist() == w2.weights.tolist()
+    assert report.parameters["objective"] == val2
 
 
 def test_tau_moment_known_on_a_defective_sample():
@@ -171,6 +171,16 @@ def test_tau_moment_ranks_full_dependence():
     rep = tm.tau_moment_ranks(FULL_DEP, 10, I12, eps=0.05, inv_alpha_hat=1.0)
     assert rep.estimate == 1.0
     assert list(rep.parameters["weights"]) == [0.5, 0.5]
+
+
+def test_tau_moment_ranks_rejects_a_non_integral_k():
+    x = np.random.default_rng(3).pareto(1.0, size=(1000, 2)) + 1.0
+    for data in (x, tm.RankSample(x, 50, I12)):
+        with pytest.raises(ValueError, match="k must be an integer, got 50.9"):
+            tm.tau_moment_ranks(data, 50.9, I12)
+    report = tm.tau_moment_ranks(x, 50.0, I12)
+    assert report.to_dict() == tm.tau_moment_ranks(x, 50, I12).to_dict()
+    assert report.parameters["eps"] == 50 / 1000
 
 
 def test_tau_moment_ranks_is_consistent():

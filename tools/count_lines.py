@@ -1,8 +1,9 @@
-"""Print the total and code lines of each module under src/tailmoments.
+"""Print the total and code lines of each module under src/tailmoments, and its public names.
 
 Code lines are the lines that hold a token of a statement: blank lines,
 comment lines and the lines of module, class and function docstrings do not
-count.  Run from anywhere:
+count.  The last line gives the number of names in the package's
+``__all__``, imported from the package directory counted.  Run from anywhere:
 
     python3 tools/count_lines.py [package directory]
 """
@@ -10,6 +11,7 @@ count.  Run from anywhere:
 from __future__ import annotations
 
 import ast
+import importlib
 import io
 import sys
 import tokenize
@@ -42,6 +44,12 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code - docs)
 
 
+def public_names(package: Path) -> int:
+    """The length of ``__all__`` of the package in ``package``, imported from there."""
+    sys.path.insert(0, str(package.resolve().parent))
+    return len(importlib.import_module(package.resolve().name).__all__)
+
+
 def main(argv: list[str]) -> int:
     package = Path(argv[1]) if len(argv) > 1 else PACKAGE
     totals = [0, 0]
@@ -52,6 +60,7 @@ def main(argv: list[str]) -> int:
         totals[1] += code
         print(f"{path.stem:<16} {lines:>6} {code:>6}")
     print(f"{'total':<16} {totals[0]:>6} {totals[1]:>6}")
+    print(f"{'__all__':<16} {public_names(package):>6}")
     return 0
 
 
