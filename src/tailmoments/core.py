@@ -145,7 +145,8 @@ def embed(values, index_set: IndexSet, d: int) -> np.ndarray:
 def restrict(v, index_set: IndexSet, d: int) -> np.ndarray:
     """The |I| coordinates on the index set of a WeightVector, an |I|-vector or a d-vector.
 
-    A WeightVector off the index set raises SupportViolation, another length ValueError.
+    A WeightVector or a d-vector off the index set raises SupportViolation, another length
+    ValueError.
     """
     if isinstance(v, WeightVector):
         if v.d != d:
@@ -160,6 +161,9 @@ def restrict(v, index_set: IndexSet, d: int) -> np.ndarray:
     if arr.shape[0] != d:
         raise ValueError(f"vectors must have length {index_set.size} or {d}, got {arr.shape[0]}")
     index_set.check_within(d)
+    if not _zero_outside(arr, index_set):
+        raise SupportViolation(f"a length-{d} vector is non-zero outside the index set "
+                               f"{index_set.members}")
     return arr[index_set.zero_based()]
 
 
@@ -173,14 +177,10 @@ def _data_array(values, name: str) -> np.ndarray:
     arr = _as_float_array(values, name, 2)
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("data matrix must have at least one row and one column")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("data matrix entries must be finite")
-    if np.any(arr < 0):
-        raise ValueError("data matrix entries must be non-negative")
-    return arr
+    return check_finite(arr, "data matrix entries", positive=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataMatrix:
     """Raw n x d non-negative observation matrix; rows are i.i.d. samples."""
 
@@ -202,7 +202,7 @@ class DataMatrix:
 # weight vectors on the simplex
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Convex-combination weights on the unit simplex, supported inside an index set.
 
@@ -288,7 +288,7 @@ def basis_weights(support: IndexSet, d: int, j: int) -> WeightVector:
 # perturbations of the threshold geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Perturbation:
     """A componentwise scale factor s (supported on an index set) and a power beta."""
 
@@ -301,11 +301,8 @@ class Perturbation:
         index_set.check_within(arr.shape[0])
         if not _zero_outside(arr, index_set):
             raise ValueError("perturbation scales must be zero outside the index set")
-        if np.any(arr[index_set.zero_based()] <= 0.0) or not np.all(np.isfinite(arr)):
-            raise ValueError("perturbation scales must be positive and finite on the index set")
-        beta = float(beta)
-        if not 0.0 < beta < np.inf:
-            raise ValueError(f"beta must be positive and finite, got {beta}")
+        check_finite(arr[index_set.zero_based()], "perturbation scales on the index set")
+        beta = check_finite(beta, "beta")
         object.__setattr__(self, "s", _freeze(arr))
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "index_set", index_set)
@@ -325,7 +322,7 @@ class Perturbation:
 # quadratic forms and estimate reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticForm:
     """A symmetric |I| x |I| matrix representing v -> v^T A v restricted to an index set."""
 
@@ -352,7 +349,7 @@ class QuadraticForm:
         return float(x @ self.matrix @ x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateReport:
     """A single estimate with its reciprocal, a plug-in standard error, and context."""
 
@@ -368,9 +365,8 @@ class EstimateReport:
         if self.exceedance_count < 0:
             raise ValueError("exceedance_count must be non-negative")
         if self.std_error is not None:
-            object.__setattr__(self, "std_error", float(self.std_error))
-            if self.std_error < 0:
-                raise ValueError("std_error must be non-negative")
+            object.__setattr__(self, "std_error",
+                               check_finite(self.std_error, "std_error", positive=False))
         object.__setattr__(self, "parameters", dict(self.parameters))
 
     @property
@@ -413,6 +409,27 @@ def check_integer(value, name: str) -> int:
     if out is None or out != value:
         raise ValueError(f"{name} must be an integer, got {value}")
     return out
+
+
+def check_finite(values, name: str, positive: bool = True, error: type = ValueError):
+    """``values`` as a float (array) whose entries are finite and > 0, or >= 0 if not ``positive``.
+
+    NaN and infinity fail like an out-of-range value; the caller's ``error`` class is raised.
+    """
+    kind = "positive" if positive else "non-negative"
+    if isinstance(values, (list, tuple, np.ndarray)):
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim:
+            above = (arr > 0.0) if positive else (arr >= 0.0)
+            if not np.all(above & (arr < np.inf)):
+                raise error(f"{name} must be {kind} and finite")
+            return arr
+        values = arr
+    value = float(values)  # plain comparisons on the scalar path: NaN fails them too
+    above = (value > 0.0) if positive else (value >= 0.0)
+    if not (above and value < np.inf):
+        raise error(f"{name} must be {kind} and finite, got {value}")
+    return value
 
 
 def check_moment_power(p) -> int:

@@ -16,6 +16,7 @@ from .core import (
     IndexSet,
     NonPositiveAlpha,
     NonPositiveScale,
+    check_finite,
     embed,
     matrix_values,
 )
@@ -34,9 +35,9 @@ def standardize_known(data, alpha: float, scales) -> DataMatrix:
     data : DataMatrix or (n, d) array-like
         Non-negative observations.
     alpha : float
-        Common tail index of the margins; must be positive.
+        Common tail index of the margins; must be positive and finite.
     scales : (d,) array-like
-        Positive per-column scale constants.
+        Positive and finite per-column scale constants.
 
     Returns
     -------
@@ -45,14 +46,11 @@ def standardize_known(data, alpha: float, scales) -> DataMatrix:
         overflow, is rejected like any other data.
     """
     x = matrix_values(data)
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
+    alpha = check_finite(alpha, "alpha", error=NonPositiveAlpha)
     sc = np.asarray(scales, dtype=float)
     if sc.ndim != 1 or sc.shape[0] != x.shape[1]:
         raise ValueError("scales must be a vector with one entry per column")
-    if np.any(sc <= 0):
-        raise NonPositiveScale("all scales must be positive")
+    check_finite(sc, "scales", error=NonPositiveScale)
     return DataMatrix(np.power(x, alpha) / sc)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, ParamOutOfRange, check_integer
+from .core import DataMatrix, ParamOutOfRange, check_finite, check_integer
 from .oracle import DiscreteSpectralMeasure
 
 # splitmix64 constants
@@ -73,8 +73,7 @@ class MaxLinearModel:
         arr = np.asarray(coeffs, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("coeffs must be a non-empty 2-dimensional matrix")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("coefficients must be finite and non-negative")
+        check_finite(arr, "coefficients", positive=False)
         rows = arr.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-12:
             raise ValueError("every coefficient row must sum to 1 within 1e-12")
@@ -156,9 +155,7 @@ def simulate(model: MaxLinearModel, n: int, seed: int) -> DataMatrix:
 
 def frechet_sample(n: int, alpha: float, seed: int) -> np.ndarray:
     """n i.i.d. Frechet(alpha) draws, sharing the counter scheme of :func:`simulate`."""
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = check_finite(alpha, "alpha")
     counters = np.arange(check_integer(n, "n"), dtype=np.uint64)
     z = -1.0 / np.log(uniform_open(seed, counters))
     return z ** (1.0 / alpha)

@@ -31,6 +31,7 @@ from .core import (
     Perturbation,
     QuadraticForm,
     WeightVector,
+    check_finite,
     check_moment_power,
     exceedances,
     partial_max,
@@ -44,7 +45,7 @@ STANDARDIZED_TOL = 1e-9
 ARGMAX_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteSpectralMeasure:
     """Finitely supported spectral measure: atoms (rows) with probabilities.
 
@@ -63,10 +64,8 @@ class DiscreteSpectralMeasure:
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1 or probs.shape[0] != atoms.shape[0]:
             raise ValueError("probs must assign one probability to each atom")
-        if not np.all(np.isfinite(atoms)) or np.any(atoms < 0):
-            raise ValueError("atoms must be finite and non-negative")
-        if np.any(probs <= 0):
-            raise ValueError("atom probabilities must be strictly positive")
+        check_finite(atoms, "atoms", positive=False)
+        check_finite(probs, "atom probabilities")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValueError("atom probabilities must sum to 1 within 1e-12")
         peaks, _, atoms = exceedances(atoms, 0.0)
@@ -263,13 +262,10 @@ def perturbed_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
         if beta is not None and float(beta) != s.beta:
             raise ValueError(f"beta={beta} contradicts the perturbation's beta={s.beta}")
         s, beta = s.s, s.beta
-    beta = 1.0 if beta is None else float(beta)
-    if not 0.0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    beta = check_finite(1.0 if beta is None else beta, "beta")
     view = population(measure, index_set)
-    scales = restrict(s, index_set, view.measure.d)
-    if np.any(scales < 0):
-        raise ValueError("perturbation scales must be non-negative")
+    scales = check_finite(restrict(s, index_set, view.measure.d), "perturbation scales",
+                          positive=False)
     weights = restrict(v, index_set, view.measure.d)
     theta, probs = _renormalized(view.theta * scales, view.probs)
     return float(probs @ (np.power(theta, 1.0 / beta) @ weights) ** p)

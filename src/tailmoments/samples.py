@@ -20,6 +20,7 @@ from .core import (
     KOutOfRange,
     NoExceedances,
     Perturbation,
+    check_finite,
     check_integer,
     exceedances,
     matrix_values,
@@ -30,7 +31,7 @@ class _Sample(DataMatrix):
     """An immutable tail sample of checked (n, d) ``values``, compared and hashed by identity."""
 
     _level = "its order-statistic threshold"  # named by require_exceedances, formatted with self
-    __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
+    __repr__ = object.__repr__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -50,14 +51,6 @@ class _Sample(DataMatrix):
 def _own_values(data) -> np.ndarray:
     """The checked (n, d) values of ``data``: a DataMatrix's own, else a copy of the array."""
     return data.values if isinstance(data, DataMatrix) else matrix_values(data).copy()
-
-
-def check_threshold(u) -> float:
-    """Validate a known-margin threshold: finite and non-negative; returns it as float."""
-    u = float(u)
-    if not np.isfinite(u) or u < 0:
-        raise ValueError(f"threshold u must be finite and non-negative, got {u}")
-    return u
 
 
 def upper_order_statistics(x, k: int):
@@ -99,7 +92,7 @@ class KnownSample(_Sample):
     def __init__(self, data, u: float, index_set: IndexSet,
                  perturbation: Perturbation | None = None):
         x = _own_values(data)
-        u = check_threshold(u)
+        u = check_finite(u, "threshold u", positive=False)
         index_set.check_within(x.shape[1])
         idx = index_set.zero_based()
         if perturbation is None:
@@ -117,7 +110,7 @@ class KnownSample(_Sample):
 def known_sample(data, u: float, index_set: IndexSet,
                  perturbation: Perturbation | None = None) -> KnownSample:
     """The sample to read: ``data`` itself if it was built for these arguments, else a new one."""
-    if (isinstance(data, KnownSample) and data.u == check_threshold(u)
+    if (isinstance(data, KnownSample) and data.u == check_finite(u, "threshold u", positive=False)
             and data.index_set == index_set and data.perturbation is perturbation):
         return data
     return KnownSample(data, u, index_set, perturbation)
@@ -146,9 +139,7 @@ class RankSample(_Sample):
                  inv_alpha_hat: float | None = None):
         x = _own_values(data)
         if inv_alpha_hat is not None:
-            inv_alpha_hat = float(inv_alpha_hat)
-            if not 0.0 < inv_alpha_hat < np.inf:
-                raise ValueError(f"inv_alpha_hat must be finite and positive, got {inv_alpha_hat}")
+            inv_alpha_hat = check_finite(inv_alpha_hat, "inv_alpha_hat")
         index_set.check_within(x.shape[1])
         columns = x[:, index_set.zero_based()]
         anchors = upper_order_statistics(columns, k)

@@ -82,6 +82,21 @@ def test_oracle_rejects_a_measure_normalized_on_a_subset(capsys, tmp_path):
     assert "normalized_on" in err
 
 
+def test_oracle_rejects_weights_off_the_index_set(capsys):
+    code, out, err = run(capsys, "oracle", "--scenario", "0.4,0.6", "--index-set", "1",
+                         "--c", "0.5,0.5;1,1;1;1")
+    assert code == 1 and out == ""
+    assert "SupportViolation" in err
+
+
+@pytest.mark.parametrize("scales", ["inf,1", "nan,1", "0,1"])
+def test_estimate_rejects_a_scale_that_is_not_positive_and_finite(capsys, sample_csv, scales):
+    code, out, err = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
+                         "--known-margins", "--scales", scales, "--method", "mk")
+    assert code == 1 and out == ""
+    assert "NonPositiveScale" in err
+
+
 def test_estimate_rank_method(capsys, sample_csv):
     code, out, _ = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
                        "--method", "mu", "--k", "20")

@@ -198,3 +198,60 @@ def test_rank_routes_reject_k_zero_as_k_out_of_range(call):
     x = np.random.default_rng(8).pareto(1.0, size=(200, 2)) + 1.0
     with pytest.raises(tm.KOutOfRange):
         call(x)
+
+
+_POSITIVE = np.arange(1.0, 21.0).reshape(10, 2)
+_PAIR = tm.IndexSet([1, 2])
+
+# each real parameter, fed a bad value, with the error class its site raises and
+# a finite value out of its range (zero where it must be positive)
+RANGE_SITES = {
+    "standardize_known.alpha": (lambda b: tm.standardize_known(_POSITIVE, b, [1.0, 1.0]),
+                                tm.NonPositiveAlpha, 0.0),
+    "standardize_known.scales": (lambda b: tm.standardize_known(_POSITIVE, 1.0, [b, 1.0]),
+                                 tm.NonPositiveScale, 0.0),
+    "frechet_sample.alpha": (lambda b: tm.frechet_sample(5, b, seed=1), ValueError, 0.0),
+    "DiscreteSpectralMeasure.probs": (lambda b: tm.DiscreteSpectralMeasure([[1.0, 0.5]], [b]),
+                                      ValueError, 0.0),
+    "DiscreteSpectralMeasure.atoms": (lambda b: tm.DiscreteSpectralMeasure([[1.0, b]], [1.0]),
+                                      ValueError, -0.5),
+    "perturbed_moment.s": (lambda b: tm.perturbed_moment(
+        tm.model_spectral_measure(tm.make_scenario(0.4, 0.6)), _PAIR, [0.5, 0.5], [1.0, b]),
+        ValueError, -1.0),
+    "perturbed_moment.beta": (lambda b: tm.perturbed_moment(
+        tm.model_spectral_measure(tm.make_scenario(0.4, 0.6)), _PAIR, [0.5, 0.5], [1.0, 1.0],
+        beta=b), ValueError, 0.0),
+    "EstimateReport.std_error": (lambda b: tm.EstimateReport(0.5, 3, "mk", std_error=b),
+                                 ValueError, -1.0),
+    "Perturbation.s": (lambda b: tm.Perturbation([1.0, b], 1.0, _PAIR), ValueError, 0.0),
+    "Perturbation.beta": (lambda b: tm.Perturbation([1.0, 1.0], b, _PAIR), ValueError, 0.0),
+    "RankSample.inv_alpha_hat": (lambda b: tm.RankSample(_POSITIVE, 3, _PAIR, b),
+                                 ValueError, 0.0),
+    "KnownSample.u": (lambda b: tm.KnownSample(_POSITIVE, b, _PAIR), ValueError, -1.0),
+    "MaxLinearModel.coeffs": (lambda b: tm.MaxLinearModel([[b, 1.0]]), ValueError, -0.5),
+    "DataMatrix.values": (lambda b: tm.DataMatrix([[1.0, b]]), ValueError, -1.0),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "out_of_range"])
+@pytest.mark.parametrize("site", sorted(RANGE_SITES))
+def test_real_parameters_must_be_finite_and_in_range(site, bad):
+    call, error, low = RANGE_SITES[site]
+    value = {"nan": np.nan, "inf": np.inf, "out_of_range": low}[bad]
+    with pytest.raises(error, match="(positive|non-negative) and finite"):
+        call(value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tm.uniform_weights(_PAIR, 2),
+    lambda: tm.Perturbation.indicator(_PAIR, 2),
+    lambda: tm.QuadraticForm(_PAIR, np.eye(2)),
+    lambda: tm.DataMatrix(_POSITIVE),
+    lambda: tm.EstimateReport(0.5, 3, "mk", std_error=0.1),
+    lambda: tm.DiscreteSpectralMeasure([[1.0, 0.5]], [1.0]),
+], ids=["WeightVector", "Perturbation", "QuadraticForm", "DataMatrix", "EstimateReport",
+        "DiscreteSpectralMeasure"])
+def test_array_holding_types_compare_and_hash_by_identity(make):
+    value, twin = make(), make()
+    assert value == value and value != twin
+    assert len({value, twin, value}) == 2

@@ -28,6 +28,9 @@ def test_config_round_trips_through_dict():
     assert (again.n, again.k, again.reps, again.seed) == (400, 20, 8, 7)
     assert again.to_dict() == cfg.to_dict()
     assert again == cfg
+    # a payload may name the (p, q) scenario instead of the coefficients
+    payload = {name: value for name, value in cfg.to_dict().items() if name != "model"}
+    assert tm.ExperimentConfig.from_dict({**payload, "scenario": [0.1, 0.2]}) == cfg
 
 
 @pytest.mark.parametrize("field,value", [("n", 100.9), ("k", 20.5), ("reps", np.inf),

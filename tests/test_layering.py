@@ -86,6 +86,20 @@ def test_only_core_takes_row_maxima():
     assert calls["core"]  # the guard sees core.exceedances
 
 
+def _finiteness_checks(tree: ast.AST) -> list[int]:
+    """Lines that call ``isfinite`` (``np.isfinite``, ``math.isfinite`` or a bare name)."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "isfinite" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+
+
+def test_only_core_checks_finiteness():
+    # a real parameter passes core.check_finite: finite and positive (or non-negative)
+    calls = {path.stem: _finiteness_checks(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: lines for module, lines in calls.items() if lines and module != "core"} == {}
+    assert _finiteness_checks(ast.parse("ok = np.all(np.isfinite(x))")) == [1]
+
+
 def _thresholds_partial_max(tree: ast.AST) -> list[int]:
     """Lines that compare, or divide by, a name bound from a ``partial_max(...)`` call."""
     def calls_partial_max(node) -> bool:

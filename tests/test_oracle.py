@@ -386,7 +386,7 @@ def test_pair_coefficients_reuse_the_checked_mean(monkeypatch):
 I1 = tm.IndexSet([1])
 
 
-@pytest.mark.parametrize("call", [
+READS_OFF_SET = pytest.mark.parametrize("call", [
     lambda m, v: tm.QuadraticForm(I1, [[2.0]]).evaluate(v),
     lambda m, v: spectral_moment(m, I1, v),
     lambda m, v: perturbed_moment(m, I1, v, [1.0]),
@@ -395,10 +395,29 @@ I1 = tm.IndexSet([1])
     lambda m, v: ratio_covariance(m, I1, v, v),
 ], ids=["evaluate", "spectral_moment", "perturbed_moment", "c",
         "rank_asymptotic_variance", "ratio_covariance"])
+
+
+@READS_OFF_SET
 def test_weights_outside_the_index_set_are_rejected(call):
     # weights that would be dropped off the set no longer sum to one on it
     with pytest.raises(tm.SupportViolation):
         call(scenario(0.4, 0.6), tm.uniform_weights(I12, 2))
+
+
+@READS_OFF_SET
+def test_plain_vectors_outside_the_index_set_are_rejected(call):
+    # a length-d vector is read like a WeightVector: nothing off the set is dropped
+    with pytest.raises(tm.SupportViolation):
+        call(scenario(0.4, 0.6), [0.5, 0.5])
+    call(scenario(0.4, 0.6), [0.5, 0.0])  # zero off the set is read on it
+
+
+def test_plain_scales_outside_the_index_set_are_rejected():
+    # as a Perturbation requires: scales off the set are not dropped either
+    m = scenario(0.4, 0.6)
+    with pytest.raises(tm.SupportViolation):
+        perturbed_moment(m, I1, [1.0], [1.0, 1.0])
+    assert perturbed_moment(m, I1, [1.0], [1.0, 0.0]) == perturbed_moment(m, I1, [1.0], [1.0])
 
 
 def test_population_is_read_as_given_and_its_arrays_are_read_only():

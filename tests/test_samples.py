@@ -97,9 +97,9 @@ def test_a_sample_with_another_power_is_rebuilt():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
 def test_a_non_finite_or_non_positive_power_is_rejected(bad):
     x = _pareto(4)
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(ValueError, match="positive and finite"):
         tm.RankSample(x, 30, I12, inv_alpha_hat=bad)
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(ValueError, match="positive and finite"):
         tm.tau_moment_ranks(x, 30, I12, inv_alpha_hat=bad)
 
 
