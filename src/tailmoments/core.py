@@ -173,16 +173,23 @@ def _zero_outside(arr: np.ndarray, index_set: IndexSet) -> bool:
 
 
 def _data_array(values, name: str) -> np.ndarray:
-    """``values`` as a non-empty 2-d float array with finite, non-negative entries."""
-    arr = _as_float_array(values, name, 2)
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+    """``values`` as a non-empty (n, d) or (R, n, d) float array, finite and non-negative."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim not in (2, 3):
+        raise ValueError(f"{name} must be an (n, d) matrix or an (R, n, d) block, "
+                         f"got shape {arr.shape}")
+    if 0 in arr.shape:
         raise ValueError("data matrix must have at least one row and one column")
     return check_finite(arr, "data matrix entries", positive=False)
 
 
 @dataclass(frozen=True, eq=False)
 class DataMatrix:
-    """Raw n x d non-negative observation matrix; rows are i.i.d. samples."""
+    """Raw n x d non-negative observation matrix; rows are i.i.d. samples.
+
+    ``values`` may also be an (R, n, d) block: R replications of such a
+    matrix along a leading axis.
+    """
 
     values: np.ndarray
 
@@ -191,11 +198,11 @@ class DataMatrix:
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +448,7 @@ def check_moment_power(p) -> int:
 
 
 def matrix_values(data) -> np.ndarray:
-    """The (n, d) float array of a DataMatrix (a tail sample is one) or an array-like.
+    """The (n, d) or (R, n, d) array of a DataMatrix (a tail sample is one) or an array-like.
 
     Array-likes get the checks of :class:`DataMatrix`; a DataMatrix was checked when built.
     """
@@ -471,11 +478,18 @@ def partial_max(x, index_set: IndexSet):
     raise ValueError("x must be a vector or a matrix")
 
 
-def exceedances(columns: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The row maxima ``ell`` of (n, m) columns, the mask ``ell > level`` and those rows / ``ell``.
+def exceedances(columns: np.ndarray, level: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The row maxima ``ell`` of (..., n, m) columns, the mask ``ell > level``, those rows / ``ell``
+    and the replication (the leading index) of each of those rows, all zero without a leading axis.
 
     The one exceedance step of the estimators and the oracle; a level >= 0 divides by no zero.
+    The rows of a block are selected once, in order, replication by replication.
     """
-    ell = columns.max(axis=1)
+    ell = columns[..., 0].copy()  # column by column: a short trailing max axis is slow
+    for j in range(1, columns.shape[-1]):
+        np.maximum(ell, columns[..., j], out=ell)
     mask = ell > level
-    return ell, mask, columns[mask] / ell[mask, None]
+    rows = np.flatnonzero(mask)
+    unit = columns.reshape(-1, columns.shape[-1])[rows] / ell.reshape(-1)[rows, None]
+    return ell, mask, unit, rows // mask.shape[-1]

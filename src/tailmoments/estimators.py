@@ -30,8 +30,24 @@ from .core import (
     check_moment_power as _check_power,
     restrict,
 )
-from .samples import known_sample, rank_sample
+from .samples import KnownSample, RankSample, known_sample, rank_sample
 from .variance import bu_sigma2, pairwise
+
+
+def moment_ratios(sample: KnownSample | RankSample, weights,
+                  p: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Per-replication moment ratios and plug-in standard errors of a tail sample.
+
+    ``weights`` are on the sample's index set, one vector per replication
+    (or one for all); the ratio and its standard error are those of
+    :func:`moment_ratio_known` (the ratio also that of
+    :func:`moment_ratio_ranks`), NaN for a replication without exceedances.
+    """
+    sample.require_exceedances()
+    powered = np.einsum("ij,ij->i", sample.angular, sample.per_row(weights)) ** p
+    estimate = sample.means(powered)
+    variance = sample.means(powered ** 2) - estimate ** 2
+    return estimate, np.sqrt(np.maximum(variance, 0.0) / sample.count)
 
 
 def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
@@ -57,13 +73,7 @@ def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
     p = _check_power(p)
     index_set = v.support if perturbation is None else perturbation.index_set
     sample = known_sample(data, u, index_set, perturbation)
-    weights = restrict(v, index_set, sample.d)
-    sample.require_exceedances()
-    projected = sample.angular @ weights
-    powered = projected ** p if p != 1 else projected
-    estimate = float(np.mean(powered)) if p > 0 else 1.0
-    variance = float(np.mean(powered ** 2)) - estimate ** 2
-    std_error = float(np.sqrt(max(variance, 0.0) / sample.count))
+    estimate, std_error = moment_ratios(sample, restrict(v, index_set, sample.d), p)
     return EstimateReport(
         estimate=estimate,
         std_error=std_error,
@@ -72,6 +82,20 @@ def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
         parameters={"u": sample.u, "p": p, "weights": v.weights, "index_set": index_set,
                     "beta": 1.0 if perturbation is None else perturbation.beta},
     )
+
+
+def benchmark_ratios(sample: KnownSample, v: WeightVector) -> tuple[np.ndarray, np.ndarray]:
+    """Per-replication benchmark ratios and binomial standard errors of a known-margin sample.
+
+    Those of :func:`benchmark_ratio_known`, with the partial max over the
+    sample's index set; NaN for a replication without exceedances.
+    """
+    restrict(v, sample.index_set, sample.d)  # weights for another dimension raise ValueError
+    sample.require_exceedances()
+    numerator = np.count_nonzero(sample.values @ v.weights > sample.u, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        estimate = numerator / sample.count
+    return estimate, np.sqrt(estimate * (1.0 - estimate) / sample.count)
 
 
 def benchmark_ratio_known(data, u: float, v: WeightVector) -> EstimateReport:
@@ -84,15 +108,11 @@ def benchmark_ratio_known(data, u: float, v: WeightVector) -> EstimateReport:
     ``sqrt(est * (1 - est) / count)``.
     """
     sample = known_sample(data, u, v.support)
-    restrict(v, v.support, sample.d)  # weights for another dimension raise ValueError
-    sample.require_exceedances()
-    denominator = sample.count
-    numerator = int(np.count_nonzero(sample.values @ v.weights > sample.u))
-    estimate = numerator / denominator
+    estimate, std_error = benchmark_ratios(sample, v)
     return EstimateReport(
         estimate=estimate,
-        std_error=float(np.sqrt(estimate * (1.0 - estimate) / denominator)),
-        exceedance_count=denominator,
+        std_error=std_error,
+        exceedance_count=sample.count,
         method="benchmark",
         parameters={"u": sample.u, "weights": v.weights, "index_set": v.support},
     )
@@ -127,8 +147,7 @@ def moment_ratio_ranks(data, k: int, v: WeightVector, p: int = 1,
     index_set = v.support
     sample = rank_sample(data, k, index_set, inv_alpha_hat)
     sample.require_exceedances()
-    weights = restrict(v, index_set, sample.d)
-    estimate = float(np.mean((sample.angular @ weights) ** p)) if p > 0 else 1.0
+    estimate, _ = moment_ratios(sample, restrict(v, index_set, sample.d), p)
     return EstimateReport(
         estimate=estimate,
         std_error=None,
@@ -137,6 +156,13 @@ def moment_ratio_ranks(data, k: int, v: WeightVector, p: int = 1,
         parameters={"k": sample.k, "p": p, "weights": v.weights,
                     "index_set": index_set, "inv_alpha_hat": sample.inv_alpha},
     )
+
+
+def stable_tail_estimates(sample: RankSample) -> np.ndarray:
+    """Per-replication extremal coefficients of :func:`stable_tail_estimate`: (n/k) times the
+    rank exceedance fraction."""
+    n = sample.n
+    return (n / sample.k) * (sample.count / n)
 
 
 def stable_tail_estimate(data, k: int, index_set: IndexSet,
@@ -157,8 +183,7 @@ def stable_tail_estimate(data, k: int, index_set: IndexSet,
     """
     sample = rank_sample(data, k, index_set)
     n, k = sample.n, sample.k
-    count = sample.count
-    estimate = (n / k) * (count / n)
+    estimate = stable_tail_estimates(sample)
     std_error = None
     if eps is not None:
         eps = check_eps(eps, k, n)
@@ -168,7 +193,7 @@ def stable_tail_estimate(data, k: int, index_set: IndexSet,
     return EstimateReport(
         estimate=estimate,
         std_error=std_error,
-        exceedance_count=count,
+        exceedance_count=sample.count,
         method="stdf",
         parameters={"k": k, "index_set": index_set, "n": n,
                     **({"eps": eps} if eps is not None else {})},

@@ -48,7 +48,7 @@ def standardize_known(data, alpha: float, scales) -> DataMatrix:
     x = matrix_values(data)
     alpha = check_finite(alpha, "alpha", error=NonPositiveAlpha)
     sc = np.asarray(scales, dtype=float)
-    if sc.ndim != 1 or sc.shape[0] != x.shape[1]:
+    if sc.ndim != 1 or sc.shape[0] != x.shape[-1]:
         raise ValueError("scales must be a vector with one entry per column")
     check_finite(sc, "scales", error=NonPositiveScale)
     return DataMatrix(np.power(x, alpha) / sc)

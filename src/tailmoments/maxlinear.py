@@ -27,36 +27,52 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _splitmix(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, vectorized over uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 finalizer, vectorized over uint64 arrays; an array is mixed in place."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _seed_state(seed: int) -> np.uint64:
-    return _splitmix(np.uint64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF)) + _GOLDEN)
+def _seed_states(seed) -> np.ndarray:
+    """The splitmix state of an integer seed, or the vector of states of a sequence of them."""
+    one = np.ndim(seed) == 0
+    seeds = [check_integer(s, "seed") & 0xFFFFFFFFFFFFFFFF for s in ([seed] if one else seed)]
+    with np.errstate(over="ignore"):
+        states = _splitmix(np.array(seeds, dtype=np.uint64) + _GOLDEN)
+    return states[0] if one else states
 
 
-def uniform_open(seed: int, counters: np.ndarray) -> np.ndarray:
+def uniform_open(seed, counters: np.ndarray) -> np.ndarray:
     """Uniforms in the open interval (0, 1), one per counter value.
 
     Each output is ``mix(mix(seed + golden) + (counter + 1) * golden)`` with
     the top 53 bits mapped to ``[2^-54, 1 - 2^-54]``, so logs of either tail
-    are always finite.
+    are always finite.  A sequence of R seeds gives R such arrays along a
+    leading axis, each the same bits as its seed's own call.
     """
     counters = np.asarray(counters, dtype=np.uint64)
+    states = _seed_states(seed)
+    states = np.reshape(states, np.shape(states) + (1,) * counters.ndim)
     with np.errstate(over="ignore"):
-        state = _seed_state(seed)
-        bits = _splitmix(state + (counters + np.uint64(1)) * _GOLDEN)
-    return (bits >> np.uint64(11)) * 2.0 ** -53 + 2.0 ** -54
+        bits = _splitmix(states + (counters + np.uint64(1)) * _GOLDEN)
+    bits >>= np.uint64(11)
+    out = np.multiply(bits, 2.0 ** -53)
+    out += 2.0 ** -54
+    return out
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """A decorrelated child seed for stream ``index`` (used for per-repetition seeding)."""
+def derive_seed(seed: int, index):
+    """A decorrelated child seed for stream ``index`` (used for per-repetition seeding).
+
+    A sequence of indices gives a uint64 array of their child seeds.
+    """
+    index = np.asarray(index, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        base = _seed_state(seed)
-        child = _splitmix(base ^ _splitmix((np.uint64(index) + np.uint64(1)) * _GOLDEN))
-    return int(child)
+        child = _splitmix(_seed_states(seed) ^ _splitmix((index + np.uint64(1)) * _GOLDEN))
+    return int(child) if child.ndim == 0 else child
 
 
 @dataclass(frozen=True)
@@ -85,6 +101,9 @@ class MaxLinearModel:
 
     def __eq__(self, other) -> bool:  # the generated one would compare arrays
         return isinstance(other, MaxLinearModel) and np.array_equal(self.coeffs, other.coeffs)
+
+    def __hash__(self) -> int:  # agrees with __eq__: adding 0.0 turns -0.0 into 0.0
+        return hash((self.coeffs.shape, (self.coeffs + 0.0).tobytes()))
 
     @property
     def d(self) -> int:
@@ -132,25 +151,33 @@ def model_spectral_measure(model: MaxLinearModel) -> DiscreteSpectralMeasure:
     return measure.merged()
 
 
-def simulate(model: MaxLinearModel, n: int, seed: int) -> DataMatrix:
+def simulate(model: MaxLinearModel, n: int, seed) -> DataMatrix:
     """n independent rows of the max-linear vector, counter-keyed by (seed, row, factor).
 
     The factor at position (l, i) uses counter ``l * factors + i``, so any
     sub-block of rows is reproducible in isolation and identical components
-    of the model yield bitwise identical data columns.
+    of the model yield bitwise identical data columns.  A sequence of R
+    seeds gives an (R, n, d) block whose slice r is, bit for bit, the data
+    of seed r.
     """
     n = check_integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     m = model.factors
-    counters = np.arange(n * m, dtype=np.uint64).reshape(n, m)
-    z = -1.0 / np.log(uniform_open(seed, counters))  # standard Frechet factors
-    # fold in one factor at a time: no (n, d, m) temporary, and the same
-    # maximum bitwise, since a maximum does not depend on order
-    x = np.multiply.outer(z[:, 0], model.coeffs[:, 0])
-    for i in range(1, m):
-        np.maximum(x, np.multiply.outer(z[:, i], model.coeffs[:, i]), out=x)
-    return DataMatrix(x)
+    # factor by factor, so that each factor's n draws lie together
+    counters = np.arange(n * m, dtype=np.uint64).reshape(n, m).T.copy()
+    z = uniform_open(seed, counters)
+    np.log(z, out=z)
+    np.divide(-1.0, z, out=z)  # standard Frechet factors
+    # each component folds in one factor at a time: no (n, d, m) temporary,
+    # and the same maximum bitwise, since a maximum does not depend on order
+    columns = []
+    for row in model.coeffs:
+        column = z[..., 0, :] * row[0]
+        for i in range(1, m):
+            np.maximum(column, z[..., i, :] * row[i], out=column)
+        columns.append(column)
+    return DataMatrix(np.stack(columns, axis=-1))
 
 
 def frechet_sample(n: int, alpha: float, seed: int) -> np.ndarray:

@@ -68,7 +68,7 @@ class DiscreteSpectralMeasure:
         check_finite(probs, "atom probabilities")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValueError("atom probabilities must sum to 1 within 1e-12")
-        peaks, _, atoms = exceedances(atoms, 0.0)
+        peaks, _, atoms, _ = exceedances(atoms, 0.0)
         if np.any(np.abs(peaks - 1.0) > STANDARDIZED_TOL):
             raise ValueError("every atom must have sup-norm 1 (within 1e-9)")
         probs = probs / probs.sum()
@@ -87,6 +87,7 @@ class DiscreteSpectralMeasure:
 
     def merged(self, tol: float = 1e-12) -> "DiscreteSpectralMeasure":
         """Combine atoms that coincide within ``tol``, summing their probabilities."""
+        tol = check_finite(tol, "tol", positive=False)
         order = np.lexsort(self.atoms.T[::-1])
         atoms = self.atoms[order]
         probs = self.probs[order]
@@ -123,7 +124,7 @@ def _renormalized(columns: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, n
     proportionally to it; atoms with zero partial max disappear.  The result
     is the spectral measure "seen from" extremes of the index set.
     """
-    peaks, keep, theta = exceedances(columns, 0.0)
+    peaks, keep, theta, _ = exceedances(columns, 0.0)
     if not np.any(keep):
         raise DegenerateDirection("no atom has a positive partial max on the index set")
     weights = probs[keep] * peaks[keep]
@@ -295,7 +296,8 @@ def rank_variance_matrix(measure: DiscreteSpectralMeasure,
     view = population(measure, index_set)
     tau = view.tau  # read first, so an unstandardized measure fails before its renormalization
     c_matrix = view.c(np.eye(index_set.size), view.gradients[0])
-    return mu_form(index_set, tau, view.pair_taus, view.second, c_matrix, view.entropy)
+    return QuadraticForm(index_set, mu_form(tau, view.pair_taus, view.second, c_matrix,
+                                             view.entropy))
 
 
 @dataclass(frozen=True)

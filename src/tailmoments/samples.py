@@ -7,9 +7,19 @@ hold the angular parts of their exceedances as a (count, m) array on the
 index set, and :func:`second_moments` gives their mean outer product.  The
 estimators accept a sample wherever they accept data, and read it when it
 was built for the same level and index set.
+
+The data may also be an (R, n, d) block of R replications.  The exceeding
+rows of the whole block are then selected at once, in order, ``rep`` holds
+the replication of each, and every per-replication quantity is a segment
+sum over those rows (:meth:`means`): it has the leading shape of the data,
+nothing for one matrix and (R,) for a block.  One matrix is the R=1 case of
+the same code.  Where one matrix without exceedances raises NoExceedances,
+a block marks the replication with NaN.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,12 +33,38 @@ from .core import (
     check_finite,
     check_integer,
     exceedances,
-    matrix_values,
 )
 
 
+def _counts(rep: np.ndarray, lead: tuple) -> np.ndarray:
+    """The number of rows of each replication, in the leading shape ``lead``."""
+    return np.bincount(rep, minlength=math.prod(lead)).reshape(lead)
+
+
+def _means(rep: np.ndarray, rows: np.ndarray, lead: tuple) -> np.ndarray:
+    """Per-replication means of ``rows``, shaped ``lead + rows.shape[1:]``.
+
+    ``rep`` gives the replication of each row, in order.  Each replication's
+    rows are summed as a segment of their own, so its mean does not depend
+    on its block; a replication without rows gets NaN.
+    """
+    counts = _counts(rep, lead).reshape(-1)
+    means = np.full(counts.shape + rows.shape[1:], np.nan)
+    some = counts > 0
+    if np.any(some):
+        sums = np.add.reduceat(rows, (np.cumsum(counts) - counts)[some], axis=0)
+        means[some] = sums / counts[some].reshape((-1,) + (1,) * (rows.ndim - 1))
+    return means.reshape(lead + rows.shape[1:])
+
+
+def _per_row(values, rep: np.ndarray, lead: tuple) -> np.ndarray:
+    """Per-replication ``values`` (leading shape ``lead`` first) repeated on each row of ``rep``."""
+    values = np.asarray(values, dtype=float)
+    return values.reshape((math.prod(lead),) + values.shape[len(lead):])[rep]
+
+
 class _Sample(DataMatrix):
-    """An immutable tail sample of checked (n, d) ``values``, compared and hashed by identity."""
+    """An immutable tail sample of checked ``values``, compared and hashed by identity."""
 
     _level = "its order-statistic threshold"  # named by require_exceedances, formatted with self
     __repr__ = object.__repr__
@@ -43,21 +79,56 @@ class _Sample(DataMatrix):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-    def require_exceedances(self) -> None:
-        if self.count == 0:
+    def means(self, rows: np.ndarray) -> np.ndarray:
+        """Per-replication means of values given on the exceeding rows, NaN without exceedances."""
+        return _means(self.rep, rows, self.values.shape[:-2])
+
+    def per_row(self, values) -> np.ndarray:
+        """Per-replication ``values`` (the data's leading shape first) on each exceeding row."""
+        return _per_row(values, self.rep, self.values.shape[:-2])
+
+    def require_exceedances(self, enough=True) -> np.ndarray:
+        """The replications with exceedances and ``enough``, as a mask of the leading shape.
+
+        One matrix without them raises NoExceedances instead.
+        """
+        ok = (np.asarray(self.count) > 0) & enough
+        if self.values.ndim == 2 and not ok:
             raise NoExceedances("no partial maximum exceeds " + self._level.format(self))
+        return ok
+
+
+def _plain(values: np.ndarray):
+    """Per-replication values as they are for a block; for one matrix a number, or None for NaN."""
+    if values.ndim:
+        return values
+    return None if np.isnan(values) else values.item()
 
 
 def _own_values(data) -> np.ndarray:
-    """The checked (n, d) values of ``data``: a DataMatrix's own, else a copy of the array."""
-    return data.values if isinstance(data, DataMatrix) else matrix_values(data).copy()
+    """The checked values of ``data``: a DataMatrix's own, else a checked copy of the array."""
+    return (data if isinstance(data, DataMatrix) else DataMatrix(data)).values
+
+
+def _columns(x: np.ndarray, index_set: IndexSet) -> np.ndarray:
+    """The columns of the index set; all of them are ``x`` itself, not a copy."""
+    index_set.check_within(x.shape[-1])
+    return x if index_set.size == x.shape[-1] else x[..., index_set.zero_based()]
+
+
+def _one_replication(sample):
+    """``sample`` if it holds one matrix; an estimator reporting one number cannot read a block."""
+    if sample.values.ndim != 2:
+        raise ValueError("this estimator reads one data matrix, not a block of replications")
+    return sample
 
 
 def upper_order_statistics(x, k: int):
     """The k-th largest value (position k of the descending sort, ties kept by multiplicity).
 
     For a vector, returns a float.  For an (n, d) matrix, returns the
-    per-column k-th largest values as a d-vector.
+    per-column k-th largest values as a d-vector, and for an (R, n, d)
+    block an (R, d) array.
 
     Raises
     ------
@@ -68,12 +139,13 @@ def upper_order_statistics(x, k: int):
     """
     arr = np.asarray(x, dtype=float)
     k = check_integer(k, "k")
-    if arr.ndim not in (1, 2):
-        raise ValueError("x must be a vector or a matrix")
-    n = arr.shape[0]
+    if arr.ndim not in (1, 2, 3):
+        raise ValueError("x must be a vector, a matrix or a block of matrices")
+    axis = 0 if arr.ndim == 1 else -2
+    n = arr.shape[axis]
     if k < 1 or k > n:
         raise KOutOfRange(f"k={k} must satisfy 1 <= k <= {n}")
-    value = np.partition(arr, n - k, axis=0)[n - k]
+    value = np.take(np.partition(arr, n - k, axis=axis), n - k, axis=axis)
     return float(value) if arr.ndim == 1 else value
 
 
@@ -93,45 +165,44 @@ class KnownSample(_Sample):
                  perturbation: Perturbation | None = None):
         x = _own_values(data)
         u = check_finite(u, "threshold u", positive=False)
-        index_set.check_within(x.shape[1])
-        idx = index_set.zero_based()
+        columns = _columns(x, index_set)
         if perturbation is None:
-            s, beta = 1.0, 1.0
+            beta = 1.0
         elif perturbation.index_set != index_set:
             raise ValueError("the perturbation lives on another index set")
         else:
-            s, beta = perturbation.s[idx], perturbation.beta
-        _, mask, unit = exceedances(x[:, idx] * s, u)
+            columns, beta = columns * perturbation.s[index_set.zero_based()], perturbation.beta
+        _, mask, unit, rep = exceedances(columns, u)
         self._store(values=x, u=u, index_set=index_set, perturbation=perturbation,
-                    mask=mask, count=int(np.count_nonzero(mask)),
+                    mask=mask, rep=rep, count=_plain(_counts(rep, x.shape[:-2])),
                     angular=np.power(unit, 1.0 / beta))
 
 
 def known_sample(data, u: float, index_set: IndexSet,
                  perturbation: Perturbation | None = None) -> KnownSample:
-    """The sample to read: ``data`` itself if it was built for these arguments, else a new one."""
+    """The one-matrix sample to read: ``data`` if built for these arguments, else a new one."""
     if (isinstance(data, KnownSample) and data.u == check_finite(u, "threshold u", positive=False)
             and data.index_set == index_set and data.perturbation is perturbation):
-        return data
-    return KnownSample(data, u, index_set, perturbation)
+        return _one_replication(data)
+    return _one_replication(KnownSample(data, u, index_set, perturbation))
 
 
-def _scaled_means(ratios: np.ndarray, scales: np.ndarray, power: float) -> np.ndarray:
-    """Column means of the powered angular parts after scaling the ratio columns."""
-    _, mask, unit = exceedances(ratios * scales, 1.0)
-    if not np.any(mask):
-        raise NoExceedances("no partial maximum exceeds its order-statistic threshold")
-    return np.power(unit, power).mean(axis=0)
+def _scaled_means(ratios, rep, scales, power, lead) -> np.ndarray:
+    """Per-replication column means of the powered angular parts after scaling the ratio columns,
+    NaN without exceedances; ``rep`` gives the replication of each ratio row."""
+    _, mask, unit, _ = exceedances(ratios * scales, 1.0)
+    rep = rep[mask]
+    return _means(rep, np.power(unit, _per_row(power, rep, lead)[:, None]), lead)
 
 
 class RankSample(_Sample):
     """Rank-scaled columns of an index set and the rows where their maximum exceeds one.
 
     ``anchors`` are the per-column k-th largest values, ``ratios`` the (n, m)
-    columns divided by them, ``ell`` the row maxima of ``ratios`` and ``mask``
+    (or (R, n, m)) columns divided by them, ``ell`` the row maxima of ``ratios`` and ``mask``
     the ``count`` rows with ``ell > 1``.  ``unit`` holds those rows divided by
     their ``ell``, and ``hill`` is Hill's 1/alpha from them (None without
-    exceedances).  ``angular`` is ``unit ** (1 / inv_alpha)``, where
+    exceedances; NaN in a block).  ``angular`` is ``unit ** (1 / inv_alpha)``, where
     ``inv_alpha`` is ``inv_alpha_hat`` when one is given and ``hill`` if not.
     """
 
@@ -140,26 +211,26 @@ class RankSample(_Sample):
         x = _own_values(data)
         if inv_alpha_hat is not None:
             inv_alpha_hat = check_finite(inv_alpha_hat, "inv_alpha_hat")
-        index_set.check_within(x.shape[1])
-        columns = x[:, index_set.zero_based()]
+        columns = _columns(x, index_set)
         anchors = upper_order_statistics(columns, k)
         if np.any(anchors <= 0):
             raise EstimationError(
                 "a k-th upper order statistic is zero; the ratio data are undefined"
             )
         # upper_order_statistics checked that k is an integer
-        self._fill(x, int(k), index_set, inv_alpha_hat, anchors, columns / anchors)
+        self._fill(x, int(k), index_set, inv_alpha_hat, anchors,
+                   columns / anchors[..., None, :])
 
     def _fill(self, x, k, index_set, inv_alpha_hat, anchors, ratios) -> None:
-        n = x.shape[0]
-        ell, mask, unit = exceedances(ratios, 1.0)
-        count = int(np.count_nonzero(mask))
-        hill = (float(np.sum(np.log(ell[mask]))) / n) / (count / n) if count else None
-        inv_alpha = hill if inv_alpha_hat is None else inv_alpha_hat
+        lead = x.shape[:-2]
+        ell, mask, unit, rep = exceedances(ratios, 1.0)
+        hill = _means(rep, np.log(ell[mask]), lead)
+        inv_alpha = hill if inv_alpha_hat is None else np.full(lead, inv_alpha_hat)
         self._store(values=x, k=k, index_set=index_set, inv_alpha_hat=inv_alpha_hat,
-                    anchors=anchors, ratios=ratios, ell=ell, mask=mask, count=count,
-                    unit=unit, hill=hill, inv_alpha=inv_alpha,
-                    angular=None if inv_alpha is None else np.power(unit, 1.0 / inv_alpha))
+                    anchors=anchors, ratios=ratios, ell=ell, mask=mask, rep=rep,
+                    count=_plain(_counts(rep, lead)), unit=unit, hill=_plain(hill),
+                    inv_alpha=_plain(inv_alpha),
+                    angular=np.power(unit, _per_row(1.0 / inv_alpha, rep, lead)[:, None]))
 
     def pair(self, a: int, b: int) -> RankSample:
         """The sub-sample on positions ``a < b``, from these anchors and ratios.
@@ -169,7 +240,7 @@ class RankSample(_Sample):
         members = self.index_set.members
         out = object.__new__(RankSample)
         out._fill(self.values, self.k, IndexSet((members[a], members[b])),
-                  self.inv_alpha_hat, self.anchors[[a, b]], self.ratios[:, [a, b]])
+                  self.inv_alpha_hat, self.anchors[..., [a, b]], self.ratios[..., [a, b]])
         return out
 
     def derivatives(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -178,31 +249,41 @@ class RankSample(_Sample):
         R holds the column means of ``angular``.  Row i of the (m, m) scale
         matrix multiplies ratio column i by ``1 +/- eps`` before the indicator
         and the normalization; the power m-vector divides the angular
-        exponent by ``1 +/- eps`` on the unchanged exceedance set.
+        exponent by ``1 +/- eps`` on the unchanged exceedance set.  A block
+        gives (R, m, m) and (R, m), NaN for a replication without
+        exceedances under any of the scalings.
         """
-        self.require_exceedances()
-        power = 1.0 / self.inv_alpha
+        lead, bumps = self.values.shape[:-2], eps * np.eye(self.index_set.size)
+        power = 1.0 / np.asarray(self.inv_alpha, dtype=float)  # NaN without exceedances
         # a row with ell * (1 + eps) <= 1 exceeds under neither scaling, so
         # dropping it first leaves both exceedance sets, in order, unchanged
-        candidates = self.ratios[self.ell * (1.0 + eps) > 1.0]
-        scale = np.array([_scaled_means(candidates, 1.0 + bump, power)
-                          - _scaled_means(candidates, 1.0 - bump, power)
-                          for bump in eps * np.eye(self.index_set.size)])
-        upper = np.power(self.unit, power / (1.0 + eps)).mean(axis=0)
-        lower = np.power(self.unit, power / (1.0 - eps)).mean(axis=0)
+        rows = np.flatnonzero(self.ell * (1.0 + eps) > 1.0)
+        candidates, rep = self.ratios.reshape(-1, self.index_set.size)[rows], rows // self.n
+        scale = (np.stack([_scaled_means(candidates, rep, 1.0 + bump, power, lead)
+                           for bump in bumps], axis=-2)
+                 - np.stack([_scaled_means(candidates, rep, 1.0 - bump, power, lead)
+                             for bump in bumps], axis=-2))
+        # a scaling without exceedances leaves NaN means; with no exceedance at all, every
+        # scaling down has none
+        self.require_exceedances(~np.isnan(scale).any(axis=(-2, -1)))
+        upper = self.means(np.power(self.unit, self.per_row(power / (1.0 + eps))[:, None]))
+        lower = self.means(np.power(self.unit, self.per_row(power / (1.0 - eps))[:, None]))
         return scale / (2.0 * eps), (upper - lower) / (2.0 * eps)
 
 
 def rank_sample(data, k: int, index_set: IndexSet,
                 inv_alpha_hat: float | None = None) -> RankSample:
-    """The sample to read: ``data`` itself if it was built for these arguments, else a new one."""
+    """The one-matrix sample to read: ``data`` if built for these arguments, else a new one."""
     if (isinstance(data, RankSample) and data.k == k and data.index_set == index_set
             and data.inv_alpha_hat == inv_alpha_hat):
-        return data
-    return RankSample(data, k, index_set, inv_alpha_hat)
+        return _one_replication(data)
+    return _one_replication(RankSample(data, k, index_set, inv_alpha_hat))
 
 
 def second_moments(sample: KnownSample | RankSample) -> np.ndarray:
-    """The (m, m) mean outer product of a sample's angular parts over its exceedances."""
+    """The (m, m) mean outer product of a sample's angular parts over its exceedances.
+
+    A block gives (R, m, m), NaN for a replication without exceedances.
+    """
     sample.require_exceedances()
-    return sample.angular.T @ sample.angular / sample.count
+    return sample.means(np.einsum("ri,rj->rij", sample.angular, sample.angular))

@@ -16,14 +16,19 @@ import itertools
 
 import numpy as np
 
-from .core import IndexSet, QuadraticForm, WeightVector, embed
+from .core import QuadraticForm, WeightVector, embed
 
 
 def pairwise(m: int, coefficient) -> np.ndarray:
-    """The symmetric (m, m) matrix of ``coefficient(a, b)`` over positions a < b, ones on the diagonal."""
-    matrix = np.ones((m, m))
-    for a, b in itertools.combinations(range(m), 2):
-        matrix[a, b] = matrix[b, a] = coefficient(a, b)
+    """The symmetric (..., m, m) matrix of ``coefficient(a, b)`` at a < b, ones on the diagonal.
+
+    A coefficient may be an array over leading (replication) axes.
+    """
+    pairs = {pair: coefficient(*pair) for pair in itertools.combinations(range(m), 2)}
+    lead = np.shape(next(iter(pairs.values()))) if pairs else ()
+    matrix = np.ones(lead + (m, m))
+    for (a, b), value in pairs.items():
+        matrix[..., a, b] = matrix[..., b, a] = value
     return matrix
 
 
@@ -38,9 +43,9 @@ def bu_sigma2(tau: float, pair_taus: np.ndarray, gradient: np.ndarray) -> float:
     return float(tau ** 3 * (gradient @ minimum @ gradient) - tau)
 
 
-def mu_form(index_set: IndexSet, tau: float, pair_taus: np.ndarray, second_moments: np.ndarray,
-            c_matrix: np.ndarray, b: np.ndarray) -> QuadraticForm:
-    """The limiting variance of the rank ratio at simplex weights v, as the form v'Av.
+def mu_form(tau, pair_taus: np.ndarray, second_moments: np.ndarray,
+            c_matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The limiting variance of the rank ratio at simplex weights v, as the matrix A of v'Av.
 
     Writing E for the second-moment matrix, C for the scale-derivative
     matrix (C[i, j] the i-th scale derivative at basis weights j), b for the
@@ -52,21 +57,25 @@ def mu_form(index_set: IndexSet, tau: float, pair_taus: np.ndarray, second_momen
             - (b m' + m b') + (1/tau) b b',
 
     with ``Ebar = E - J / tau^2``, ``D[i, j] = 2 - tau_{ij}`` (tau times the
-    pairwise minimum moments), and ``m = C' b``.
+    pairwise minimum moments), and ``m = C' b``.  Every argument may carry
+    leading (replication) axes; A is symmetric and has them too.
     """
-    m = b.shape[0]
+    m = b.shape[-1]
+    tau = np.asarray(tau, dtype=float)[..., None, None]
     ones = np.ones((m, m))
     centered = second_moments - ones / tau ** 2
     d_matrix = 2.0 - pair_taus
-    mixed = c_matrix.T @ b
+    c_t = np.swapaxes(c_matrix, -1, -2)
+    mixed = (c_t @ b[..., None])[..., 0]
+    column, row = b[..., :, None], b[..., None, :]
     matrix = (
         centered / tau
-        - (c_matrix.T @ centered + centered @ c_matrix)
-        + c_matrix.T @ d_matrix @ c_matrix
-        - (np.outer(b, mixed) + np.outer(mixed, b))
-        + np.outer(b, b) / tau
+        - (c_t @ centered + centered @ c_matrix)
+        + c_t @ d_matrix @ c_matrix
+        - (column * mixed[..., None, :] + mixed[..., :, None] * row)
+        + column * row / tau
     )
-    return QuadraticForm(index_set, 0.5 * (matrix + matrix.T))
+    return 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -138,26 +147,9 @@ def _descend(a: np.ndarray, w: np.ndarray, scale: float) -> list[np.ndarray]:
     return [end] if w is end else [end, w]
 
 
-def minimize_quadratic_on_simplex(form: QuadraticForm, d: int | None = None
-                                  ) -> tuple[WeightVector, float]:
-    """Minimize v'Av over simplex weights supported on the form's index set.
-
-    The candidates are the barycenter, the vertices and, for two components,
-    the segment's stationary point in closed form; from three on, the end
-    points of active-set descents, at polynomial cost.  A form convex on the
-    simplex takes one descent, from the lowest vertex, to its global minimum.
-    Otherwise (an NP-hard problem) a descent starts from the stationary point
-    of every edge that curves upwards, and the best KKT point they reach need
-    not be global.  Value ties go to the smaller norm, then the earlier
-    candidate (an all-vertex tie gives the lowest-index vertex), so a flat
-    optimum need not give the least-norm minimizer.  Returns the weights in
-    dimension ``d`` (by default the largest index) and the attained value.
-    """
-    a, index_set = form.matrix, form.index_set
+def _minimize(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The simplex minimizer of v'Av and its value for one matrix of m != 2 components."""
     m = a.shape[0]
-    if d is None:
-        d = index_set.members[-1]
-    index_set.check_within(d)
     scale = 1.0 + float(np.max(np.abs(a)))
     value_tol = 1e-12 * scale
 
@@ -172,9 +164,8 @@ def minimize_quadratic_on_simplex(form: QuadraticForm, d: int | None = None
             curvature = a[i, i] + a[j, j] - 2.0 * a[i, j]
             if curvature > 0.0 and 0.0 <= (t := (a[j, j] - a[i, j]) / curvature) <= 1.0:
                 starts.append(t * vertices[i] + (1.0 - t) * vertices[j])
-    # at m = 2 the edge point solves the problem, and ties to the barycenter bit for bit
-    candidates = [np.full(m, 1.0 / m)] + (starts if m == 2 else []) + vertices
-    for start in starts if m > 2 else []:
+    candidates = [np.full(m, 1.0 / m)] + vertices
+    for start in starts:
         candidates += _descend(a, start, scale)
 
     best_w, best_value, best_norm = None, np.inf, np.inf
@@ -183,5 +174,74 @@ def minimize_quadratic_on_simplex(form: QuadraticForm, d: int | None = None
         if value < best_value - value_tol or (value <= best_value + value_tol
                                               and norm < best_norm - 1e-12):
             best_w, best_value, best_norm = w, value, norm
+    return best_w, best_value
 
-    return WeightVector(embed(best_w, index_set, d), index_set), best_value
+
+def simplex_minimizers(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., m) simplex minimizers of v'Av and their (...) values for a (..., m, m) stack.
+
+    At m = 2 the candidates of :func:`minimize_quadratic_on_simplex` (the
+    barycenter, the edge's stationary point where the edge curves upwards,
+    the two vertices) and its tie rule run over the whole stack at once;
+    other sizes take one solve per matrix.  A matrix holding NaN (an
+    excluded replication) gets NaN weights and value.
+    """
+    a = np.asarray(matrices, dtype=float)
+    lead, m = a.shape[:-2], a.shape[-1]
+    excluded = np.isnan(a).any(axis=(-2, -1))  # a replication without a form
+    if m != 2:
+        best_w, best_value = np.full(lead + (m,), np.nan), np.full(lead, np.nan)
+        for i in np.ndindex(lead):
+            if not excluded[i]:
+                best_w[i], best_value[i] = _minimize(a[i])
+        return best_w, best_value
+    curvature = a[..., 0, 0] + a[..., 1, 1] - 2.0 * a[..., 0, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (a[..., 1, 1] - a[..., 0, 1]) / curvature
+    on_edge = (curvature > 0.0) & (0.0 <= t) & (t <= 1.0)
+    t = np.where(on_edge, t, 0.0)
+    # the barycenter, the edge point [t, 1 - t] = t e1 + (1 - t) e2, and the vertices e1, e2
+    candidates = np.zeros(lead + (4, 2))
+    candidates[..., 0, :] = 0.5
+    candidates[..., 1, 0], candidates[..., 1, 1] = t, 1.0 - t
+    candidates[..., 2, 0] = candidates[..., 3, 1] = 1.0
+    rows, columns = candidates[..., :, None, :], candidates[..., :, :, None]
+    values = (rows @ a[..., None, :, :] @ columns)[..., 0, 0]  # the bits of w @ a @ w
+    norms = np.sqrt(rows @ columns)[..., 0, 0]
+    value_tol = 1e-12 * (1.0 + np.max(np.abs(a), axis=(-2, -1)))
+    # the barycenter is taken first; a later candidate wins only by the tie rule
+    best, best_value, best_norm = 0, values[..., 0], norms[..., 0]
+    for c, allowed in ((1, on_edge), (2, True), (3, True)):
+        value, norm = values[..., c], norms[..., c]
+        take = allowed & ((value < best_value - value_tol)
+                          | ((value <= best_value + value_tol) & (norm < best_norm - 1e-12)))
+        best = np.where(take, c, best)
+        best_value, best_norm = np.where(take, value, best_value), np.where(take, norm, best_norm)
+    best_w = np.take_along_axis(candidates, best[..., None, None], axis=-2)[..., 0, :]
+    best_w[excluded], best_value[excluded] = np.nan, np.nan
+    return best_w, best_value
+
+
+def minimize_quadratic_on_simplex(form: QuadraticForm, d: int | None = None
+                                  ) -> tuple[WeightVector, float]:
+    """Minimize v'Av over simplex weights supported on the form's index set.
+
+    The candidates are the barycenter, the vertices and, for two components,
+    the segment's stationary point in closed form; from three on, the end
+    points of active-set descents, at polynomial cost.  A form convex on the
+    simplex takes one descent, from the lowest vertex, to its global minimum.
+    Otherwise (an NP-hard problem) a descent starts from the stationary point
+    of every edge that curves upwards, and the best KKT point they reach need
+    not be global.  Value ties go to the smaller norm, then the earlier
+    candidate (an all-vertex tie gives the lowest-index vertex), so a flat
+    optimum need not give the least-norm minimizer; at two components the
+    edge point ties to the barycenter bit for bit.  Returns the weights in
+    dimension ``d`` (by default the largest index) and the attained value:
+    the one-matrix case of :func:`simplex_minimizers`.
+    """
+    index_set = form.index_set
+    if d is None:
+        d = index_set.members[-1]
+    index_set.check_within(d)
+    w, value = simplex_minimizers(form.matrix)
+    return WeightVector(embed(w, index_set, d), index_set), float(value)

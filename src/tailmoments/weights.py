@@ -12,16 +12,34 @@ Either way the best weights minimize the form over the unit simplex
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .core import (
     EstimateReport,
     IndexSet,
     QuadraticForm,
+    embed,
 )
-from .estimators import check_eps, moment_ratio_known, moment_ratio_ranks
-from .samples import known_sample, rank_sample, second_moments
-from .variance import minimize_quadratic_on_simplex, mu_form, pairwise
+from .estimators import check_eps, moment_ratios
+from .samples import KnownSample, RankSample, known_sample, rank_sample, second_moments
+from .variance import minimize_quadratic_on_simplex  # noqa: F401 (read from this module too)
+from .variance import mu_form, pairwise, simplex_minimizers
+
+
+class OptimalRatios(NamedTuple):
+    """Per-replication results of an optimally weighted ratio, NaN for an excluded replication.
+
+    ``matrix`` is the variance form minimized over the simplex, ``weights``
+    its minimizers on the index set and ``objective`` their values.
+    """
+
+    estimate: np.ndarray
+    std_error: np.ndarray
+    weights: np.ndarray
+    objective: np.ndarray
+    matrix: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +57,13 @@ def second_moment_matrix_known(data, u: float, index_set: IndexSet) -> Quadratic
     return QuadraticForm(index_set, second_moments(sample))
 
 
+def optimal_known_ratios(sample: KnownSample) -> OptimalRatios:
+    """The MK estimates of :func:`tau_moment_known`, one per replication of the sample."""
+    matrix = second_moments(sample)
+    weights, objective = simplex_minimizers(matrix)
+    return OptimalRatios(*moment_ratios(sample, weights), weights, objective, matrix)
+
+
 def tau_moment_known(data, u: float, index_set: IndexSet) -> EstimateReport:
     """Optimally weighted moment-ratio estimate of the reciprocal extremal coefficient.
 
@@ -48,16 +73,14 @@ def tau_moment_known(data, u: float, index_set: IndexSet) -> EstimateReport:
     ratio at those weights.
     """
     sample = known_sample(data, u, index_set)
-    form = second_moment_matrix_known(sample, u, index_set)
-    v_star, objective = minimize_quadratic_on_simplex(form, d=sample.d)
-    base = moment_ratio_known(sample, u, v_star, p=1)
+    result = optimal_known_ratios(sample)
     return EstimateReport(
-        estimate=base.estimate,
-        std_error=base.std_error,
-        exceedance_count=base.exceedance_count,
+        estimate=result.estimate,
+        std_error=result.std_error,
+        exceedance_count=sample.count,
         method="mk",
-        parameters={"u": sample.u, "weights": v_star.weights,
-                    "index_set": index_set, "objective": objective},
+        parameters={"u": sample.u, "weights": embed(result.weights, index_set, sample.d),
+                    "index_set": index_set, "objective": float(result.objective)},
     )
 
 
@@ -65,10 +88,21 @@ def tau_moment_known(data, u: float, index_set: IndexSet) -> EstimateReport:
 # rank-based pipeline with perturbations
 # ---------------------------------------------------------------------------
 
-def _tau_hat(sample) -> float:
+def _tau_hat(sample) -> np.ndarray:
     """The extremal coefficient as the reciprocal of the uniform-weight rank ratio."""
     sample.require_exceedances()
-    return 1.0 / float(np.mean(sample.angular.mean(axis=0)))
+    return 1.0 / sample.means(sample.angular).mean(axis=-1)
+
+
+def rank_variance_matrices(sample: RankSample, eps: float | None = None) -> np.ndarray:
+    """The matrix of :func:`rank_variance_form`, one per replication of the sample."""
+    eps = check_eps(eps, sample.k, sample.n)
+    m = sample.index_set.size
+    tau = _tau_hat(sample)
+    # pairwise extremal coefficients; at m = 2 the pair is the whole sample
+    pair_taus = pairwise(m, lambda a, b: tau if m == 2 else _tau_hat(sample.pair(a, b)))
+    c_matrix, b = sample.derivatives(eps)
+    return mu_form(tau, pair_taus, second_moments(sample), c_matrix, b)
 
 
 def rank_variance_form(data, k: int, index_set: IndexSet,
@@ -87,13 +121,16 @@ def rank_variance_form(data, k: int, index_set: IndexSet,
     optimally weighted rank estimator.
     """
     sample = rank_sample(data, k, index_set, inv_alpha_hat)
-    eps = check_eps(eps, sample.k, sample.n)
-    m = index_set.size
-    tau = _tau_hat(sample)
-    # pairwise extremal coefficients; at m = 2 the pair is the whole sample
-    pair_taus = pairwise(m, lambda a, b: tau if m == 2 else _tau_hat(sample.pair(a, b)))
-    c_matrix, b = sample.derivatives(eps)
-    return mu_form(index_set, tau, pair_taus, second_moments(sample), c_matrix, b)
+    return QuadraticForm(index_set, rank_variance_matrices(sample, eps))
+
+
+def optimal_rank_ratios(sample: RankSample, eps: float | None = None) -> OptimalRatios:
+    """The MU estimates of :func:`tau_moment_ranks`, one per replication of the sample."""
+    matrix = rank_variance_matrices(sample, eps)
+    weights, objective = simplex_minimizers(matrix)
+    return OptimalRatios(moment_ratios(sample, weights)[0],
+                         np.sqrt(np.maximum(objective, 0.0) / sample.k),
+                         weights, objective, matrix)
 
 
 def tau_moment_ranks(data, k: int, index_set: IndexSet,
@@ -107,17 +144,16 @@ def tau_moment_ranks(data, k: int, index_set: IndexSet,
     error ``sqrt(objective / k)``; the report adds the form's condition number.
     """
     sample = rank_sample(data, k, index_set, inv_alpha_hat)
-    form = rank_variance_form(sample, k, index_set, eps=eps, inv_alpha_hat=inv_alpha_hat)
-    v_tilde, objective = minimize_quadratic_on_simplex(form, d=sample.d)
-    base = moment_ratio_ranks(sample, k, v_tilde, p=1, inv_alpha_hat=inv_alpha_hat)
-    condition = float(np.linalg.cond(form.matrix)) if np.any(form.matrix) else float("inf")
+    result = optimal_rank_ratios(sample, eps)
+    condition = float(np.linalg.cond(result.matrix)) if np.any(result.matrix) else float("inf")
     return EstimateReport(
-        estimate=base.estimate,
-        std_error=float(np.sqrt(max(objective, 0.0) / sample.k)),
-        exceedance_count=base.exceedance_count,
+        estimate=result.estimate,
+        std_error=result.std_error,
+        exceedance_count=sample.count,
         method="mu",
         parameters={"k": sample.k, "eps": check_eps(eps, sample.k, sample.n),
                     "inv_alpha_hat": sample.inv_alpha,
-                    "weights": v_tilde.weights, "index_set": index_set,
-                    "objective": objective, "condition_number": condition},
+                    "weights": embed(result.weights, index_set, sample.d),
+                    "index_set": index_set,
+                    "objective": float(result.objective), "condition_number": condition},
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tailmoments as tm
+from tailmoments import harness
 from tailmoments.harness import (
     ESTIMATOR_NAMES,
     GRID_HEADER,
@@ -91,6 +92,35 @@ def test_parallel_execution_matches_serial(monkeypatch):
     for name in ESTIMATOR_NAMES:
         assert parallel.summaries[name].bias == serial.summaries[name].bias
         assert parallel.summaries[name].emp_std == serial.summaries[name].emp_std
+
+
+# a d=3 max-linear model, coefficients written out: MK and MU solve one QP per repetition
+D3_MODEL = tm.MaxLinearModel([[0.30, 0.05, 0.25, 0.10, 0.30],
+                              [0.10, 0.40, 0.05, 0.30, 0.15],
+                              [0.20, 0.20, 0.30, 0.05, 0.25]])
+
+
+@pytest.mark.parametrize("model", [tm.make_scenario(0.4, 0.6), D3_MODEL])
+def test_estimates_are_the_same_bits_in_any_block(monkeypatch, model):
+    config = small_config(model=model, n=500, k=25, reps=15, seed=4)
+    seeds = tm.derive_seed(4, range(15))
+    u = -1.0 / np.log(config.u_quantile)
+    estimates, reports = [], []
+    for size in (1, 7, 15):
+        monkeypatch.setattr(harness, "BLOCK", size)
+        estimates.append(np.concatenate([harness._block_estimates(seeds[start:start + size],
+                                                                  model, 500, 25, u)
+                                         for start in range(0, 15, size)]))
+        reports.append(run_experiment(config).to_dict())
+    assert all(np.array_equal(estimates[0], other) for other in estimates[1:])
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_parallel_blocks_match_serial(monkeypatch):
+    monkeypatch.setattr(harness, "BLOCK", 3)
+    serial = run_experiment(small_config())
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
+    assert run_experiment(small_config()).to_dict() == serial.to_dict()
 
 
 def test_experiment_bias_shrinks_toward_the_target():

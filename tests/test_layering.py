@@ -69,21 +69,62 @@ def test_only_core_lays_out_vectors_on_an_index_set():
     assert writers["core"]  # the guard sees core.embed
 
 
+ROW_AXES = {1, 2, -1}  # the column axis of an (n, m) array or of an (R, n, m) block
+
+
+def _constant(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def _picks_a_column(node) -> bool:
+    """``a[..., j]`` or ``a[:, j]``: one column of the last axis."""
+    index = node.slice if isinstance(node, ast.Subscript) else None
+    return (isinstance(index, ast.Tuple) and len(index.elts) == 2
+            and (isinstance(index.elts[0], ast.Slice) or _constant(index.elts[0]) is Ellipsis))
+
+
 def _row_maxima(tree: ast.AST) -> list[int]:
-    """Lines that call ``max`` (a builtin, a function or a method) with ``axis=1``."""
-    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and (getattr(node.func, "attr", None) == "max"
-                 or getattr(node.func, "id", None) == "max")
-            and any(kw.arg == "axis" and isinstance(kw.value, ast.Constant)
-                    and kw.value.value == 1 for kw in node.keywords)]
+    """Lines that take row maxima: ``max``/``amax``/``nanmax`` (a builtin, a function or a
+    method) along axis 1, 2 or -1, a ``maximum.reduce``, or a ``maximum`` of single columns."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "attr", None) or getattr(func, "id", None)
+        if name == "reduce" and getattr(getattr(func, "value", None), "attr", None) == "maximum":
+            lines.append(node.lineno)
+        elif name == "maximum" and any(_picks_a_column(arg) for arg in node.args):
+            lines.append(node.lineno)
+        elif name in ("max", "amax", "nanmax"):
+            # a method's first positional argument is its axis, numpy's function's second
+            function = isinstance(func, ast.Name) or getattr(func.value, "id", None) in ("np",
+                                                                                        "numpy")
+            axes = [kw.value for kw in node.keywords if kw.arg == "axis"]
+            if not isinstance(func, ast.Name):
+                axes += node.args[1 if function else 0:][:1]
+            if any(_constant(axis) in ROW_AXES for axis in axes):
+                lines.append(node.lineno)
+    return lines
 
 
 def test_only_core_takes_row_maxima():
-    # the exceedance step (row max, threshold, divide by the max) is core.exceedances
+    # the exceedance step (row max, threshold, divide by the max) is core.exceedances,
+    # for one matrix and for a block of replications alike
     calls = {path.stem: _row_maxima(ast.parse(path.read_text()))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {module: lines for module, lines in calls.items() if lines and module != "core"} == {}
     assert calls["core"]  # the guard sees core.exceedances
+    flagged = ["x.max(axis=1)", "np.max(x, axis=-1)", "x.max(2)", "np.amax(x, 1)",
+               "np.maximum.reduce(x, axis=2)", "np.maximum.reduce(x)", "max(x, axis=1)",
+               "np.maximum(x[:, 0], x[:, 1])", "np.maximum(ell, x[..., j], out=ell)"]
+    passed = ["x.max(axis=0)", "np.max(x, 0)", "max(count, 1)", "np.max(x, axis=(-2, -1))",
+              "np.maximum(variance, 0.0)", "np.maximum(x, np.multiply.outer(z[..., i], c))"]
+    assert [bool(_row_maxima(ast.parse(code))) for code in flagged + passed] == \
+        [True] * len(flagged) + [False] * len(passed)
 
 
 def _finiteness_checks(tree: ast.AST) -> list[int]:

@@ -83,6 +83,39 @@ def test_sample_sizes_are_checked_not_truncated():
                           simulate(model, 100, seed=1).values)
 
 
+@pytest.mark.parametrize("seed", [1.5, np.nan])
+def test_seeds_are_checked_integers(seed):
+    model = tm.make_scenario(0.4, 0.6)
+    for call in (lambda s: simulate(model, 3, s), lambda s: frechet_sample(3, 1.0, s),
+                 lambda s: simulate(model, 3, [1, s]), lambda s: derive_seed(s, 0)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            call(seed)
+    assert np.array_equal(simulate(model, 3, 7.0).values, simulate(model, 3, 7).values)
+
+
+def test_a_block_of_seeds_gives_each_seeds_own_data():
+    model = tm.MaxLinearModel([[0.5, 0.2, 0.3], [0.1, 0.6, 0.3]])
+    seeds = [derive_seed(3, r) for r in range(5)] + [-1, 0]
+    block = simulate(model, 40, seeds)
+    assert block.values.shape == (7, 40, 2) and (block.n, block.d) == (40, 2)
+    for seed, values in zip(seeds, block.values):
+        assert np.array_equal(values, simulate(model, 40, seed).values)
+    counters = np.arange(12, dtype=np.uint64).reshape(3, 4)
+    assert np.array_equal(uniform_open(seeds[:2], counters)[1], uniform_open(seeds[1], counters))
+
+
+def test_equal_models_hash_equal_and_configs_are_dict_keys():
+    a, b = make_scenario(0.4, 0.6), make_scenario(0.4, 0.6)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(MaxLinearModel([[1.0, 0.0], [0.5, 0.5]])) == \
+        hash(MaxLinearModel([[1.0, -0.0], [0.5, 0.5]]))
+    assert len({a, b, make_scenario(0.4, 0.7)}) == 2
+    config = tm.ExperimentConfig(model=a, n=100, k=5, reps=2, seed=1)
+    table = {config: "a"}
+    assert table[tm.ExperimentConfig(model=b, n=100, k=5, reps=2, seed=1)] == "a"
+    assert tm.ExperimentConfig(model=b, n=100, k=5, reps=3, seed=1) not in table
+
+
 def test_simulate_is_reproducible_and_extends_by_row():
     model = make_scenario(0.3, 0.7)
     a = simulate(model, 10, seed=42)

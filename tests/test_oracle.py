@@ -43,6 +43,15 @@ def test_measure_validates_probabilities_and_normalization():
         tm.DiscreteSpectralMeasure(np.array([[1.0, 0.5], [0.0, 0.0]]), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_merged_checks_its_tolerance(tol):
+    m = tm.DiscreteSpectralMeasure(np.array([[1.0, 0.5], [1.0, 0.5], [0.5, 1.0]]),
+                                   np.array([0.25, 0.25, 0.5]))
+    assert m.merged().size == 2 and m.merged(0.0).size == 2
+    with pytest.raises(ValueError, match="tol must be non-negative and finite"):
+        m.merged(tol)
+
+
 def test_measure_json_holds_only_atoms_and_probs():
     m = scenario(0.4, 0.6)
     again = tm.DiscreteSpectralMeasure.from_dict(m.to_dict())

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import tailmoments as tm
-from tailmoments import samples, variance, weights
-from tailmoments.harness import TABLE_SCENARIOS, _single_rep
+from tailmoments import harness, samples, variance, weights
+from tailmoments.harness import TABLE_SCENARIOS
 
 I12 = tm.IndexSet([1, 2])
+U95 = -1.0 / np.log(0.95)
 
 
 def _pareto(seed, n=600, d=3):
@@ -13,38 +14,98 @@ def _pareto(seed, n=600, d=3):
     return rng.pareto(1.5, size=(n, d)) + 1.0
 
 
-# ------------------------------------------------ harness fast path
+# ------------------------------------------------ harness blocks against the plain calls
+
+def _plain_estimates(model, n, k, u, rep_seed):
+    """The four reciprocal-coefficient estimates of one repetition by the public scalar calls,
+    NaN where one raises NoExceedances or BU's coefficient is zero."""
+    x = np.array(tm.simulate(model, n, rep_seed).values)
+    index_set = tm.IndexSet(range(1, model.d + 1))
+    calls = (lambda: tm.benchmark_ratio_known(x, u, tm.uniform_weights(index_set, model.d)),
+             lambda: tm.tau_moment_known(x, u, index_set),
+             lambda: tm.stable_tail_estimate(x, k, index_set),
+             lambda: tm.tau_moment_ranks(x, k, index_set))
+    out = []
+    for name, call in zip(harness.ESTIMATOR_NAMES, calls):
+        try:
+            estimate = call().estimate
+        except tm.NoExceedances:
+            estimate = np.nan
+        if name == "BU":
+            estimate = 1.0 / estimate if estimate > 0 else np.nan
+        out.append(estimate)
+    return np.array(out)
+
+
+def _check_block_against_plain_calls(model, n, k, u, seeds):
+    block = harness._block_estimates(seeds, model, n, k, u)
+    assert block.shape == (len(seeds), 4)
+    for rep_seed, fast in zip(seeds, block):
+        plain = _plain_estimates(model, n, k, u, rep_seed)
+        assert np.array_equal(np.isnan(fast), np.isnan(plain)), rep_seed
+        assert np.nanmax(np.abs(fast - plain), initial=0.0) <= 1e-12, rep_seed
+    return block
+
 
 @pytest.mark.parametrize("p, q", TABLE_SCENARIOS)
 def test_single_rep_matches_the_plain_public_calls(p, q):
-    model = tm.make_scenario(p, q)
-    n, k = 1000, 50
-    u = -1.0 / np.log(0.95)
-    for rep_seed in range(30):
-        fast = _single_rep(rep_seed, model, n, k, u)
-        x = np.array(tm.simulate(model, n, rep_seed).values)
-        plain = {
-            "BK": tm.benchmark_ratio_known(x, u, tm.uniform_weights(I12, 2)).estimate,
-            "MK": tm.tau_moment_known(x, u, I12).estimate,
-            "BU": 1.0 / tm.stable_tail_estimate(x, k, I12).estimate,
-            "MU": tm.tau_moment_ranks(x, k, I12).estimate,
-        }
-        for name, value in plain.items():
-            assert abs(fast[name] - value) <= 1e-12, (rep_seed, name)
+    """Every repetition of a block equals the public scalar calls on its own data."""
+    _check_block_against_plain_calls(tm.make_scenario(p, q), 1000, 50, U95, list(range(30)))
+
+
+# a d=3 max-linear model, coefficients written out: MK and MU solve one QP per repetition
+D3_COEFFS = [[0.30, 0.05, 0.25, 0.10, 0.30],
+             [0.10, 0.40, 0.05, 0.30, 0.15],
+             [0.20, 0.20, 0.30, 0.05, 0.25]]
+
+
+def test_a_three_component_block_matches_the_plain_public_calls():
+    model = tm.MaxLinearModel(D3_COEFFS)
+    block = _check_block_against_plain_calls(model, 600, 30, U95, list(range(12)))
+    assert not np.any(np.isnan(block))
+
+
+def test_blocks_exclude_the_repetitions_the_plain_calls_reject():
+    """At n=40 some repetitions have no known-margin exceedance; with one component, MU also
+    loses the exceedances of its scaled-down column in some; a block excludes the same ones."""
+    block = _check_block_against_plain_calls(tm.make_scenario(0.4, 0.6), 40, 2, U95,
+                                             list(range(60)))
+    excluded = np.isnan(block)
+    assert 0 < excluded[:, 0].sum() < 60  # BK and MK without exceedances
+    assert np.array_equal(excluded[:, 0], excluded[:, 1])
+    block = _check_block_against_plain_calls(tm.MaxLinearModel([[0.6, 0.4]]), 40, 2, U95,
+                                             list(range(60)))
+    excluded = np.isnan(block)
+    assert not excluded[:, 2].any() and 0 < excluded[:, 3].sum() < 60
+
+
+def test_an_estimator_reporting_one_number_rejects_a_block():
+    block = tm.simulate(tm.make_scenario(0.4, 0.6), 200, [1, 2])
+    assert block.values.shape == (2, 200, 2)
+    calls = (lambda: tm.tau_moment_known(block, U95, I12),
+             lambda: tm.benchmark_ratio_known(tm.KnownSample(block, U95, I12), U95,
+                                              tm.uniform_weights(I12, 2)),
+             lambda: tm.tau_moment_ranks(block, 10, I12),
+             lambda: tm.hill_inverse_alpha(tm.RankSample(block, 10, I12), 10, I12))
+    for call in calls:
+        with pytest.raises(ValueError, match="one data matrix, not a block"):
+            call()
 
 
 def test_one_replication_computes_the_anchors_once(monkeypatch):
+    """One anchor computation (the column partition) per block of repetitions."""
     calls = []
     original = samples.upper_order_statistics
 
     def counting(x, k):
-        calls.append(k)
+        calls.append((np.shape(x), k))
         return original(x, k)
 
     monkeypatch.setattr(samples, "upper_order_statistics", counting)
-    model = tm.make_scenario(0.4, 0.6)
-    _single_rep(3, model, 1000, 50, -1.0 / np.log(0.95))
-    assert calls == [50]
+    monkeypatch.setattr(harness, "BLOCK", 4)
+    harness.run_experiment(tm.ExperimentConfig(model=tm.make_scenario(0.4, 0.6), n=1000,
+                                               k=50, reps=10, seed=3))
+    assert calls == [((4, 1000, 2), 50), ((4, 1000, 2), 50), ((2, 1000, 2), 50)]
 
 
 def test_tau_moment_ranks_validates_a_raw_array_once(monkeypatch):
@@ -101,6 +162,45 @@ def test_a_non_finite_or_non_positive_power_is_rejected(bad):
         tm.RankSample(x, 30, I12, inv_alpha_hat=bad)
     with pytest.raises(ValueError, match="positive and finite"):
         tm.tau_moment_ranks(x, 30, I12, inv_alpha_hat=bad)
+
+
+def _loop_rank_sample(x, k, eps):
+    """One replication's rank sample the plain way: sorted anchors, row maxima by ``max``,
+    means by ``mean`` and the central differences scaled column by column."""
+    ratios = x / np.sort(x, axis=0)[-k]
+    ell = ratios.max(axis=1)
+    hill = float(np.mean(np.log(ell[ell > 1.0])))
+    angular = (ratios[ell > 1.0] / ell[ell > 1.0, None]) ** (1.0 / hill)
+
+    def means(scales, power):
+        scaled = ratios * scales
+        peaks = scaled.max(axis=1)
+        return np.mean((scaled[peaks > 1.0] / peaks[peaks > 1.0, None]) ** power, axis=0)
+
+    scale = np.array([means(1.0 + bump, 1.0 / hill) - means(1.0 - bump, 1.0 / hill)
+                      for bump in eps * np.eye(x.shape[1])]) / (2.0 * eps)
+    power = (means(1.0, 1.0 / hill / (1.0 + eps)) - means(1.0, 1.0 / hill / (1.0 - eps)))
+    return hill, angular, angular.T @ angular / len(angular), scale, power / (2.0 * eps)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_block_sample_matches_a_plain_loop_over_its_replications(d):
+    """Segment sums over a block against the per-replication formulas written out."""
+    x = np.stack([_pareto(seed, n=300, d=d) for seed in range(6)])
+    x[2] = 1.0  # constant columns: the third replication has no exceedances
+    index_set, k, eps = tm.IndexSet(range(1, d + 1)), 25, 0.05
+    block = tm.RankSample(x, k, index_set)
+    scale, power = block.derivatives(eps)
+    moments = samples.second_moments(block)
+    assert block.count[2] == 0 and np.isnan(block.hill[2]) and np.all(np.isnan(scale[2]))
+    for r in (0, 1, 3, 4, 5):
+        hill, angular, second, plain_scale, plain_power = _loop_rank_sample(x[r], k, eps)
+        assert block.count[r] == len(angular)
+        assert abs(block.hill[r] - hill) <= 1e-12
+        assert np.max(np.abs(block.angular[block.rep == r] - angular)) <= 1e-12
+        assert np.max(np.abs(moments[r] - second)) <= 1e-12
+        assert np.max(np.abs(scale[r] - plain_scale)) <= 1e-12
+        assert np.max(np.abs(power[r] - plain_power)) <= 1e-12
 
 
 def test_pair_sub_samples_equal_fresh_pair_samples():
@@ -201,8 +301,9 @@ def test_row_restricted_scale_differences_equal_the_unrestricted_ones(seed):
             for pos in range(3):
                 bump = np.zeros(3)
                 bump[pos] = eps
-                plain = (samples._scaled_means(ranks.ratios, 1.0 + bump, power)
-                         - samples._scaled_means(ranks.ratios, 1.0 - bump, power))
+                rows = np.zeros(len(x), dtype=np.intp)  # every row, all of one replication
+                plain = (samples._scaled_means(ranks.ratios, rows, 1.0 + bump, power, ())
+                         - samples._scaled_means(ranks.ratios, rows, 1.0 - bump, power, ()))
                 assert np.array_equal(ranks.derivatives(eps)[0][pos], plain / (2 * eps))
 
 
