@@ -4,12 +4,15 @@ Each experiment simulates repeated samples from a max-linear model, applies
 the benchmark and optimally weighted estimators in both margin conventions,
 and summarizes bias and spread of the reciprocal extremal coefficient
 against the exact population values from the spectral measure.  Repetitions
-are seeded individually from the experiment seed and run in blocks of
-:data:`BLOCK`: one (block, n, d) simulation, one tail sample per margin
-convention and one pass of each estimator per block.  A repetition's
-estimates are the same bits in any block, so results do not depend on the
-blocking or on execution order, and the harness can fan blocks out across
-processes.
+are seeded individually from the experiment seed and run in blocks of at
+most :data:`BLOCK`, and of at most :data:`BLOCK_DRAWS` factor draws: one
+(block, n, d) simulation, one tail sample per margin convention and one
+pass of each estimator per block.  A repetition's estimates are the same
+bits in any block, so results do not depend on the blocking or on execution
+order.  With ``TAILMOMENTS_THREADS`` set, one process pool per call maps
+the blocks of every experiment in it (the three scenarios of
+:func:`table_experiments` share one), with no more workers than blocks, and
+closes before the call returns.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -53,6 +55,10 @@ REPORT_CSV_HEADER = ("method", "bias", "emp_std", "theo_std", "excluded")
 #: repetitions simulated and estimated together; larger blocks pass fewer Python
 #: calls per repetition but build larger temporaries, which slowed them down
 BLOCK = 30
+
+#: factor draws one block may hold, so its temporaries stay bounded at large n:
+#: a block takes min(BLOCK, BLOCK_DRAWS // (n * factors)) replications, at least one
+BLOCK_DRAWS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -163,36 +169,58 @@ def _block_estimates(seeds, model: MaxLinearModel, n: int, k: int,
     ], axis=-1)
 
 
-def _worker_count(reps: int) -> int | None:
-    """Resolve TAILMOMENTS_THREADS: unset -> serial, 0 -> auto, N -> N workers."""
+def _worker_count(tasks: int) -> int | None:
+    """Resolve TAILMOMENTS_THREADS for ``tasks`` blocks.
+
+    Unset -> serial, 0 -> one worker per CPU this process may run on, N -> N
+    workers; never more workers than blocks, and serial (None) when one
+    worker would do.
+    """
     raw = os.environ.get("TAILMOMENTS_THREADS")
-    if raw is None or reps == 1:
+    if raw is None:
         return None
+    if not raw.strip().isdecimal():
+        raise ValueError(
+            f"TAILMOMENTS_THREADS must be a non-negative integer, got {raw!r}")
     workers = int(raw)
-    if workers < 0:
-        raise ValueError("TAILMOMENTS_THREADS must be a non-negative integer")
     if workers == 0:
-        workers = os.cpu_count() or 1
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    workers = min(workers, tasks)
     return None if workers <= 1 else workers
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the Monte Carlo comparison described by ``config``.
+def _run(configs: list[ExperimentConfig]) -> list[ExperimentReport]:
+    """The reports of ``configs``: one set of workers maps every config's blocks.
 
-    The known-margin estimators threshold the raw data at the exact Frechet
-    quantile of ``u_quantile`` (the margins of a row-normalized max-linear
-    model are standard Frechet, so no re-standardization is needed); the
-    rank-based estimators use the top ``k`` order statistics.  Theoretical
-    standard deviations divide the population asymptotic variances by the
-    effective number of exceedances: ``n * (1 - u_quantile)`` for the
-    known-margin pair and ``k`` for the rank-based pair.
+    Blocks are listed config by config and come back in that order, so each
+    config's rows are consecutive and in seed order.
     """
+    tasks, bounds = [], [0]
+    for config in configs:
+        seeds = derive_seed(config.seed, range(config.reps))
+        size = min(BLOCK, max(1, BLOCK_DRAWS // (config.n * config.model.factors)))
+        u = -1.0 / np.log(config.u_quantile)
+        tasks += [(seeds[start:start + size], config.model, config.n, config.k, u)
+                  for start in range(0, config.reps, size)]
+        bounds.append(len(tasks))
+    columns = list(zip(*tasks))  # seeds, models, n, k and u as parallel iterables
+    workers = _worker_count(len(tasks))
+    if workers is None:
+        results = list(map(_block_estimates, *columns))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_block_estimates, *columns))
+    return [_report(config, np.concatenate(results[lo:hi]))
+            for config, lo, hi in zip(configs, bounds[:-1], bounds[1:])]
+
+
+def _report(config: ExperimentConfig, estimates: np.ndarray) -> ExperimentReport:
+    """Summaries of a config's (reps, 4) estimates against the oracle's targets."""
     model = config.model
-    measure = model_spectral_measure(model)
-    index_set = IndexSet(range(1, model.d + 1))
-    av = asymptotic_variances(measure, index_set)
-    inv_tau = 1.0 / av.tau
+    av = asymptotic_variances(model_spectral_measure(model), IndexSet(range(1, model.d + 1)))
     u = -1.0 / np.log(config.u_quantile)
+    inv_tau = 1.0 / av.tau
     marginal_pairs = config.n * (1.0 - config.u_quantile)
     theo = {
         "BK": float(np.sqrt(av.avar_bk / marginal_pairs)),
@@ -200,17 +228,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "BU": float(np.sqrt(av.avar_bu / config.k)),
         "MU": float(np.sqrt(av.avar_mu / config.k)),
     }
-    worker = partial(_block_estimates, model=model, n=config.n, k=config.k, u=u)
-    seeds = derive_seed(config.seed, range(config.reps))
-    blocks = [seeds[start:start + BLOCK] for start in range(0, config.reps, BLOCK)]
-    workers = _worker_count(config.reps)
-    if workers is None:
-        results = [worker(block) for block in blocks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, blocks))
-    estimates = np.concatenate(results)
-
     summaries = {}
     for name, column in zip(ESTIMATOR_NAMES, estimates.T):
         values = column[~np.isnan(column)]
@@ -231,17 +248,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                             summaries=summaries)
 
 
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Run the Monte Carlo comparison described by ``config``.
+
+    The known-margin estimators threshold the raw data at the exact Frechet
+    quantile of ``u_quantile`` (the margins of a row-normalized max-linear
+    model are standard Frechet, so no re-standardization is needed); the
+    rank-based estimators use the top ``k`` order statistics.  Theoretical
+    standard deviations divide the population asymptotic variances by the
+    effective number of exceedances: ``n * (1 - u_quantile)`` for the
+    known-margin pair and ``k`` for the rank-based pair.
+    """
+    return _run([config])[0]
+
+
 def table_experiments(reps: int = 5000, seed: int = 1, n: int = 1000,
                       k: int = 50, u_quantile: float = 0.95) -> dict[str, ExperimentReport]:
-    """The three benchmark scenarios at the standard settings, keyed scenario_1..3."""
-    reports = {}
-    for idx, (p, q) in enumerate(TABLE_SCENARIOS):
-        config = ExperimentConfig(
-            model=make_scenario(p, q), n=n, k=k, reps=reps,
-            seed=derive_seed(seed, idx), u_quantile=u_quantile,
-        )
-        reports[f"scenario_{idx + 1}"] = run_experiment(config)
-    return reports
+    """The three benchmark scenarios at the standard settings, keyed scenario_1..3.
+
+    The three experiments share one set of workers, as one :func:`run_experiment`
+    call would.
+    """
+    configs = [ExperimentConfig(model=make_scenario(p, q), n=n, k=k, reps=reps,
+                                seed=derive_seed(seed, idx), u_quantile=u_quantile)
+               for idx, (p, q) in enumerate(TABLE_SCENARIOS)]
+    return {f"scenario_{idx + 1}": report for idx, report in enumerate(_run(configs))}
 
 
 def variance_grid(step: float = 0.05) -> list[tuple]:

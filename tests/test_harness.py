@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,90 @@ def test_parallel_blocks_match_serial(monkeypatch):
     serial = run_experiment(small_config())
     monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
     assert run_experiment(small_config()).to_dict() == serial.to_dict()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's worker count, maps in-process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        RecordingPool.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool.made
+
+
+def test_workers_never_outnumber_blocks(monkeypatch, pools):
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
+    run_experiment(small_config(reps=2))  # one block: no pool
+    assert pools == []
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "8")
+    run_experiment(small_config(reps=31))  # two blocks
+    assert pools == [2]
+    # 0 counts the CPUs this process may run on, not every CPU of the host
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "0")
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    run_experiment(small_config(reps=8))
+    run_experiment(small_config(reps=95))
+    run_experiment(small_config(reps=150))
+    assert pools == [2, 3, 3]
+
+
+def test_table_maps_every_scenario_through_one_pool(monkeypatch, pools):
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
+    table_experiments(reps=35, seed=2)
+    assert pools == [2]
+
+
+def test_parallel_table_matches_serial(monkeypatch):
+    serial = table_experiments(reps=35, seed=2)  # two blocks per scenario
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
+    parallel = table_experiments(reps=35, seed=2)
+    assert multiprocessing.active_children() == []
+    assert {key: r.to_dict() for key, r in parallel.items()} == \
+        {key: r.to_dict() for key, r in serial.items()}
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "-1", ""])
+def test_threads_setting_must_be_a_non_negative_integer(monkeypatch, raw):
+    monkeypatch.setenv("TAILMOMENTS_THREADS", raw)
+    with pytest.raises(ValueError, match="TAILMOMENTS_THREADS must be a non-negative integer"):
+        run_experiment(small_config(reps=1))
+
+
+def test_blocks_hold_at_most_the_draw_budget(monkeypatch):
+    config = small_config(reps=10)  # n=400, four factors: 1600 draws per replication
+    monkeypatch.setattr(harness, "BLOCK", 1)
+    single = run_experiment(config).to_dict()
+    monkeypatch.setattr(harness, "BLOCK", 30)
+    monkeypatch.setattr(harness, "BLOCK_DRAWS", 3 * 1600 + 1599)
+    sizes = []
+    block_estimates = harness._block_estimates
+    monkeypatch.setattr(harness, "_block_estimates",
+                        lambda seeds, *rest: sizes.append(len(seeds)) or
+                        block_estimates(seeds, *rest))
+    assert run_experiment(config).to_dict() == single
+    assert sizes == [3, 3, 3, 1]
+    # a replication larger than the budget still runs, one per block
+    monkeypatch.setattr(harness, "BLOCK_DRAWS", 100)
+    sizes.clear()
+    assert run_experiment(config).to_dict() == single
+    assert sizes == [1] * 10
 
 
 def test_experiment_bias_shrinks_toward_the_target():
