@@ -47,10 +47,9 @@ from .oracle import (
     perturbed_moment,
 )
 from .samples import KnownSample, RankSample
-from .variance import minimize_quadratic_on_simplex
 from .weights import (
-    rank_variance_form,
-    second_moment_matrix_known,
+    optimal_known_ratios,
+    optimal_rank_ratios,
     tau_moment_known,
     tau_moment_ranks,
 )
@@ -115,6 +114,14 @@ def _cmd_estimate(args, parser) -> int:
         parser.error(f"--method {method} uses ranks; drop --known-margins")
     if args.weights and args.optimal:
         parser.error("--weights and --optimal are mutually exclusive")
+    # a flag the method would not read is a usage error, not silently dropped
+    if (args.weights is not None or args.optimal) and method not in {"bk", "moment"}:
+        parser.error("--weights and --optimal apply only to --method bk and moment")
+    if args.p is not None and method != "moment":
+        parser.error("--p applies only to --method moment")
+    if args.eps is not None and method not in {"bu", "mu"} and not (
+            method == "moment" and args.optimal and not args.known_margins):
+        parser.error("--eps applies only to --method bu, mu and rank-based moment --optimal")
 
     # one tail sample per command, read by every call below
     if args.known_margins:
@@ -130,9 +137,9 @@ def _cmd_estimate(args, parser) -> int:
         if args.weights:
             return _embed_weights(_parse_floats(args.weights), index_set, d)
         if args.optimal:
-            form = (second_moment_matrix_known(sample, u, index_set) if args.known_margins
-                    else rank_variance_form(sample, k, index_set, eps=args.eps))
-            return minimize_quadratic_on_simplex(form, d=d)[0]
+            w = (optimal_known_ratios(sample) if args.known_margins
+                 else optimal_rank_ratios(sample, args.eps)).weights
+            return WeightVector(embed(w, index_set, d), index_set)
         return uniform_weights(index_set, d)
 
     if method == "bk":
@@ -140,10 +147,11 @@ def _cmd_estimate(args, parser) -> int:
     elif method == "mk":
         report = tau_moment_known(sample, u, index_set)
     elif method == "moment":
+        p = 1 if args.p is None else args.p
         if args.known_margins:
-            report = moment_ratio_known(sample, u, pick_weights(), p=args.p)
+            report = moment_ratio_known(sample, u, pick_weights(), p=p)
         else:
-            report = moment_ratio_ranks(sample, k, pick_weights(), p=args.p)
+            report = moment_ratio_ranks(sample, k, pick_weights(), p=p)
     elif method == "hill":
         report = hill_inverse_alpha(sample, k, index_set)
     elif method == "bu":
@@ -265,12 +273,14 @@ def _build_parser() -> argparse.ArgumentParser:
                           "threshold (default 0.95)")
     est.add_argument("--k", type=int, help="order-statistic level for rank methods "
                                            "(default n/20)")
-    est.add_argument("--weights", help="comma-separated weights on the index set")
+    est.add_argument("--weights", help="comma-separated weights on the index set, "
+                                       "for --method bk or moment")
     est.add_argument("--optimal", action="store_true",
-                     help="use variance-minimizing weights for --method moment")
-    est.add_argument("--p", type=int, default=1, help="moment power (default 1)")
+                     help="use variance-minimizing weights for --method bk or moment")
+    est.add_argument("--p", type=int, help="moment power for --method moment (default 1)")
     est.add_argument("--eps", type=float,
-                     help="difference-quotient step (default k/n where needed)")
+                     help="difference-quotient step for --method bu, mu and rank-based "
+                          "moment --optimal (default k/n where needed)")
     est.add_argument("--method", default="moment",
                      choices=sorted(_KNOWN_METHODS | _RANK_METHODS | {"moment"}),
                      help="estimator (default: moment ratio at the given weights)")

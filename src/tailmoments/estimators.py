@@ -146,7 +146,6 @@ def moment_ratio_ranks(data, k: int, v: WeightVector, p: int = 1,
     p = _check_power(p)
     index_set = v.support
     sample = rank_sample(data, k, index_set, inv_alpha_hat)
-    sample.require_exceedances()
     estimate, _ = moment_ratios(sample, restrict(v, index_set, sample.d), p)
     return EstimateReport(
         estimate=estimate,

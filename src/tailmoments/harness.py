@@ -196,11 +196,12 @@ def _run(configs: list[ExperimentConfig]) -> list[ExperimentReport]:
     Blocks are listed config by config and come back in that order, so each
     config's rows are consecutive and in seed order.
     """
-    tasks, bounds = [], [0]
+    tasks, bounds, thresholds = [], [0], []
     for config in configs:
         seeds = derive_seed(config.seed, range(config.reps))
         size = min(BLOCK, max(1, BLOCK_DRAWS // (config.n * config.model.factors)))
         u = -1.0 / np.log(config.u_quantile)
+        thresholds.append(u)
         tasks += [(seeds[start:start + size], config.model, config.n, config.k, u)
                   for start in range(0, config.reps, size)]
         bounds.append(len(tasks))
@@ -211,15 +212,15 @@ def _run(configs: list[ExperimentConfig]) -> list[ExperimentReport]:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_block_estimates, *columns))
-    return [_report(config, np.concatenate(results[lo:hi]))
-            for config, lo, hi in zip(configs, bounds[:-1], bounds[1:])]
+    return [_report(config, u, np.concatenate(results[lo:hi]))
+            for config, u, lo, hi in zip(configs, thresholds, bounds[:-1], bounds[1:])]
 
 
-def _report(config: ExperimentConfig, estimates: np.ndarray) -> ExperimentReport:
-    """Summaries of a config's (reps, 4) estimates against the oracle's targets."""
+def _report(config: ExperimentConfig, u: float, estimates: np.ndarray) -> ExperimentReport:
+    """Summaries of a config's (reps, 4) estimates at threshold ``u`` against the oracle's
+    targets."""
     model = config.model
     av = asymptotic_variances(model_spectral_measure(model), IndexSet(range(1, model.d + 1)))
-    u = -1.0 / np.log(config.u_quantile)
     inv_tau = 1.0 / av.tau
     marginal_pairs = config.n * (1.0 - config.u_quantile)
     theo = {

@@ -6,8 +6,8 @@ pairwise coefficients, the spectral second moments and the scale and power
 derivatives.  The empirical estimators (``estimators``, ``weights``) estimate
 these from a rank sample and the oracle evaluates them exactly on a discrete
 spectral measure; both assemble them here.  The optimal weights minimize a
-quadratic form over the unit simplex, which :func:`minimize_quadratic_on_simplex`
-solves for every form in the package.
+quadratic form over the unit simplex, which :func:`simplex_minimizers` solves
+for every form in the package, a stack of them at a time.
 """
 
 from __future__ import annotations
@@ -147,77 +147,74 @@ def _descend(a: np.ndarray, w: np.ndarray, scale: float) -> list[np.ndarray]:
     return [end] if w is end else [end, w]
 
 
-def _minimize(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """The simplex minimizer of v'Av and its value for one matrix of m != 2 components."""
-    m = a.shape[0]
-    scale = 1.0 + float(np.max(np.abs(a)))
-    value_tol = 1e-12 * scale
+def _pick(candidates: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate the tie rule takes from each (..., C, m) table of a (..., m, m) stack, and
+    its value.
 
-    vertices = [np.eye(m)[i] for i in range(m)]
-    # the form on the sum-zero directions is semidefinite iff convex on the simplex
-    if m > 2 and np.linalg.eigvalsh(
-            a - a.mean(axis=0) - a.mean(axis=1)[:, None] + a.mean())[0] >= -value_tol:
-        starts = [vertices[int(np.argmin(np.diag(a)))]]
-    else:  # the stationary point on every edge that curves upwards, without a solve
-        starts = []
-        for i, j in itertools.combinations(range(m), 2):
-            curvature = a[i, i] + a[j, j] - 2.0 * a[i, j]
-            if curvature > 0.0 and 0.0 <= (t := (a[j, j] - a[i, j]) / curvature) <= 1.0:
-                starts.append(t * vertices[i] + (1.0 - t) * vertices[j])
-    candidates = [np.full(m, 1.0 / m)] + vertices
-    for start in starts:
-        candidates += _descend(a, start, scale)
-
-    best_w, best_value, best_norm = None, np.inf, np.inf
-    for w in candidates:
-        value, norm = float(w @ a @ w), float(np.linalg.norm(w))
-        if value < best_value - value_tol or (value <= best_value + value_tol
-                                              and norm < best_norm - 1e-12):
-            best_w, best_value, best_norm = w, value, norm
-    return best_w, best_value
+    The lowest value wins, up to ``1e-12 * (1 + max|A|)``; within that, a norm
+    smaller by more than 1e-12; then the earlier candidate.  A NaN row after the first (no
+    candidate) is never taken.
+    """
+    tol = 1e-12 * (1.0 + np.max(np.abs(a), axis=(-2, -1)))
+    rows, columns = candidates[..., :, None, :], candidates[..., :, :, None]
+    values = (rows @ a[..., None, :, :] @ columns)[..., 0, 0]
+    norms = np.sqrt(rows @ columns)[..., 0, 0]
+    best = np.zeros(values.shape[:-1], dtype=int)
+    best_value, best_norm = values[..., 0], norms[..., 0]
+    for c in range(1, values.shape[-1]):
+        value, norm = values[..., c], norms[..., c]
+        take = (value < best_value - tol) | ((value <= best_value + tol)
+                                             & (norm < best_norm - 1e-12))
+        best = np.where(take, c, best)
+        best_value, best_norm = np.where(take, value, best_value), np.where(take, norm, best_norm)
+    return np.take_along_axis(candidates, best[..., None, None], axis=-2)[..., 0, :], best_value
 
 
 def simplex_minimizers(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (..., m) simplex minimizers of v'Av and their (...) values for a (..., m, m) stack.
 
-    At m = 2 the candidates of :func:`minimize_quadratic_on_simplex` (the
-    barycenter, the edge's stationary point where the edge curves upwards,
-    the two vertices) and its tie rule run over the whole stack at once;
-    other sizes take one solve per matrix.  A matrix holding NaN (an
-    excluded replication) gets NaN weights and value.
+    :func:`_pick` takes them from one candidate table for the whole stack:
+    the barycenter, the end points of the active-set descents, the
+    stationary point of every edge that curves upwards (in closed form) and
+    the vertices.  Two components need no descent.  From three on, one
+    eigenvalue test finds the forms convex on the simplex; each descends from
+    its lowest vertex, every other form from each of its edge points.  A
+    matrix holding NaN (an excluded replication) gets NaN weights and value.
     """
     a = np.asarray(matrices, dtype=float)
     lead, m = a.shape[:-2], a.shape[-1]
     excluded = np.isnan(a).any(axis=(-2, -1))  # a replication without a form
-    if m != 2:
-        best_w, best_value = np.full(lead + (m,), np.nan), np.full(lead, np.nan)
-        for i in np.ndindex(lead):
-            if not excluded[i]:
-                best_w[i], best_value[i] = _minimize(a[i])
-        return best_w, best_value
-    curvature = a[..., 0, 0] + a[..., 1, 1] - 2.0 * a[..., 0, 1]
+    i, j = np.triu_indices(m, 1)
+    curvature = a[..., i, i] + a[..., j, j] - 2.0 * a[..., i, j]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (a[..., 1, 1] - a[..., 0, 1]) / curvature
+        t = (a[..., j, j] - a[..., i, j]) / curvature
     on_edge = (curvature > 0.0) & (0.0 <= t) & (t <= 1.0)
-    t = np.where(on_edge, t, 0.0)
-    # the barycenter, the edge point [t, 1 - t] = t e1 + (1 - t) e2, and the vertices e1, e2
-    candidates = np.zeros(lead + (4, 2))
-    candidates[..., 0, :] = 0.5
-    candidates[..., 1, 0], candidates[..., 1, 1] = t, 1.0 - t
-    candidates[..., 2, 0] = candidates[..., 3, 1] = 1.0
-    rows, columns = candidates[..., :, None, :], candidates[..., :, :, None]
-    values = (rows @ a[..., None, :, :] @ columns)[..., 0, 0]  # the bits of w @ a @ w
-    norms = np.sqrt(rows @ columns)[..., 0, 0]
-    value_tol = 1e-12 * (1.0 + np.max(np.abs(a), axis=(-2, -1)))
-    # the barycenter is taken first; a later candidate wins only by the tie rule
-    best, best_value, best_norm = 0, values[..., 0], norms[..., 0]
-    for c, allowed in ((1, on_edge), (2, True), (3, True)):
-        value, norm = values[..., c], norms[..., c]
-        take = allowed & ((value < best_value - value_tol)
-                          | ((value <= best_value + value_tol) & (norm < best_norm - 1e-12)))
-        best = np.where(take, c, best)
-        best_value, best_norm = np.where(take, value, best_value), np.where(take, norm, best_norm)
-    best_w = np.take_along_axis(candidates, best[..., None, None], axis=-2)[..., 0, :]
+    t = np.where(on_edge, t, np.nan)  # a NaN candidate stands for none
+    edges, e = np.zeros(lead + (i.size, m)), np.arange(i.size)
+    edges[..., e, i], edges[..., e, j] = t, 1.0 - t  # t e_i + (1 - t) e_j on edge (i, j)
+    found = {}
+    if m > 2:
+        # the form on the sum-zero directions is semidefinite iff convex on the simplex
+        b = np.where(excluded[..., None, None], 0.0, a)
+        centered = (b - b.mean(axis=-2, keepdims=True) - b.mean(axis=-1, keepdims=True)
+                    + b.mean(axis=(-2, -1), keepdims=True))
+        scale = 1.0 + np.max(np.abs(b), axis=(-2, -1))
+        convex = np.linalg.eigvalsh(centered)[..., 0] >= -1e-12 * scale
+        for r in np.ndindex(lead):
+            if not excluded[r]:
+                starts = ([np.eye(m)[int(np.argmin(np.diag(a[r])))]] if convex[r]
+                          else edges[r][on_edge[r]])
+                found[r] = np.reshape([end for start in starts
+                                       for end in _descend(a[r], start, scale[r])], (-1, m))
+    # the order settles ties: a descent's end before the edge point it starts from, an
+    # edge point before the vertex it rounds to
+    count = max(map(len, found.values()), default=0)
+    table = np.full(lead + (1 + count + i.size + m, m), np.nan)
+    table[..., 0, :] = 1.0 / m
+    for r, found_r in found.items():
+        table[r][1:1 + len(found_r)] = found_r
+    table[..., 1 + count:-m, :], table[..., -m:, :] = edges, np.eye(m)
+    best_w, best_value = _pick(table, a)
     best_w[excluded], best_value[excluded] = np.nan, np.nan
     return best_w, best_value
 
@@ -226,10 +223,11 @@ def minimize_quadratic_on_simplex(form: QuadraticForm, d: int | None = None
                                   ) -> tuple[WeightVector, float]:
     """Minimize v'Av over simplex weights supported on the form's index set.
 
-    The candidates are the barycenter, the vertices and, for two components,
-    the segment's stationary point in closed form; from three on, the end
-    points of active-set descents, at polynomial cost.  A form convex on the
-    simplex takes one descent, from the lowest vertex, to its global minimum.
+    The candidates are, in this order, the barycenter, the end points of
+    active-set descents (from three components on, at polynomial cost), the
+    stationary point of every edge in closed form, and the vertices; two
+    components need no descent.  A form convex on the simplex takes one
+    descent, from the lowest vertex, to its global minimum.
     Otherwise (an NP-hard problem) a descent starts from the stationary point
     of every edge that curves upwards, and the best KKT point they reach need
     not be global.  Value ties go to the smaller norm, then the earlier

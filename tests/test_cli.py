@@ -150,6 +150,49 @@ def test_estimate_weights_conflict_with_optimal(capsys, sample_csv):
     assert err.value.code == 2
 
 
+UNREAD_FLAGS = {
+    "mu-weights": ["--method", "mu", "--weights", "0.9,0.1"],
+    "mu-p": ["--method", "mu", "--p", "3"],
+    "hill-optimal": ["--method", "hill", "--optimal"],
+    "bu-weights": ["--method", "bu", "--weights", "0.5,0.5"],
+    "mk-optimal": ["--known-margins", "--method", "mk", "--optimal"],
+    "bk-p": ["--known-margins", "--method", "bk", "--p", "2"],
+    "hill-eps": ["--method", "hill", "--eps", "0.05"],
+    "mk-eps": ["--known-margins", "--method", "mk", "--eps", "0.05"],
+    "moment-eps": ["--method", "moment", "--eps", "0.05"],
+    "known-moment-optimal-eps": ["--known-margins", "--method", "moment", "--optimal",
+                                 "--eps", "0.05"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_FLAGS))
+def test_estimate_rejects_a_flag_the_method_does_not_read(capsys, sample_csv, name):
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--input", sample_csv, "--index-set", "1,2", *UNREAD_FLAGS[name]])
+    assert err.value.code == 2
+    assert "only to --method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("known", [True, False])
+def test_estimate_optimal_weights_are_those_of_the_variance_form(capsys, sample_csv, known):
+    # the CLI reads the optimal-ratio functions; the form and the QP give the same report
+    x = read_matrix_csv(sample_csv)
+    pair = tm.IndexSet([1, 2])
+    if known:
+        u = float(np.quantile(tm.partial_max(x, pair), 0.95))
+        best = tm.minimize_quadratic_on_simplex(tm.second_moment_matrix_known(x, u, pair))[0]
+        expected = tm.moment_ratio_known(x, u, best, p=2)
+    else:
+        form = tm.rank_variance_form(x, 20, pair, eps=0.1)
+        best = tm.minimize_quadratic_on_simplex(form)[0]
+        expected = tm.moment_ratio_ranks(x, 20, best, p=2)
+    flags = (["--known-margins"] if known else ["--k", "20", "--eps", "0.1"])
+    code, out, _ = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
+                       "--method", "moment", "--optimal", "--p", "2", *flags)
+    assert code == 0
+    assert out == json.dumps(expected.to_dict(), indent=2) + "\n"
+
+
 ONE_SAMPLE_COMMANDS = {
     "bk": ["--known-margins", "--method", "bk"],
     "mk": ["--known-margins", "--method", "mk"],
@@ -159,6 +202,12 @@ ONE_SAMPLE_COMMANDS = {
     "mu": ["--method", "mu"],
     "moment-optimal": ["--method", "moment", "--optimal"],
     "moment-weights": ["--method", "moment", "--weights", "0.3,0.7"],
+    # each flag its method reads
+    "bk-optimal": ["--known-margins", "--method", "bk", "--optimal"],
+    "mu-eps": ["--method", "mu", "--eps", "0.05"],
+    "moment-optimal-eps-p": ["--method", "moment", "--optimal", "--eps", "0.05", "--p", "2"],
+    "moment-known-weights-p": ["--known-margins", "--method", "moment", "--weights", "0.2,0.8",
+                               "--p", "2"],
 }
 
 

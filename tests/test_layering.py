@@ -43,6 +43,22 @@ def test_modules_are_layered():
     TopologicalSorter({module: set(imports) for module, imports in graph.items()}).prepare()
 
 
+QP_NAMES = {"simplex_minimizers", "minimize_quadratic_on_simplex"}
+
+
+def _reads_the_qp(path: Path) -> bool:
+    """Whether a module imports a simplex QP name or reads one as an attribute."""
+    tree = ast.parse(path.read_text())
+    return any(set(names) & QP_NAMES for names in _package_imports(path).values()) or any(
+        isinstance(node, ast.Attribute) and node.attr in QP_NAMES for node in ast.walk(tree))
+
+
+def test_only_the_optimal_weights_read_the_simplex_qp():
+    # the CLI and the harness take optimal weights from weights and oracle, never from the QP
+    readers = {path.stem for path in sorted(PACKAGE.glob("*.py")) if _reads_the_qp(path)}
+    assert readers == {"weights", "oracle", "__init__"}
+
+
 def _writes_through_zero_based(tree: ast.AST) -> list[int]:
     """Lines that assign into a subscript indexed by a ``.zero_based()`` call."""
     def indexes_by_zero_based(target) -> bool:

@@ -600,3 +600,34 @@ def test_a_convex_form_takes_one_descent_and_an_indefinite_one_starts_at_every_e
     a = np.asarray(EDGE_MINIMUM_FORMS[1])
     _solve(a)
     assert len(starts) == len(_edge_points(a)) > 0
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_a_stack_of_forms_gives_the_bits_of_one_matrix_calls(m):
+    """Convex, indefinite and flat forms in one stack; a NaN form leaves its neighbours alone."""
+    rng = np.random.default_rng(120 + m)
+    g, b = rng.normal(size=(6, m + 2, m)), rng.normal(size=(6, m, m))
+    stack = np.concatenate([np.swapaxes(g, -1, -2) @ g, b + np.swapaxes(b, -1, -2),
+                            [np.ones((m, m)), -np.eye(m)]])
+    stack[3, 0, 1] = np.nan
+    w, value = variance.simplex_minimizers(stack.reshape((2, 7, m, m)))
+    assert w.shape == (2, 7, m) and value.shape == (2, 7)
+    w, value = w.reshape(14, m), value.reshape(14)
+    assert np.isnan(w[3]).all() and np.isnan(value[3])
+    for r, a in enumerate(stack):
+        if r != 3:
+            one_w, one_value = variance.simplex_minimizers(a)
+            assert np.array_equal(w[r], one_w) and value[r] == one_value
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_qp_tie_rules(m):
+    # constant, and exchangeable convex forms: the barycenter, bit for bit (at m = 2 the
+    # edge point ties it bit for bit; the descent's end does not undercut it)
+    center = np.full(m, 1.0 / m)
+    for a in (np.full((m, m), 0.7), np.eye(m) + 0.3, 7.001 * np.eye(m) - 7.0):
+        w, value = variance.simplex_minimizers(a)
+        assert np.array_equal(w, center) and value == center @ a @ center
+    # the vertices tie below everything else: the lowest-index vertex
+    w, value = variance.simplex_minimizers(-np.eye(m))
+    assert np.array_equal(w, np.eye(m)[0]) and value == -1.0
