@@ -5,14 +5,14 @@ the benchmark and optimally weighted estimators in both margin conventions,
 and summarizes bias and spread of the reciprocal extremal coefficient
 against the exact population values from the spectral measure.  Repetitions
 are seeded individually from the experiment seed and run in blocks of at
-most :data:`BLOCK`, and of at most :data:`BLOCK_DRAWS` factor draws: one
-(block, n, d) simulation, one tail sample per margin convention and one
-pass of each estimator per block.  A repetition's estimates are the same
-bits in any block, so results do not depend on the blocking or on execution
-order.  With ``TAILMOMENTS_THREADS`` set, one process pool per call maps
-the blocks of every experiment in it (the three scenarios of
-:func:`table_experiments` share one), with no more workers than blocks, and
-closes before the call returns.
+most :data:`BLOCK`, whose (block, n, d) data hold at most
+:data:`BLOCK_VALUES` values: one simulation, one tail sample per margin
+convention and one pass of each estimator per block.  A repetition's
+estimates are the same bits in any block, so results do not depend on the
+blocking or on execution order.  With ``TAILMOMENTS_THREADS`` set, one
+process pool per call maps the blocks of every experiment in it (the three
+scenarios of :func:`table_experiments` share one), with no more workers
+than blocks, and closes before the call returns.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ GRID_HEADER = ("p", "q", "sd_bk", "sd_mk", "sd_bu", "sd_mu", "v1_star", "v1_tild
 REPORT_CSV_HEADER = ("method", "bias", "emp_std", "theo_std", "excluded")
 
 #: repetitions simulated and estimated together; larger blocks pass fewer Python
-#: calls per repetition but build larger temporaries, which slowed them down
-BLOCK = 30
+#: calls per repetition but build larger temporaries
+BLOCK = 100
 
-#: factor draws one block may hold, so its temporaries stay bounded at large n:
-#: a block takes min(BLOCK, BLOCK_DRAWS // (n * factors)) replications, at least one
-BLOCK_DRAWS = 2 ** 22
+#: values the data of one block may hold, so its temporaries stay bounded at large n:
+#: a block takes min(BLOCK, BLOCK_VALUES // (n * d)) replications, at least one
+BLOCK_VALUES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def _run(configs: list[ExperimentConfig]) -> list[ExperimentReport]:
     tasks, bounds, thresholds = [], [0], []
     for config in configs:
         seeds = derive_seed(config.seed, range(config.reps))
-        size = min(BLOCK, max(1, BLOCK_DRAWS // (config.n * config.model.factors)))
+        size = min(BLOCK, max(1, BLOCK_VALUES // (config.n * config.model.d)))
         u = -1.0 / np.log(config.u_quantile)
         thresholds.append(u)
         tasks += [(seeds[start:start + size], config.model, config.n, config.k, u)

@@ -8,7 +8,9 @@ family ideal for validating estimators against exact population values.
 
 Simulation is counter-based: every uniform is a pure function of the seed
 and the (row, factor) position, so results are independent of execution
-order and chunking, and bitwise reproducible across runs.
+order and chunking, and bitwise reproducible across runs.  :func:`simulate`
+therefore draws in cache-sized pieces of at most :data:`CHUNK_DRAWS`
+factor draws, and folds each piece into its preallocated output.
 """
 
 from __future__ import annotations
@@ -25,14 +27,23 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
+#: factor draws :func:`simulate` makes at a time, so that its pieces stay in cache
+CHUNK_DRAWS = 2 ** 15
 
-def _splitmix(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, vectorized over uint64 arrays; an array is mixed in place."""
-    z ^= z >> np.uint64(30)
-    z *= _MIX1
-    z ^= z >> np.uint64(27)
-    z *= _MIX2
-    z ^= z >> np.uint64(31)
+
+def _splitmix(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """The splitmix64 finalizer, vectorized over uint64 arrays; an array is mixed in place.
+
+    The shifted copies go to ``scratch``, a uint64 array (or a same-sized view of
+    one) of ``z``'s shape, or to one temporary when there is none.
+    """
+    if scratch is None:
+        scratch = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        if mix is not None:
+            z *= mix
     return z
 
 
@@ -45,6 +56,28 @@ def _seed_states(seed) -> np.ndarray:
     return states[0] if one else states
 
 
+def _keys(counters) -> np.ndarray:
+    """``(counter + 1) * golden``, the step each counter adds to a seed's state."""
+    with np.errstate(over="ignore"):
+        return (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+
+
+def _uniforms(states, keys: np.ndarray, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The uniforms of seed ``states`` at counter ``keys``, written to ``out`` and returned.
+
+    ``bits`` (uint64) and ``out`` (float64) have shape ``states.shape +
+    keys.shape``; ``out`` is the mixer's scratch before it takes the result.
+    """
+    states = np.reshape(states, np.shape(states) + (1,) * keys.ndim)
+    with np.errstate(over="ignore"):
+        np.add(states, keys, out=bits)
+    _splitmix(bits, out.view(np.uint64))
+    bits >>= np.uint64(11)
+    np.multiply(bits, 2.0 ** -53, out=out)
+    out += 2.0 ** -54
+    return out
+
+
 def uniform_open(seed, counters: np.ndarray) -> np.ndarray:
     """Uniforms in the open interval (0, 1), one per counter value.
 
@@ -53,15 +86,9 @@ def uniform_open(seed, counters: np.ndarray) -> np.ndarray:
     are always finite.  A sequence of R seeds gives R such arrays along a
     leading axis, each the same bits as its seed's own call.
     """
-    counters = np.asarray(counters, dtype=np.uint64)
-    states = _seed_states(seed)
-    states = np.reshape(states, np.shape(states) + (1,) * counters.ndim)
-    with np.errstate(over="ignore"):
-        bits = _splitmix(states + (counters + np.uint64(1)) * _GOLDEN)
-    bits >>= np.uint64(11)
-    out = np.multiply(bits, 2.0 ** -53)
-    out += 2.0 ** -54
-    return out
+    states, keys = _seed_states(seed), _keys(counters)
+    shape = np.shape(states) + keys.shape
+    return _uniforms(states, keys, np.empty(shape, np.uint64), np.empty(shape))
 
 
 def derive_seed(seed: int, index):
@@ -158,26 +185,40 @@ def simulate(model: MaxLinearModel, n: int, seed) -> DataMatrix:
     sub-block of rows is reproducible in isolation and identical components
     of the model yield bitwise identical data columns.  A sequence of R
     seeds gives an (R, n, d) block whose slice r is, bit for bit, the data
-    of seed r.
+    of seed r.  The draws are made in pieces of at most :data:`CHUNK_DRAWS`
+    (or one row, if that is more): whole replications while they fit, else
+    row ranges of one.
     """
     n = check_integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
-    m = model.factors
-    # factor by factor, so that each factor's n draws lie together
-    counters = np.arange(n * m, dtype=np.uint64).reshape(n, m).T.copy()
-    z = uniform_open(seed, counters)
-    np.log(z, out=z)
-    np.divide(-1.0, z, out=z)  # standard Frechet factors
-    # each component folds in one factor at a time: no (n, d, m) temporary,
-    # and the same maximum bitwise, since a maximum does not depend on order
-    columns = []
-    for row in model.coeffs:
-        column = z[..., 0, :] * row[0]
-        for i in range(1, m):
-            np.maximum(column, z[..., i, :] * row[i], out=column)
-        columns.append(column)
-    return DataMatrix(np.stack(columns, axis=-1))
+    states, m = np.reshape(_seed_states(seed), -1), model.factors
+    rows = min(n, max(1, CHUNK_DRAWS // m))
+    per = max(1, CHUNK_DRAWS // (rows * m))  # replications per piece
+    out = np.empty((states.size, n, model.d))
+    bits, z, term = np.empty(per * m * rows, np.uint64), np.empty(per * m * rows), \
+        np.empty(per * rows)
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        # factor by factor, so that each factor's draws for these rows lie together
+        keys = _keys(np.arange(lo * m, hi * m, dtype=np.uint64).reshape(hi - lo, m).T.copy())
+        for first in range(0, states.size, per):
+            last = min(states.size, first + per)
+            r, size = last - first, (last - first) * m * (hi - lo)
+            piece = _uniforms(states[first:last], keys, bits[:size].reshape(r, m, hi - lo),
+                              z[:size].reshape(r, m, hi - lo))
+            np.log(piece, out=piece)
+            np.divide(-1.0, piece, out=piece)  # standard Frechet factors
+            # each component folds in one factor at a time; the same maximum bitwise,
+            # since a maximum does not depend on order
+            scaled = term[:r * (hi - lo)].reshape(r, hi - lo)
+            for j, row in enumerate(model.coeffs):
+                column = out[first:last, lo:hi, j]
+                np.multiply(piece[:, 0, :], row[0], out=column)
+                for i in range(1, m):
+                    np.multiply(piece[:, i, :], row[i], out=scaled)
+                    np.maximum(column, scaled, out=column)
+    return DataMatrix(out if np.ndim(seed) else out[0])
 
 
 def frechet_sample(n: int, alpha: float, seed: int) -> np.ndarray:

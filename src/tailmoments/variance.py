@@ -12,6 +12,7 @@ for every form in the package, a stack of them at a time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -153,21 +154,37 @@ def _pick(candidates: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     The lowest value wins, up to ``1e-12 * (1 + max|A|)``; within that, a norm
     smaller by more than 1e-12; then the earlier candidate.  A NaN row after the first (no
-    candidate) is never taken.
+    candidate) is never taken, so the rule only folds over the rows that hold a candidate
+    somewhere in the stack.
     """
     tol = 1e-12 * (1.0 + np.max(np.abs(a), axis=(-2, -1)))
-    rows, columns = candidates[..., :, None, :], candidates[..., :, :, None]
+    filled = ~np.isnan(candidates).all(axis=-1)  # (..., C): the rows that hold a candidate
+    filled = filled.reshape(-1, filled.shape[-1]).any(axis=0)
+    filled[0] = True  # the rule starts from the first row, also in an empty stack
+    live = np.flatnonzero(filled)
+    rows = candidates[..., live, None, :]
+    columns = np.swapaxes(rows, -2, -1)
     values = (rows @ a[..., None, :, :] @ columns)[..., 0, 0]
     norms = np.sqrt(rows @ columns)[..., 0, 0]
     best = np.zeros(values.shape[:-1], dtype=int)
     best_value, best_norm = values[..., 0], norms[..., 0]
-    for c in range(1, values.shape[-1]):
+    for c in range(1, live.size):
         value, norm = values[..., c], norms[..., c]
         take = (value < best_value - tol) | ((value <= best_value + tol)
                                              & (norm < best_norm - 1e-12))
         best = np.where(take, c, best)
         best_value, best_norm = np.where(take, value, best_value), np.where(take, norm, best_norm)
-    return np.take_along_axis(candidates, best[..., None, None], axis=-2)[..., 0, :], best_value
+    return np.take_along_axis(candidates, live[best][..., None, None], axis=-2)[..., 0, :], \
+        best_value
+
+
+@functools.cache
+def _edges(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j) index pairs of the simplex's edges, i < j, as read-only arrays."""
+    pairs = np.triu_indices(m, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def simplex_minimizers(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +201,7 @@ def simplex_minimizers(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(matrices, dtype=float)
     lead, m = a.shape[:-2], a.shape[-1]
     excluded = np.isnan(a).any(axis=(-2, -1))  # a replication without a form
-    i, j = np.triu_indices(m, 1)
+    i, j = _edges(m)
     curvature = a[..., i, i] + a[..., j, j] - 2.0 * a[..., i, j]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (a[..., j, j] - a[..., i, j]) / curvature

@@ -151,19 +151,21 @@ def pools(monkeypatch):
 
 
 def test_workers_never_outnumber_blocks(monkeypatch, pools):
+    block = harness.BLOCK  # n=400 at d=2 is far inside the value budget
+    assert block >= 8 and block * 400 * 2 <= harness.BLOCK_VALUES
     monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
     run_experiment(small_config(reps=2))  # one block: no pool
     assert pools == []
     monkeypatch.setenv("TAILMOMENTS_THREADS", "8")
-    run_experiment(small_config(reps=31))  # two blocks
+    run_experiment(small_config(reps=block + 1))  # two blocks
     assert pools == [2]
     # 0 counts the CPUs this process may run on, not every CPU of the host
     monkeypatch.setenv("TAILMOMENTS_THREADS", "0")
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
-    run_experiment(small_config(reps=8))
-    run_experiment(small_config(reps=95))
-    run_experiment(small_config(reps=150))
+    run_experiment(small_config(reps=8))  # one block
+    run_experiment(small_config(reps=3 * block + 5))  # four blocks
+    run_experiment(small_config(reps=5 * block))  # five blocks
     assert pools == [2, 3, 3]
 
 
@@ -174,9 +176,11 @@ def test_table_maps_every_scenario_through_one_pool(monkeypatch, pools):
 
 
 def test_parallel_table_matches_serial(monkeypatch):
-    serial = table_experiments(reps=35, seed=2)  # two blocks per scenario
+    reps = harness.BLOCK + 5  # two blocks per scenario at n=1000
+    assert harness.BLOCK * 1000 * 2 <= harness.BLOCK_VALUES
+    serial = table_experiments(reps=reps, seed=2)
     monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
-    parallel = table_experiments(reps=35, seed=2)
+    parallel = table_experiments(reps=reps, seed=2)
     assert multiprocessing.active_children() == []
     assert {key: r.to_dict() for key, r in parallel.items()} == \
         {key: r.to_dict() for key, r in serial.items()}
@@ -189,24 +193,44 @@ def test_threads_setting_must_be_a_non_negative_integer(monkeypatch, raw):
         run_experiment(small_config(reps=1))
 
 
-def test_blocks_hold_at_most_the_draw_budget(monkeypatch):
-    config = small_config(reps=10)  # n=400, four factors: 1600 draws per replication
-    monkeypatch.setattr(harness, "BLOCK", 1)
-    single = run_experiment(config).to_dict()
-    monkeypatch.setattr(harness, "BLOCK", 30)
-    monkeypatch.setattr(harness, "BLOCK_DRAWS", 3 * 1600 + 1599)
+def _recorded_block_sizes(monkeypatch, compute=True):
+    """The list that records the replications of each block from now on; without ``compute``
+    a block's estimates are ones, not computed."""
     sizes = []
     block_estimates = harness._block_estimates
-    monkeypatch.setattr(harness, "_block_estimates",
-                        lambda seeds, *rest: sizes.append(len(seeds)) or
-                        block_estimates(seeds, *rest))
+
+    def recording(seeds, *rest):
+        sizes.append(len(seeds))
+        return block_estimates(seeds, *rest) if compute else np.ones((len(seeds), 4))
+
+    monkeypatch.setattr(harness, "_block_estimates", recording)
+    return sizes
+
+
+def test_blocks_hold_at_most_the_value_budget(monkeypatch):
+    config = small_config(reps=10)  # n=400, d=2: 800 values per replication
+    block = harness.BLOCK
+    assert block >= 4
+    monkeypatch.setattr(harness, "BLOCK", 1)
+    single = run_experiment(config).to_dict()
+    monkeypatch.setattr(harness, "BLOCK", block)
+    monkeypatch.setattr(harness, "BLOCK_VALUES", 3 * 800 + 799)
+    sizes = _recorded_block_sizes(monkeypatch)
     assert run_experiment(config).to_dict() == single
     assert sizes == [3, 3, 3, 1]
     # a replication larger than the budget still runs, one per block
-    monkeypatch.setattr(harness, "BLOCK_DRAWS", 100)
+    monkeypatch.setattr(harness, "BLOCK_VALUES", 100)
     sizes.clear()
     assert run_experiment(config).to_dict() == single
     assert sizes == [1] * 10
+
+
+@pytest.mark.parametrize("n", [1000, 16000, 256000])
+def test_the_module_budget_sizes_blocks_by_their_values(monkeypatch, n):
+    sizes = _recorded_block_sizes(monkeypatch, compute=False)
+    per = min(harness.BLOCK, max(1, harness.BLOCK_VALUES // (n * 2)))
+    run_experiment(small_config(n=n, k=50, reps=2 * per + 1))
+    assert sizes == [per, per, 1]
 
 
 def test_experiment_bias_shrinks_toward_the_target():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tailmoments as tm
+from tailmoments import maxlinear
 from tailmoments.maxlinear import (
     MaxLinearModel,
     derive_seed,
@@ -149,6 +150,13 @@ def test_derive_seed_is_stable_and_spreads():
     assert derive_seed(5, 1) != derive_seed(6, 1)
 
 
+def _reference(model, n, seed):
+    """simulate's data built from one uniform_open call over all n * factors counters."""
+    counters = np.arange(n * model.factors, dtype=np.uint64).reshape(n, model.factors)
+    z = -1.0 / np.log(uniform_open(seed, counters))
+    return np.max(z[..., None, :] * model.coeffs, axis=-1)
+
+
 @pytest.mark.parametrize("d, factors", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 7)])
 def test_simulate_equals_the_broadcast_maximum(d, factors):
     rng = np.random.default_rng(100 * d + factors)
@@ -157,7 +165,83 @@ def test_simulate_equals_the_broadcast_maximum(d, factors):
         if factors > 1:
             coeffs[1:, rng.integers(factors)] = 0.0  # a factor some rows ignore
             coeffs /= coeffs.sum(axis=1, keepdims=True)
-        counters = np.arange(257 * factors, dtype=np.uint64).reshape(257, factors)
-        z = -1.0 / np.log(uniform_open(seed, counters))
-        broadcast = np.max(z[:, None, :] * coeffs[None, :, :], axis=2)
-        assert np.array_equal(simulate(MaxLinearModel(coeffs), 257, seed).values, broadcast)
+        model = MaxLinearModel(coeffs)
+        assert np.array_equal(simulate(model, 257, seed).values, _reference(model, 257, seed))
+
+
+PIECE_MODELS = {
+    "scenario": make_scenario(0.4, 0.6),
+    "d=1": MaxLinearModel([[0.3, 0.7]]),
+    "2x9": MaxLinearModel(np.vstack([np.full(9, 1.0 / 9.0),
+                                     np.r_[0.5, 0.0, np.full(7, 0.5 / 7.0)]])),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 4, 12, 64])  # None keeps the module's piece size
+@pytest.mark.parametrize("name", PIECE_MODELS)
+@pytest.mark.parametrize("n", [1, 7, 10])
+def test_simulate_in_pieces_equals_one_call_over_all_counters(monkeypatch, chunk, name, n):
+    """Pieces of 4 draws are single rows (or less) of the 2x9 model; 12 draws are row ranges
+    of 3 rows at 4 factors, with a short last range; 64 draws are whole replications."""
+    if chunk is not None:
+        monkeypatch.setattr(maxlinear, "CHUNK_DRAWS", chunk)
+    model = PIECE_MODELS[name]
+    seeds = [derive_seed(3, r) for r in range(7)]
+    block = simulate(model, n, seeds).values
+    assert block.shape == (7, n, model.d)
+    assert np.array_equal(block, _reference(model, n, seeds))
+
+
+def test_one_replication_split_into_row_ranges_with_a_short_last_range():
+    model = make_scenario(0.4, 0.6)
+    rows = maxlinear.CHUNK_DRAWS // model.factors
+    n = 2 * rows + 3  # two full row ranges and one of three rows
+    assert np.array_equal(simulate(model, n, 5).values, _reference(model, n, 5))
+    seeds = [5, 6]
+    assert np.array_equal(simulate(model, n, seeds).values, _reference(model, n, seeds))
+
+
+def test_replications_that_do_not_fill_the_last_piece():
+    model = make_scenario(0.1, 0.2)
+    n = 1000
+    per = maxlinear.CHUNK_DRAWS // (n * model.factors)
+    assert per >= 2
+    seeds = [derive_seed(8, r) for r in range(2 * per + 1)]
+    assert np.array_equal(simulate(model, n, seeds).values, _reference(model, n, seeds))
+
+
+@pytest.mark.parametrize("chunk", [None, 12])
+def test_a_scalar_seed_equals_a_one_seed_sequence(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(maxlinear, "CHUNK_DRAWS", chunk)
+    model = make_scenario(0.4, 0.6)
+    one, sequence = simulate(model, 10, 9).values, simulate(model, 10, [9]).values
+    assert one.shape == (10, 2) and sequence.shape == (1, 10, 2)
+    assert np.array_equal(one, sequence[0])
+    assert np.array_equal(one, _reference(model, 10, 9))
+
+
+def _splitmix_int(z: int) -> int:
+    """The splitmix64 finalizer on one Python integer."""
+    mask = 2 ** 64 - 1
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_uniform_open_equals_the_integer_formula():
+    golden, mask = 0x9E3779B97F4A7C15, 2 ** 64 - 1
+    for seed in (0, 5, 2 ** 64 - 1):
+        counters = [0, 1, 2 ** 40 + 3, 2 ** 64 - 2]
+        state = _splitmix_int((seed + golden) & mask)
+        expected = [(_splitmix_int((state + (c + 1) * golden) & mask) >> 11) * 2.0 ** -53
+                    + 2.0 ** -54 for c in counters]
+        assert uniform_open(seed, np.array(counters, dtype=np.uint64)).tolist() == expected
+
+
+def test_the_bits_of_known_draws_are_pinned():
+    assert [float(x).hex() for x in frechet_sample(5, 1.5, 11)] == [
+        "0x1.7818a07d431b1p+0", "0x1.a91e50807ce1ap-1", "0x1.71005cc294595p-1",
+        "0x1.7ca9aadb3311dp+1", "0x1.3d0e0c8de0238p+0"]
+    assert [float(x).hex() for x in uniform_open(2 ** 64 - 1, [0, 1, 2 ** 64 - 2])] == [
+        "0x1.77082a9eca89dp-2", "0x1.7b4acd1403ae0p-1", "0x1.6ff0d52b2dbfep-3"]

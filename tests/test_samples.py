@@ -620,6 +620,12 @@ def test_a_stack_of_forms_gives_the_bits_of_one_matrix_calls(m):
             assert np.array_equal(w[r], one_w) and value[r] == one_value
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_an_empty_stack_of_forms_gives_empty_results(m):
+    w, value = variance.simplex_minimizers(np.zeros((0, m, m)))
+    assert w.shape == (0, m) and value.shape == (0,)
+
+
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_qp_tie_rules(m):
     # constant, and exchangeable convex forms: the barycenter, bit for bit (at m = 2 the
