@@ -29,7 +29,6 @@ from .core import (
     SupportViolation,
     WeightVector,
     ZeroSum,
-    basis_weights,
     make_weight_vector,
     partial_max,
     uniform_weights,
@@ -39,7 +38,6 @@ from .estimators import (
     moment_ratio_known,
     moment_ratio_ranks,
     stable_tail_estimate,
-    stable_tail_variance,
 )
 from .harness import (
     ESTIMATOR_NAMES,
@@ -63,7 +61,6 @@ from .maxlinear import (
     make_scenario,
     model_spectral_measure,
     simulate,
-    uniform_open,
 )
 from .oracle import (
     AsymptoticVariances,
@@ -71,12 +68,10 @@ from .oracle import (
     Population,
     asymptotic_variances,
     extremal_coefficient,
-    mean_intensity,
     optimal_weights,
     perturbed_moment,
     rank_variance_matrix,
     ratio_covariance,
-    spectral_moment,
 )
 from .samples import KnownSample, RankSample, upper_order_statistics
 from .variance import minimize_quadratic_on_simplex

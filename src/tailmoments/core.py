@@ -85,6 +85,10 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """``arr`` kept if it is a read-only float64 array owning its memory, else a read-only copy."""
+    if (isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.flags.owndata
+            and not arr.flags.writeable):
+        return arr
     out = np.array(arr, dtype=float, copy=True)
     out.flags.writeable = False
     return out
@@ -284,20 +288,16 @@ def uniform_weights(support: IndexSet, d: int) -> WeightVector:
     return WeightVector(embed(np.full(support.size, 1.0 / support.size), support, d), support)
 
 
-def basis_weights(support: IndexSet, d: int, j: int) -> WeightVector:
-    """The standard basis vector 1_{j} as a weight vector (j must lie in support)."""
-    if j not in support:
-        raise ValueError(f"index {j} is not in the support {support.members}")
-    return WeightVector(embed(np.equal(support.members, j), support, d), support)
-
-
 # ---------------------------------------------------------------------------
 # perturbations of the threshold geometry
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class Perturbation:
-    """A componentwise scale factor s (supported on an index set) and a power beta."""
+    """A componentwise scale factor s (supported on an index set) and a power beta.
+
+    No perturbation is ``None`` wherever a Perturbation is read.
+    """
 
     s: np.ndarray
     beta: float
@@ -313,11 +313,6 @@ class Perturbation:
         object.__setattr__(self, "s", _freeze(arr))
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "index_set", index_set)
-
-    @classmethod
-    def indicator(cls, index_set: IndexSet, d: int, beta: float = 1.0) -> "Perturbation":
-        """The unperturbed scaling 1_I (ones on the index set, zero elsewhere)."""
-        return cls(embed(np.ones(index_set.size), index_set, d), beta, index_set)
 
     @classmethod
     def scaled(cls, index_set: IndexSet, d: int, scales, beta: float = 1.0) -> "Perturbation":

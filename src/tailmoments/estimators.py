@@ -187,7 +187,7 @@ def stable_tail_estimate(data, k: int, index_set: IndexSet,
     if eps is not None:
         eps = check_eps(eps, k, n)
         if estimate > 0:
-            sigma2 = stable_tail_variance(sample, k, index_set, eps)
+            sigma2 = _stable_tail_variance(sample, eps)
             std_error = float(np.sqrt(max(sigma2, 0.0) / k))
     return EstimateReport(
         estimate=estimate,
@@ -199,22 +199,20 @@ def stable_tail_estimate(data, k: int, index_set: IndexSet,
     )
 
 
-def stable_tail_variance(data, k: int, index_set: IndexSet, eps: float) -> float:
+def _stable_tail_variance(sample: RankSample, eps: float) -> float:
     """Plug-in variance of the empirical extremal coefficient at the indicator.
 
-    Combines difference-quotient estimates of the gradient of the perturbed
-    exceedance functional with pairwise minimum moments obtained from
-    two-component exceedance counts at the same level k.
+    Combines difference-quotient estimates (at the checked step ``eps``) of
+    the gradient of the perturbed exceedance functional with pairwise minimum
+    moments obtained from two-component exceedance counts at the same level
+    k, for a one-matrix sample with exceedances.
     """
-    sample = rank_sample(data, k, index_set)
     k = sample.k
-    eps = check_eps(eps, k, sample.n)
-    sample.require_exceedances()
     tau_hat = sample.count / k
     c_matrix, _ = sample.derivatives(eps)
     # gradient of the mean partial max of the renormalized spectral vector,
     # recovered from the diagonal scale derivatives
     gradient = 1.0 - tau_hat * np.diag(c_matrix)
     # pairwise coefficients from pair exceedance counts at the same k
-    pair_taus = pairwise(index_set.size, lambda a, b: sample.pair(a, b).count / k)
+    pair_taus = pairwise(sample.index_set.size, lambda a, b: sample.pair(a, b).count / k)
     return bu_sigma2(tau_hat, pair_taus, gradient)

@@ -56,6 +56,19 @@ def _seed_states(seed) -> np.ndarray:
     return states[0] if one else states
 
 
+def _unsigned(values, name: str) -> np.ndarray:
+    """Indices or counters as uint64; a non-integral, negative or >= 2**64 entry raises ValueError.
+
+    Integer arrays are checked at once, anything else entry by entry (exact above 2**53)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        arr = np.array([check_integer(x, name) for x in np.ravel(np.asarray(values, dtype=object))],
+                       dtype=object).reshape(arr.shape)
+    if arr.dtype.kind != "u" and np.any((arr < 0) | (arr >= 2 ** 64)):
+        raise ValueError(f"{name} must lie in [0, 2**64)")
+    return arr.astype(np.uint64, copy=False)
+
+
 def _keys(counters) -> np.ndarray:
     """``(counter + 1) * golden``, the step each counter adds to a seed's state."""
     with np.errstate(over="ignore"):
@@ -84,9 +97,10 @@ def uniform_open(seed, counters: np.ndarray) -> np.ndarray:
     Each output is ``mix(mix(seed + golden) + (counter + 1) * golden)`` with
     the top 53 bits mapped to ``[2^-54, 1 - 2^-54]``, so logs of either tail
     are always finite.  A sequence of R seeds gives R such arrays along a
-    leading axis, each the same bits as its seed's own call.
+    leading axis, each the same bits as its seed's own call.  A counter outside
+    the integers 0 .. 2**64 - 1 raises ValueError.
     """
-    states, keys = _seed_states(seed), _keys(counters)
+    states, keys = _seed_states(seed), _keys(_unsigned(counters, "a counter"))
     shape = np.shape(states) + keys.shape
     return _uniforms(states, keys, np.empty(shape, np.uint64), np.empty(shape))
 
@@ -94,9 +108,10 @@ def uniform_open(seed, counters: np.ndarray) -> np.ndarray:
 def derive_seed(seed: int, index):
     """A decorrelated child seed for stream ``index`` (used for per-repetition seeding).
 
-    A sequence of indices gives a uint64 array of their child seeds.
+    A sequence of indices gives a uint64 array of their child seeds.  An index
+    outside the integers 0 .. 2**64 - 1 raises ValueError.
     """
-    index = np.asarray(index, dtype=np.uint64)
+    index = _unsigned(index, "a stream index")
     with np.errstate(over="ignore"):
         child = _splitmix(_seed_states(seed) ^ _splitmix((index + np.uint64(1)) * _GOLDEN))
     return int(child) if child.ndim == 0 else child
@@ -192,10 +207,12 @@ def simulate(model: MaxLinearModel, n: int, seed) -> DataMatrix:
     n = check_integer(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
-    states, m = np.reshape(_seed_states(seed), -1), model.factors
+    states, m = _seed_states(seed), model.factors
+    # built in its final shape and handed over read-only, so that DataMatrix keeps it uncopied
+    data = np.empty(np.shape(states) + (n, model.d))
+    states, out = np.reshape(states, -1), data.reshape(-1, n, model.d)
     rows = min(n, max(1, CHUNK_DRAWS // m))
     per = max(1, CHUNK_DRAWS // (rows * m))  # replications per piece
-    out = np.empty((states.size, n, model.d))
     bits, z, term = np.empty(per * m * rows, np.uint64), np.empty(per * m * rows), \
         np.empty(per * rows)
     for lo in range(0, n, rows):
@@ -218,12 +235,15 @@ def simulate(model: MaxLinearModel, n: int, seed) -> DataMatrix:
                 for i in range(1, m):
                     np.multiply(piece[:, i, :], row[i], out=scaled)
                     np.maximum(column, scaled, out=column)
-    return DataMatrix(out if np.ndim(seed) else out[0])
+    data.flags.writeable = False
+    return DataMatrix(data)
 
 
 def frechet_sample(n: int, alpha: float, seed: int) -> np.ndarray:
     """n i.i.d. Frechet(alpha) draws, sharing the counter scheme of :func:`simulate`."""
     alpha = check_finite(alpha, "alpha")
-    counters = np.arange(check_integer(n, "n"), dtype=np.uint64)
-    z = -1.0 / np.log(uniform_open(seed, counters))
+    n = check_integer(n, "n")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    z = -1.0 / np.log(uniform_open(seed, np.arange(n, dtype=np.uint64)))
     return z ** (1.0 / alpha)

@@ -2,11 +2,11 @@
 
 A finite spectral measure (atoms on the positive orthant, sup-norm one,
 with probabilities) determines every limit targeted by the estimators:
-extremal coefficients, renormalized moments, perturbed tail moments and
-their derivatives, optimal weights, and the asymptotic variances of the
-four estimation strategies.  Everything here is computed by exact atom
-enumeration so the results can serve as ground truth in tests and as the
-theoretical column of simulation reports.  Each function reads one
+extremal coefficients, perturbed tail moments (the renormalized moments
+are their unscaled case) and their derivatives, optimal weights, and the
+asymptotic variances of the four estimation strategies.  Everything here
+is computed by exact atom enumeration so the results can serve as ground
+truth in tests and as the theoretical column of simulation reports.  Each function reads one
 :class:`Population` view of the measure on its index set, which
 renormalizes the measure once and derives tau, the second moments, the
 entropy vector and the argmax gradients once; a function handed a view
@@ -112,11 +112,6 @@ class DiscreteSpectralMeasure:
         return cls(payload["atoms"], payload["probs"])
 
 
-def mean_intensity(measure: DiscreteSpectralMeasure) -> np.ndarray:
-    """E[Theta_i] for every coordinate, under the measure as given."""
-    return measure.atoms.T @ measure.probs
-
-
 def _renormalized(columns: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The atoms' columns on an index set, renormalized on it, with their probabilities.
 
@@ -159,7 +154,7 @@ class Population:
     @cached_property
     def mean(self) -> float:
         """The common coordinate mean E[Theta_i] of the measure, checked once."""
-        means = mean_intensity(self.measure)
+        means = self.measure.atoms.T @ self.measure.probs
         if float(means.max() - means.min()) > STANDARDIZED_TOL:
             raise NotStandardized(
                 "margins are not tail-equivalent: coordinate means of the spectral "
@@ -235,17 +230,8 @@ def extremal_coefficient(measure: DiscreteSpectralMeasure,
     return population(measure, index_set).tau
 
 
-def spectral_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
-                    v, p: int = 1) -> float:
-    """E[(v' Theta)^p] under the measure renormalized on the index set."""
-    p = check_moment_power(p)
-    view = population(measure, index_set)
-    projected = view.theta @ restrict(v, index_set, view.measure.d)
-    return float(view.probs @ projected ** p)
-
-
 def perturbed_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
-                     v, s, beta: float | None = None, p: int = 1) -> float:
+                     v, s=None, beta: float | None = None, p: int = 1) -> float:
     """The population limit of the perturbed moment ratio.
 
     For componentwise scales ``s`` (a vector or a Perturbation) and power
@@ -255,6 +241,8 @@ def perturbed_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
     rank-based variance corrections.  ``beta=None`` means 1 for a vector
     ``s``; a Perturbation brings its own power and must live on the index
     set, and an explicit ``beta`` must then equal the Perturbation's.
+    ``s=None`` reads the renormalized atoms as they are, neither scaled nor
+    renormalized again; at ``beta`` 1 that is the plain moment E[(v' Theta)^p].
     """
     p = check_moment_power(p)
     if isinstance(s, Perturbation):
@@ -265,10 +253,12 @@ def perturbed_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
         s, beta = s.s, s.beta
     beta = check_finite(1.0 if beta is None else beta, "beta")
     view = population(measure, index_set)
-    scales = check_finite(restrict(s, index_set, view.measure.d), "perturbation scales",
-                          positive=False)
+    theta, probs = view.theta, view.probs
+    if s is not None:
+        scales = check_finite(restrict(s, index_set, view.measure.d), "perturbation scales",
+                              positive=False)
+        theta, probs = _renormalized(theta * scales, probs)
     weights = restrict(v, index_set, view.measure.d)
-    theta, probs = _renormalized(view.theta * scales, view.probs)
     return float(probs @ (np.power(theta, 1.0 / beta) @ weights) ** p)
 
 

@@ -60,10 +60,10 @@ def test_uniform_and_basis_weights():
     s = tm.IndexSet([1, 3])
     u = tm.uniform_weights(s, 3)
     assert u.weights.tolist() == [0.5, 0.0, 0.5]
-    e = tm.basis_weights(s, 3, 3)
-    assert e.weights.tolist() == [0.0, 0.0, 1.0]
-    with pytest.raises(ValueError):
-        tm.basis_weights(s, 3, 2)
+    e = tm.WeightVector([0.0, 0.0, 1.0], s)
+    assert e.on_support().tolist() == [0.0, 1.0]
+    with pytest.raises(tm.SupportViolation):
+        tm.WeightVector([0.0, 1.0, 0.0], s)
 
 
 def test_partial_max_restricts_to_index_set():
@@ -79,11 +79,67 @@ def test_data_matrix_rejects_negative_and_nonfinite():
         tm.DataMatrix(np.array([[1.0, np.nan]]))
 
 
+def test_data_matrix_copies_what_its_source_could_still_change():
+    writable = np.arange(1.0, 7.0).reshape(3, 2)
+    source = np.arange(1.0, 7.0).reshape(3, 2)
+    view = source[:]
+    view.flags.writeable = False  # read-only, but source still writes to its memory
+    for values, owner in ((writable, writable), (view, source)):
+        data = tm.DataMatrix(values)
+        assert data.values is not values and data.values.flags.owndata
+        owner[0, 0] = 99.0
+        assert data.values[0, 0] == 1.0 and not data.values.flags.writeable
+
+
+def test_data_matrix_keeps_a_read_only_array_of_its_own():
+    values = np.array([[1.0, 2.0], [3.0, 4.0]])
+    values.flags.writeable = False
+    assert tm.DataMatrix(values).values is values
+    with pytest.raises(ValueError, match="finite"):  # kept arrays are still checked
+        frozen = np.array([[1.0, np.inf]])
+        frozen.flags.writeable = False
+        tm.DataMatrix(frozen)
+
+
+def _plain_exceedances(columns, level):
+    """core.exceedances by the formula: np.max over the last axis, no column-wise fast path."""
+    ell = np.max(columns, axis=-1)
+    mask = ell > level
+    flat = columns.reshape(-1, columns.shape[-1])
+    rows = np.flatnonzero(mask)
+    unit = flat[rows] / ell.reshape(-1)[rows, None]
+    return ell, mask, unit, rows // mask.shape[-1]
+
+
+@pytest.mark.parametrize("shape", [(40, 1), (40, 2), (40, 5), (3, 40, 1), (3, 40, 2),
+                                   (3, 40, 5)])
+@pytest.mark.parametrize("level", ["zero", "median", "above_all"])
+def test_exceedances_matches_the_plain_formula(shape, level):
+    rng = np.random.default_rng(12)
+    columns = rng.pareto(1.0, size=shape)
+    columns[..., ::7, :] = 0.0  # rows that are zero everywhere
+    columns[..., 1::5, :] = columns[..., 1::5, :1]  # rows whose coordinates all tie
+    columns[..., 2::6, -1] = columns[..., 2::6, 0]  # rows with a tied first and last coordinate
+    value = {"zero": 0.0, "median": float(np.median(columns)),
+             "above_all": float(columns.max()) + 1.0}[level]
+    got, want = tm.core.exceedances(columns, value), _plain_exceedances(columns, value)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    if level == "above_all":
+        assert got[2].shape == (0, shape[-1])
+
+
 def test_perturbation_indicator_is_identity_on_support():
+    """Unit scales 1_I at power one select and scale like no perturbation at all."""
     s = tm.IndexSet([1, 3])
-    pert = tm.Perturbation.indicator(s, 3)
+    pert = tm.Perturbation.scaled(s, 3, [1.0, 1.0])
     assert pert.s.tolist() == [1.0, 0.0, 1.0]
     assert pert.beta == 1.0
+    x = np.random.default_rng(4).pareto(1.0, size=(300, 3)) + 1.0
+    v = tm.uniform_weights(s, 3)
+    assert (tm.moment_ratio_known(x, 5.0, v, perturbation=pert).to_dict()
+            == tm.moment_ratio_known(x, 5.0, v).to_dict())
 
 
 def test_perturbation_validates_scales_and_beta():
@@ -119,8 +175,8 @@ def test_quadratic_form_is_read_only_and_evaluates():
 
 def test_quadratic_form_reads_weights_on_its_own_index_set():
     q = tm.QuadraticForm(tm.IndexSet([1, 2]), np.array([[2.0, 1.0], [1.0, 3.0]]))
-    assert q.evaluate(tm.basis_weights(tm.IndexSet([1]), 2, 1)) == 2.0
-    assert q.evaluate(tm.basis_weights(tm.IndexSet([2]), 2, 2)) == 3.0
+    assert q.evaluate(tm.WeightVector([1.0, 0.0], tm.IndexSet([1]))) == 2.0
+    assert q.evaluate(tm.WeightVector([0.0, 1.0], tm.IndexSet([2]))) == 3.0
 
 
 def test_quadratic_form_rejects_a_vector_too_short_for_its_index_set():
@@ -192,8 +248,8 @@ def test_estimators_reject_invalid_raw_data(kind, call):
 @pytest.mark.parametrize("call", [
     lambda x: tm.tau_moment_ranks(x, 0, tm.IndexSet([1, 2])),
     lambda x: tm.rank_variance_form(x, 0, tm.IndexSet([1, 2])),
-    lambda x: tm.stable_tail_variance(x, 0, tm.IndexSet([1, 2]), eps=0.1),
-], ids=["tau_moment_ranks", "rank_variance_form", "stable_tail_variance"])
+    lambda x: tm.stable_tail_estimate(x, 0, tm.IndexSet([1, 2]), eps=0.1),
+], ids=["tau_moment_ranks", "rank_variance_form", "stable_tail_estimate"])
 def test_rank_routes_reject_k_zero_as_k_out_of_range(call):
     x = np.random.default_rng(8).pareto(1.0, size=(200, 2)) + 1.0
     with pytest.raises(tm.KOutOfRange):
@@ -244,7 +300,7 @@ def test_real_parameters_must_be_finite_and_in_range(site, bad):
 
 @pytest.mark.parametrize("make", [
     lambda: tm.uniform_weights(_PAIR, 2),
-    lambda: tm.Perturbation.indicator(_PAIR, 2),
+    lambda: tm.Perturbation([1.0, 1.0], 1.0, _PAIR),
     lambda: tm.QuadraticForm(_PAIR, np.eye(2)),
     lambda: tm.DataMatrix(_POSITIVE),
     lambda: tm.EstimateReport(0.5, 3, "mk", std_error=0.1),

@@ -105,7 +105,8 @@ WEIGHTS_FOR_D3 = tm.uniform_weights(I12, 3)
 
 
 @pytest.mark.parametrize("call", [
-    lambda x: tm.spectral_moment(tm.model_spectral_measure(SCENARIO_2), I12, WEIGHTS_FOR_D3),
+    # the plain spectral moment: perturbed_moment without scales
+    lambda x: tm.perturbed_moment(tm.model_spectral_measure(SCENARIO_2), I12, WEIGHTS_FOR_D3),
     lambda x: tm.moment_ratio_known(x, 5.0, WEIGHTS_FOR_D3),
     lambda x: tm.moment_ratio_ranks(x, 50, WEIGHTS_FOR_D3),
     lambda x: tm.benchmark_ratio_known(x, 5.0, WEIGHTS_FOR_D3),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,47 @@ def test_seeds_are_checked_integers(seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             call(seed)
     assert np.array_equal(simulate(model, 3, 7.0).values, simulate(model, 3, 7).values)
+
+
+@pytest.mark.parametrize("bad", [1.5, -1, 2 ** 64, np.nan])
+def test_indices_and_counters_are_checked_not_truncated(bad):
+    for call in (lambda i: derive_seed(1, i), lambda i: derive_seed(1, [0, i]),
+                 lambda i: derive_seed(1, np.array([0, i])), lambda i: uniform_open(1, [i]),
+                 lambda i: uniform_open(1, np.array([[0, 1], [2, i]]))):
+        with pytest.raises(ValueError, match=r"must be an integer|non-negative|2\*\*64"):
+            call(bad)
+
+
+def test_integral_indices_and_counters_keep_their_bits():
+    assert derive_seed(1, 2.0) == derive_seed(1, 2) == derive_seed(1, np.uint64(2))
+    assert np.array_equal(derive_seed(1, range(4)), derive_seed(1, [0, 1, 2.0, 3]))
+    counters = np.arange(6, dtype=np.uint64).reshape(2, 3)
+    for same in (counters.astype(float), counters.astype(np.int32), counters.tolist()):
+        assert np.array_equal(uniform_open(1, same), uniform_open(1, counters))
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_sample_sizes_below_one_are_rejected(n):
+    model = tm.make_scenario(0.4, 0.6)
+    for call in (lambda: simulate(model, n, seed=1), lambda: frechet_sample(n, 1.0, seed=1)):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            call()
+
+
+@pytest.mark.parametrize("seed,n", [(7, 200000), (range(200), 1000)])
+def test_simulate_never_holds_its_output_twice(seed, n):
+    model = tm.make_scenario(0.4, 0.6)
+    simulate(model, 10, 1)
+    tracemalloc.start()
+    try:
+        values = simulate(model, n, seed).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == np.shape(seed) + (n, 2)
+    assert values.flags.owndata and not values.flags.writeable
+    # the pieces' scratch arrays have a fixed size, below one copy of these outputs
+    assert peak < 2 * values.nbytes
 
 
 def test_a_block_of_seeds_gives_each_seeds_own_data():

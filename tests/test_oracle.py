@@ -1,4 +1,5 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -8,12 +9,10 @@ from tailmoments import oracle
 from tailmoments.oracle import (
     asymptotic_variances,
     extremal_coefficient,
-    mean_intensity,
     optimal_weights,
     perturbed_moment,
     rank_variance_matrix,
     ratio_covariance,
-    spectral_moment,
 )
 
 import _exact_reference as exact
@@ -80,8 +79,10 @@ def test_renormalized_measure_drops_null_directions():
 
 def test_mean_intensity_of_scenario_measures_is_flat():
     for p, q in SCENARIOS:
-        r = mean_intensity(scenario(p, q))
+        m = scenario(p, q)
+        r = m.atoms.T @ m.probs
         assert r[0] == pytest.approx(r[1], abs=1e-15)
+        assert oracle.Population(m, I12).mean == float(r.mean())
 
 
 def test_extremal_coefficient_scenario_value():
@@ -114,12 +115,12 @@ def test_first_moment_is_flat_across_directions(p, q):
     rng = np.random.default_rng(17)
     for _ in range(10):
         v = rng.dirichlet([1.0, 1.0])
-        assert spectral_moment(m, I12, v, 1) == pytest.approx(1.0 / tau, rel=1e-14)
+        assert perturbed_moment(m, I12, v, p=1) == pytest.approx(1.0 / tau, rel=1e-14)
 
 
 def test_second_moment_example():
     m = scenario(0.1, 0.2)
-    assert spectral_moment(m, I12, [0.5, 0.5], 2) == pytest.approx(0.33125, rel=1e-15)
+    assert perturbed_moment(m, I12, [0.5, 0.5], p=2) == pytest.approx(0.33125, rel=1e-15)
 
 
 @pytest.mark.parametrize("p,q", SCENARIOS + RANDOM_PQS)
@@ -129,7 +130,7 @@ def test_moments_match_exact_enumeration(p, q):
     for v in ([0.5, 0.5], [1.0, 0.0], [0.3, 0.7]):
         for power in (1, 2, 3):
             want = exact.moment(atoms, probs, (1, 2), v, power)
-            assert spectral_moment(m, I12, v, power) == pytest.approx(float(want), rel=1e-13)
+            assert perturbed_moment(m, I12, v, p=power) == pytest.approx(float(want), rel=1e-13)
 
 
 @pytest.mark.parametrize("p,q", SCENARIOS + RANDOM_PQS)
@@ -178,11 +179,18 @@ def test_perturbed_moment_matches_exact_enumeration(p, q):
 
 
 def test_perturbed_moment_at_identity_reduces_to_plain_moment():
+    """Unit scales renormalize the view's atoms again; s=None reads them as they are."""
     m = scenario(0.4, 0.6)
+    view = oracle.Population(m, I12)
     for power in (1, 2):
+        plain = perturbed_moment(m, I12, [0.3, 0.7], p=power)
+        assert plain == float(view.probs @ (view.theta @ [0.3, 0.7]) ** power)
         assert perturbed_moment(m, I12, [0.3, 0.7], [1.0, 1.0], 1.0, power) == pytest.approx(
-            spectral_moment(m, I12, [0.3, 0.7], power), rel=1e-15
+            plain, rel=1e-15
         )
+    # without scales the power still applies, to the atoms as they are
+    assert perturbed_moment(m, I12, [0.3, 0.7], beta=2.0) == float(
+        view.probs @ (np.power(view.theta, 0.5) @ [0.3, 0.7]))
 
 
 def test_perturbed_moment_takes_the_power_of_a_perturbation():
@@ -377,16 +385,18 @@ def test_pair_coefficients_reuse_the_checked_mean(monkeypatch):
     measure = tm.model_spectral_measure(model)
     index_set = tm.IndexSet([1, 2, 3, 4])
     calls = []
-    original = oracle.mean_intensity
+    original = oracle.Population.mean.func
 
-    def counting(measure):
-        calls.append(measure)
-        return original(measure)
+    def counting(view):
+        calls.append(view)
+        return original(view)
 
-    monkeypatch.setattr(oracle, "mean_intensity", counting)
+    checked = cached_property(counting)
+    checked.__set_name__(oracle.Population, "mean")
+    monkeypatch.setattr(oracle.Population, "mean", checked)
     view = oracle.Population(measure, index_set)
     rank_variance_matrix(view, index_set)
-    assert len(calls) == 1
+    assert calls == [view]
     for a, b in [(0, 1), (0, 3), (2, 3)]:
         pair = tm.IndexSet((a + 1, b + 1))
         assert view.pair_taus[a, b] == oracle.Population(measure, pair).tau
@@ -397,7 +407,7 @@ I1 = tm.IndexSet([1])
 
 READS_OFF_SET = pytest.mark.parametrize("call", [
     lambda m, v: tm.QuadraticForm(I1, [[2.0]]).evaluate(v),
-    lambda m, v: spectral_moment(m, I1, v),
+    lambda m, v: perturbed_moment(m, I1, v),  # the plain spectral moment: no scales
     lambda m, v: perturbed_moment(m, I1, v, [1.0]),
     lambda m, v: tm.Population(m, I1).c(v, np.zeros(1)),
     lambda m, v: rank_variance_matrix(m, I1).evaluate(v),
