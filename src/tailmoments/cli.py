@@ -122,12 +122,19 @@ def _cmd_estimate(args, parser) -> int:
     if args.eps is not None and method not in {"bu", "mu"} and not (
             method == "moment" and args.optimal and not args.known_margins):
         parser.error("--eps applies only to --method bu, mu and rank-based moment --optimal")
+    if args.k is not None and args.known_margins:
+        parser.error("--k applies only to --method hill, bu, mu and rank-based moment")
+    if not args.known_margins and any(
+            flag is not None for flag in (args.alpha, args.scales, args.u_quantile)):
+        parser.error("--alpha, --scales and --u-quantile apply only to --method bk, mk and "
+                     "moment with --known-margins")
 
     # one tail sample per command, read by every call below
     if args.known_margins:
         scales = _parse_floats(args.scales) if args.scales else np.ones(d)
-        std = standardize_known(x, args.alpha, scales)
-        u = float(np.quantile(partial_max(std.values, index_set), args.u_quantile))
+        std = standardize_known(x, 1.0 if args.alpha is None else args.alpha, scales)
+        level = 0.95 if args.u_quantile is None else args.u_quantile
+        u = float(np.quantile(partial_max(std.values, index_set), level))
         sample = KnownSample(std, u, index_set)
     else:
         k = args.k if args.k is not None else max(1, n // 20)
@@ -265,12 +272,13 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--known-margins", action="store_true",
                      help="margins are standardized by --alpha/--scales and "
                           "thresholded at the --u-quantile level")
-    est.add_argument("--alpha", type=float, default=1.0,
+    est.add_argument("--alpha", type=float,
                      help="tail index for --known-margins (default 1)")
-    est.add_argument("--scales", help="comma-separated positive column scales")
-    est.add_argument("--u-quantile", type=float, default=0.95,
-                     help="empirical quantile of the partial max used as the "
-                          "threshold (default 0.95)")
+    est.add_argument("--scales", help="comma-separated positive column scales for "
+                                      "--known-margins (default all 1)")
+    est.add_argument("--u-quantile", type=float,
+                     help="empirical quantile of the partial max used as the threshold "
+                          "for --known-margins (default 0.95)")
     est.add_argument("--k", type=int, help="order-statistic level for rank methods "
                                            "(default n/20)")
     est.add_argument("--weights", help="comma-separated weights on the index set, "

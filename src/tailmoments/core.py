@@ -85,11 +85,8 @@ def _as_float_array(values, name: str, ndim: int) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    """``arr`` kept if it is a read-only float64 array owning its memory, else a read-only copy."""
-    if (isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.flags.owndata
-            and not arr.flags.writeable):
-        return arr
-    out = np.array(arr, dtype=float, copy=True)
+    """A read-only float copy of ``arr``: no array or view the caller holds can change it."""
+    out = np.array(arr, dtype=float)
     out.flags.writeable = False
     return out
 
@@ -192,13 +189,19 @@ class DataMatrix:
     """Raw n x d non-negative observation matrix; rows are i.i.d. samples.
 
     ``values`` may also be an (R, n, d) block: R replications of such a
-    matrix along a leading axis.
+    matrix along a leading axis.  They are checked and kept as a read-only
+    copy.  ``copy=False`` keeps the checked array itself, made read-only:
+    it is only for an array that nothing else holds or views, such as the
+    block :func:`~tailmoments.maxlinear.simulate` has just built.
     """
 
     values: np.ndarray
 
-    def __init__(self, values):
-        object.__setattr__(self, "values", _freeze(_data_array(values, "values")))
+    def __init__(self, values, *, copy: bool = True):
+        arr = _data_array(values, "values")
+        if not copy:
+            arr.flags.writeable = False
+        object.__setattr__(self, "values", _freeze(arr) if copy else arr)
 
     @property
     def n(self) -> int:
@@ -463,14 +466,19 @@ def partial_max(x, index_set: IndexSet):
     (returns the per-row maxima as an n-vector).
     """
     arr = np.asarray(x, dtype=float)
-    idx = index_set.zero_based()
-    if arr.ndim == 1:
-        index_set.check_within(arr.shape[0])
-        return float(np.max(arr[idx]))
-    if arr.ndim == 2:
-        index_set.check_within(arr.shape[1])
-        return np.max(arr[:, idx], axis=1)
-    raise ValueError("x must be a vector or a matrix")
+    if arr.ndim not in (1, 2):
+        raise ValueError("x must be a vector or a matrix")
+    index_set.check_within(arr.shape[-1])
+    ell = _row_max(arr[..., index_set.zero_based()])
+    return float(ell) if arr.ndim == 1 else ell
+
+
+def _row_max(columns: np.ndarray) -> np.ndarray:
+    """The maxima over the last axis, column by column: a short trailing max axis is slow."""
+    ell = columns[..., 0].copy()
+    for j in range(1, columns.shape[-1]):
+        np.maximum(ell, columns[..., j], out=ell)
+    return ell
 
 
 def exceedances(columns: np.ndarray, level: float
@@ -481,9 +489,7 @@ def exceedances(columns: np.ndarray, level: float
     The one exceedance step of the estimators and the oracle; a level >= 0 divides by no zero.
     The rows of a block are selected once, in order, replication by replication.
     """
-    ell = columns[..., 0].copy()  # column by column: a short trailing max axis is slow
-    for j in range(1, columns.shape[-1]):
-        np.maximum(ell, columns[..., j], out=ell)
+    ell = _row_max(columns)
     mask = ell > level
     rows = np.flatnonzero(mask)
     unit = columns.reshape(-1, columns.shape[-1])[rows] / ell.reshape(-1)[rows, None]

@@ -30,7 +30,7 @@ from .core import (
     check_moment_power as _check_power,
     restrict,
 )
-from .samples import KnownSample, RankSample, known_sample, rank_sample
+from .samples import KnownSample, RankSample, tail_sample
 from .variance import bu_sigma2, pairwise
 
 
@@ -72,7 +72,7 @@ def moment_ratio_known(data, u: float, v: WeightVector, p: int = 1,
     """
     p = _check_power(p)
     index_set = v.support if perturbation is None else perturbation.index_set
-    sample = known_sample(data, u, index_set, perturbation)
+    sample = tail_sample(KnownSample, data, u, index_set, perturbation)
     estimate, std_error = moment_ratios(sample, restrict(v, index_set, sample.d), p)
     return EstimateReport(
         estimate=estimate,
@@ -107,7 +107,7 @@ def benchmark_ratio_known(data, u: float, v: WeightVector) -> EstimateReport:
     weights, and its standard error is the binomial plug-in
     ``sqrt(est * (1 - est) / count)``.
     """
-    sample = known_sample(data, u, v.support)
+    sample = tail_sample(KnownSample, data, u, v.support)
     estimate, std_error = benchmark_ratios(sample, v)
     return EstimateReport(
         estimate=estimate,
@@ -145,7 +145,7 @@ def moment_ratio_ranks(data, k: int, v: WeightVector, p: int = 1,
     """
     p = _check_power(p)
     index_set = v.support
-    sample = rank_sample(data, k, index_set, inv_alpha_hat)
+    sample = tail_sample(RankSample, data, k, index_set, inv_alpha_hat)
     estimate, _ = moment_ratios(sample, restrict(v, index_set, sample.d), p)
     return EstimateReport(
         estimate=estimate,
@@ -180,7 +180,7 @@ def stable_tail_estimate(data, k: int, index_set: IndexSet,
         standard error ``sqrt(sigma2 / k)`` of the coefficient is assembled;
         when absent the standard error is omitted.
     """
-    sample = rank_sample(data, k, index_set)
+    sample = tail_sample(RankSample, data, k, index_set)
     n, k = sample.n, sample.k
     estimate = stable_tail_estimates(sample)
     std_error = None

@@ -20,7 +20,7 @@ from .core import (
     embed,
     matrix_values,
 )
-from .samples import rank_sample
+from .samples import RankSample, tail_sample
 
 
 def standardize_known(data, alpha: float, scales) -> DataMatrix:
@@ -60,7 +60,7 @@ def scaled_by_order_statistics(data, k: int, index_set: IndexSet) -> np.ndarray:
     Returns the full-width matrix with the columns outside the index set set
     to zero, so downstream partial maxima over the index set are unaffected.
     """
-    sample = rank_sample(data, k, index_set)
+    sample = tail_sample(RankSample, data, k, index_set)
     return embed(sample.ratios, index_set, sample.d)
 
 
@@ -82,7 +82,7 @@ def hill_inverse_alpha(data, k: int, index_set: IndexSet) -> EstimateReport:
     NoExceedances
         If no maximum ratio is strictly above one (e.g. a constant column).
     """
-    sample = rank_sample(data, k, index_set)
+    sample = tail_sample(RankSample, data, k, index_set)
     sample.require_exceedances()
     alpha_hat = 1.0 / sample.hill
     return EstimateReport(

@@ -208,7 +208,7 @@ def simulate(model: MaxLinearModel, n: int, seed) -> DataMatrix:
     if n < 1:
         raise ValueError("n must be at least 1")
     states, m = _seed_states(seed), model.factors
-    # built in its final shape and handed over read-only, so that DataMatrix keeps it uncopied
+    # built in its final shape; no caller holds it, so DataMatrix keeps it uncopied
     data = np.empty(np.shape(states) + (n, model.d))
     states, out = np.reshape(states, -1), data.reshape(-1, n, model.d)
     rows = min(n, max(1, CHUNK_DRAWS // m))
@@ -235,8 +235,7 @@ def simulate(model: MaxLinearModel, n: int, seed) -> DataMatrix:
                 for i in range(1, m):
                     np.multiply(piece[:, i, :], row[i], out=scaled)
                     np.maximum(column, scaled, out=column)
-    data.flags.writeable = False
-    return DataMatrix(data)
+    return DataMatrix(data, copy=False)
 
 
 def frechet_sample(n: int, alpha: float, seed: int) -> np.ndarray:

@@ -4,9 +4,13 @@ A :class:`KnownSample` thresholds the (perturbed) partial max over an index
 set at a fixed level ``u``; a :class:`RankSample` thresholds each column at
 its own k-th largest value and carries Hill's estimate of 1/alpha.  Both
 hold the angular parts of their exceedances as a (count, m) array on the
-index set, and :func:`second_moments` gives their mean outer product.  The
-estimators accept a sample wherever they accept data, and read it when it
-was built for the same level and index set.
+index set, and :func:`second_moments` gives their mean outer product.  A
+sample keeps the values of the DataMatrix it is built from, or checks and
+copies an array like a DataMatrix does, so no array of the caller's can
+change it.  The estimators accept a sample wherever they accept data and
+reach it through one reuse rule, :func:`tail_sample`: ``data`` itself when
+it is a sample of the requested class built from equal arguments, else a
+new sample of ``data``.
 
 The data may also be an (R, n, d) block of R replications.  The exceeding
 rows of the whole block are then selected at once, in order, ``rep`` holds
@@ -116,13 +120,6 @@ def _columns(x: np.ndarray, index_set: IndexSet) -> np.ndarray:
     return x if index_set.size == x.shape[-1] else x[..., index_set.zero_based()]
 
 
-def _one_replication(sample):
-    """``sample`` if it holds one matrix; an estimator reporting one number cannot read a block."""
-    if sample.values.ndim != 2:
-        raise ValueError("this estimator reads one data matrix, not a block of replications")
-    return sample
-
-
 def upper_order_statistics(x, k: int):
     """The k-th largest value (position k of the descending sort, ties kept by multiplicity).
 
@@ -160,6 +157,7 @@ class KnownSample(_Sample):
     """
 
     _level = "the threshold u={0.u}"
+    _args = ("u", "index_set", "perturbation")  # the fields tail_sample compares
 
     def __init__(self, data, u: float, index_set: IndexSet,
                  perturbation: Perturbation | None = None):
@@ -176,15 +174,6 @@ class KnownSample(_Sample):
         self._store(values=x, u=u, index_set=index_set, perturbation=perturbation,
                     mask=mask, rep=rep, count=_plain(_counts(rep, x.shape[:-2])),
                     angular=np.power(unit, 1.0 / beta))
-
-
-def known_sample(data, u: float, index_set: IndexSet,
-                 perturbation: Perturbation | None = None) -> KnownSample:
-    """The one-matrix sample to read: ``data`` if built for these arguments, else a new one."""
-    if (isinstance(data, KnownSample) and data.u == check_finite(u, "threshold u", positive=False)
-            and data.index_set == index_set and data.perturbation is perturbation):
-        return _one_replication(data)
-    return _one_replication(KnownSample(data, u, index_set, perturbation))
 
 
 def _scaled_means(ratios, rep, scales, power, lead) -> np.ndarray:
@@ -205,6 +194,8 @@ class RankSample(_Sample):
     exceedances; NaN in a block).  ``angular`` is ``unit ** (1 / inv_alpha)``, where
     ``inv_alpha`` is ``inv_alpha_hat`` when one is given and ``hill`` if not.
     """
+
+    _args = ("k", "index_set", "inv_alpha_hat")  # the fields tail_sample compares
 
     def __init__(self, data, k: int, index_set: IndexSet,
                  inv_alpha_hat: float | None = None):
@@ -275,13 +266,24 @@ class RankSample(_Sample):
         return scale / (2.0 * eps), (upper - lower) / (2.0 * eps)
 
 
-def rank_sample(data, k: int, index_set: IndexSet,
-                inv_alpha_hat: float | None = None) -> RankSample:
-    """The one-matrix sample to read: ``data`` if built for these arguments, else a new one."""
-    if (isinstance(data, RankSample) and data.k == k and data.index_set == index_set
-            and data.inv_alpha_hat == inv_alpha_hat):
-        return _one_replication(data)
-    return _one_replication(RankSample(data, k, index_set, inv_alpha_hat))
+def tail_sample(kind: type[KnownSample] | type[RankSample], data,
+                *args) -> KnownSample | RankSample:
+    """The one-matrix sample of class ``kind`` to read: ``data`` itself when it is a ``kind``
+    built from equal arguments, else ``kind(data, *args)``.
+
+    The arguments are a KnownSample's (u, index set, perturbation) or a
+    RankSample's (k, index set, inv_alpha_hat), an omitted last one None.
+    They compare by ``==`` with the sample's checked fields, a Perturbation
+    by identity.  An estimator reporting one number cannot read a block of
+    replications: it raises ValueError.
+    """
+    given = dict(zip(kind._args, args))
+    if not (isinstance(data, kind)
+            and all(getattr(data, name) == given.get(name) for name in kind._args)):
+        data = kind(data, *args)
+    if data.values.ndim != 2:
+        raise ValueError("this estimator reads one data matrix, not a block of replications")
+    return data
 
 
 def second_moments(sample: KnownSample | RankSample) -> np.ndarray:

@@ -23,7 +23,7 @@ from .core import (
     embed,
 )
 from .estimators import check_eps, moment_ratios
-from .samples import KnownSample, RankSample, known_sample, rank_sample, second_moments
+from .samples import KnownSample, RankSample, second_moments, tail_sample
 from .variance import minimize_quadratic_on_simplex  # noqa: F401 (read from this module too)
 from .variance import mu_form, pairwise, simplex_minimizers
 
@@ -53,7 +53,7 @@ def second_moment_matrix_known(data, u: float, index_set: IndexSet) -> Quadratic
     ``E[Theta_i * Theta_j]``; the quadratic form at simplex weights v is then
     exactly the conditional second moment of ``v' Theta``.
     """
-    sample = known_sample(data, u, index_set)
+    sample = tail_sample(KnownSample, data, u, index_set)
     return QuadraticForm(index_set, second_moments(sample))
 
 
@@ -72,7 +72,7 @@ def tau_moment_known(data, u: float, index_set: IndexSet) -> EstimateReport:
     ratio.  The reported standard error is the plug-in from the weighted
     ratio at those weights.
     """
-    sample = known_sample(data, u, index_set)
+    sample = tail_sample(KnownSample, data, u, index_set)
     result = optimal_known_ratios(sample)
     return EstimateReport(
         estimate=result.estimate,
@@ -120,7 +120,7 @@ def rank_variance_form(data, k: int, index_set: IndexSet,
     Gaussian of the ratio — the objective whose simplex minimizer gives the
     optimally weighted rank estimator.
     """
-    sample = rank_sample(data, k, index_set, inv_alpha_hat)
+    sample = tail_sample(RankSample, data, k, index_set, inv_alpha_hat)
     return QuadraticForm(index_set, rank_variance_matrices(sample, eps))
 
 
@@ -143,7 +143,7 @@ def tau_moment_ranks(data, k: int, index_set: IndexSet,
     tail-index estimate), and the attained objective yields the standard
     error ``sqrt(objective / k)``; the report adds the form's condition number.
     """
-    sample = rank_sample(data, k, index_set, inv_alpha_hat)
+    sample = tail_sample(RankSample, data, k, index_set, inv_alpha_hat)
     result = optimal_rank_ratios(sample, eps)
     condition = float(np.linalg.cond(result.matrix)) if np.any(result.matrix) else float("inf")
     return EstimateReport(

@@ -162,6 +162,10 @@ UNREAD_FLAGS = {
     "moment-eps": ["--method", "moment", "--eps", "0.05"],
     "known-moment-optimal-eps": ["--known-margins", "--method", "moment", "--optimal",
                                  "--eps", "0.05"],
+    "known-bk-k": ["--known-margins", "--method", "bk", "--k", "7"],
+    "mu-scales": ["--method", "mu", "--scales", "3,4"],
+    "mu-alpha": ["--method", "mu", "--alpha", "3"],
+    "moment-u-quantile": ["--method", "moment", "--u-quantile", "0.9"],
 }
 
 

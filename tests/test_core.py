@@ -72,6 +72,17 @@ def test_partial_max_restricts_to_index_set():
     assert out.tolist() == [2.0, 4.0]
 
 
+@pytest.mark.parametrize("members", [[1], [2, 3], [1, 2, 4], [1, 2, 3, 4]])
+def test_partial_max_is_the_row_max_of_exceedances(members):
+    x = np.random.default_rng(len(members)).pareto(1.5, size=(300, 4))
+    x[::7, 1] = 0.0
+    index_set = tm.IndexSet(members)
+    idx = index_set.zero_based()
+    ell = tm.core.exceedances(x[:, idx], 0.0)[0]
+    assert tm.partial_max(x, index_set).tobytes() == ell.tobytes()
+    assert [tm.partial_max(row, index_set) for row in x[:5]] == ell[:5].tolist()
+
+
 def test_data_matrix_rejects_negative_and_nonfinite():
     with pytest.raises(ValueError):
         tm.DataMatrix(np.array([[1.0, -2.0]]))
@@ -91,14 +102,33 @@ def test_data_matrix_copies_what_its_source_could_still_change():
         assert data.values[0, 0] == 1.0 and not data.values.flags.writeable
 
 
-def test_data_matrix_keeps_a_read_only_array_of_its_own():
+def test_data_matrix_copies_a_read_only_array_and_checks_it():
     values = np.array([[1.0, 2.0], [3.0, 4.0]])
     values.flags.writeable = False
-    assert tm.DataMatrix(values).values is values
-    with pytest.raises(ValueError, match="finite"):  # kept arrays are still checked
+    data = tm.DataMatrix(values)
+    assert data.values is not values and data.values.flags.owndata
+    assert np.array_equal(data.values, values) and not data.values.flags.writeable
+    with pytest.raises(ValueError, match="finite"):
         frozen = np.array([[1.0, np.inf]])
         frozen.flags.writeable = False
         tm.DataMatrix(frozen)
+
+
+def test_data_matrix_is_not_changed_through_a_view_made_before_the_array_was_frozen():
+    a = np.ones((3, 2))
+    b = a[:]
+    a.flags.writeable = False
+    d = tm.DataMatrix(a)
+    b[0, 0] = 5.0
+    assert d.values[0, 0] == 1.0
+
+
+def test_data_matrix_without_a_copy_keeps_the_checked_array_read_only():
+    values = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert tm.DataMatrix(values, copy=False).values is values
+    assert not values.flags.writeable
+    with pytest.raises(ValueError, match="finite"):  # only the copy is skipped
+        tm.DataMatrix(np.array([[1.0, np.nan]]), copy=False)
 
 
 def _plain_exceedances(columns, level):

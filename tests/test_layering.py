@@ -191,3 +191,30 @@ def test_only_core_thresholds_or_divides_by_a_partial_max():
                "theta = atoms[keep] / peaks[keep, None]\n"
                "probs = probs[keep] * peaks[keep]\n")
     assert _thresholds_partial_max(ast.parse(by_hand)) == [2, 3]
+
+
+def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    """The calls of ``name``, as a bare name or an attribute (``tm.name(...)``)."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_only_simulate_hands_data_over_uncopied():
+    # DataMatrix copies what it is handed; maxlinear.simulate alone passes an array that
+    # nothing else holds, with copy=False
+    uncopied = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+                for call in _calls(ast.parse(path.read_text()), "DataMatrix")
+                if any(kw.arg == "copy" for kw in call.keywords)}
+    assert uncopied == {"maxlinear"}
+
+
+def test_estimators_reach_tail_samples_through_the_reuse_rule():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    builders = {module for module, tree in trees.items()
+                if _calls(tree, "KnownSample") or _calls(tree, "RankSample")}
+    # the CLI and the harness build one sample per command or block and pass it on
+    assert builders == {"cli", "harness"}
+    assert all(_calls(trees[module], "tail_sample")
+               for module in ("estimators", "weights", "margins"))
+    assert len(_calls(ast.parse("tm.KnownSample(x, u, s)\nRankSample(x, k, s)"),
+                      "KnownSample")) == 1

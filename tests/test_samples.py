@@ -134,25 +134,38 @@ def test_estimators_read_a_matching_sample_and_rebuild_a_mismatched_one():
         tm.stable_tail_estimate(x, 30, s).estimate
     assert tm.hill_inverse_alpha(ranks, 40, I12).estimate == \
         tm.hill_inverse_alpha(x, 40, I12).estimate
-    assert samples.rank_sample(ranks, 40, s) is ranks
+    assert samples.tail_sample(tm.RankSample, ranks, 40, s) is ranks
+    assert samples.tail_sample(tm.RankSample, ranks, 40.0, s, None) is ranks
+    assert samples.tail_sample(tm.KnownSample, ranks, 5.0, s).values is ranks.values
     np.testing.assert_array_equal(tm.core.matrix_values(ranks), x)
 
     u = float(np.quantile(tm.partial_max(x, s), 0.9))
     known = tm.KnownSample(x, u, s)
-    assert samples.known_sample(known, u, s) is known
-    assert samples.known_sample(known, 2 * u, s).count == tm.KnownSample(x, 2 * u, s).count
+    assert samples.tail_sample(tm.KnownSample, known, u, s) is known
+    assert samples.tail_sample(tm.KnownSample, known, 2 * u, s).count == \
+        tm.KnownSample(x, 2 * u, s).count
+    # a perturbation is compared by identity, not by its scales
+    unit = tm.Perturbation.scaled(s, 3, [1.0, 1.0])
+    perturbed = tm.KnownSample(x, u, s, unit)
+    assert samples.tail_sample(tm.KnownSample, perturbed, u, s, unit) is perturbed
+    again = samples.tail_sample(tm.KnownSample, perturbed, u, s,
+                                tm.Perturbation.scaled(s, 3, [1.0, 1.0]))
+    assert again is not perturbed and np.array_equal(again.angular, perturbed.angular)
+    assert samples.tail_sample(tm.KnownSample, perturbed, u, s) is not perturbed
     assert tm.tau_moment_known(known, u, s).estimate == tm.tau_moment_known(x, u, s).estimate
 
 
 def test_a_sample_with_another_power_is_rebuilt():
     x = _pareto(2)
     ranks = tm.RankSample(x, 30, I12)
-    other = samples.rank_sample(ranks, 30, I12, inv_alpha_hat=0.8)
+    other = samples.tail_sample(tm.RankSample, ranks, 30, I12, 0.8)
     np.testing.assert_array_equal(other.ratios, ranks.ratios)
     assert other.inv_alpha == 0.8 and other.hill == ranks.hill
-    assert samples.rank_sample(other, 30, I12).inv_alpha == ranks.hill
+    assert samples.tail_sample(tm.RankSample, other, 30, I12).inv_alpha == ranks.hill
     with pytest.raises(ValueError):
-        samples.rank_sample(ranks, 30, I12, inv_alpha_hat=-1.0)
+        samples.tail_sample(tm.RankSample, ranks, 30, I12, -1.0)
+    with pytest.raises(ValueError, match="threshold u"):
+        samples.tail_sample(tm.KnownSample, tm.KnownSample(x, 5.0, I12), np.nan, I12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])

@@ -3,7 +3,7 @@ import pytest
 
 import tailmoments as tm
 from tailmoments.estimators import _stable_tail_variance
-from tailmoments.samples import rank_sample, second_moments
+from tailmoments.samples import second_moments, tail_sample
 from tailmoments.weights import rank_variance_form
 
 I12 = tm.IndexSet([1, 2])
@@ -196,7 +196,7 @@ def test_stable_tail_std_error_clamps_the_plug_in():
     """The raw plug-in may dip below zero at small k; the reported standard
     error is then clamped to zero."""
     x = tm.simulate(tm.make_scenario(0.89, 0.94), 500, seed=0)
-    raw = _stable_tail_variance(rank_sample(x, 25, I12), 0.05)
+    raw = _stable_tail_variance(tail_sample(tm.RankSample, x, 25, I12), 0.05)
     assert np.isfinite(raw) and raw < 0.0
     rep = tm.stable_tail_estimate(x, 25, I12, eps=0.05)
     assert rep.std_error == 0.0
