@@ -17,9 +17,11 @@ from .core import (
     EstimationError,
     IndexSet,
     WeightVector,
+    check_open_unit,
     embed,
     make_weight_vector,
     partial_max,
+    restrict,
     uniform_weights,
 )
 from .estimators import (
@@ -54,8 +56,29 @@ from .weights import (
     tau_moment_ranks,
 )
 
-_KNOWN_METHODS = {"bk", "mk"}
-_RANK_METHODS = {"hill", "bu", "mu"}
+# The one table of `estimate`, keyed by (--method, --known-margins): the flags each method reads
+# and its call on the one tail sample, which carries the index set and u (a KnownSample) or k
+# (a RankSample). The --method choices, the margin-convention errors and every unread-flag error
+# come from it.
+_METHODS = {
+    ("bk", True): ({"alpha", "scales", "u_quantile", "weights", "optimal"},
+                   lambda s, a: benchmark_ratio_known(s, s.u, _weights(a, s))),
+    ("mk", True): ({"alpha", "scales", "u_quantile"},
+                   lambda s, a: tau_moment_known(s, s.u, s.index_set)),
+    ("moment", True): ({"alpha", "scales", "u_quantile", "weights", "optimal", "p"},
+                       lambda s, a: moment_ratio_known(s, s.u, _weights(a, s),
+                                                       p=1 if a.p is None else a.p)),
+    ("hill", False): ({"k"}, lambda s, a: hill_inverse_alpha(s, s.k, s.index_set)),
+    ("bu", False): ({"k", "eps"},
+                    lambda s, a: stable_tail_estimate(s, s.k, s.index_set, eps=a.eps)),
+    ("mu", False): ({"k", "eps"}, lambda s, a: tau_moment_ranks(s, s.k, s.index_set, eps=a.eps)),
+    ("moment", False): ({"k", "weights", "optimal", "p", "eps"},
+                        lambda s, a: moment_ratio_ranks(s, s.k, _weights(a, s),
+                                                        p=1 if a.p is None else a.p)),
+}
+# the one rule an entry cannot hold: rank-based moment reads --eps only for --optimal weights
+_EPS_ONLY_WITH_OPTIMAL = ("moment", False)
+_FLAGS = ("alpha", "scales", "u_quantile", "k", "weights", "optimal", "p", "eps")
 
 
 def _parse_index_set(text: str) -> IndexSet:
@@ -79,95 +102,64 @@ def _parse_scenario(text: str) -> tuple[float, float]:
     return float(values[0]), float(values[1])
 
 
-def _embed_weights(raw: np.ndarray, index_set: IndexSet, d: int) -> WeightVector:
-    if raw.size == index_set.size:
-        raw = embed(raw, index_set, d)
-    elif raw.size != d:
-        raise ValueError(f"--weights needs {index_set.size} or {d} entries, got {raw.size}")
-    return make_weight_vector(raw, index_set)
-
-
 def _report_out(report, output: str) -> None:
     if output == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
+        floats = (report.estimate, report.inverse_estimate, report.std_error)
         print("method,estimate,inverse_estimate,std_error,exceedance_count")
-        print(",".join([
-            report.method,
-            format_float(report.estimate),
-            format_float(report.inverse_estimate),
-            format_float(report.std_error),
-            str(report.exceedance_count),
-        ]))
+        print(",".join([report.method, *map(format_float, floats), str(report.exceedance_count)]))
+
+
+def _readers(flag: str) -> str:
+    """The methods that read ``flag``, with their margin convention when all share one."""
+    keys = [key for key, (reads, _) in _METHODS.items() if flag in reads]
+    names = ", ".join(dict.fromkeys(method for method, _ in keys))
+    conventions = {known for _, known in keys}
+    if len(conventions) == 2:
+        return names
+    return names + (" with" if conventions == {True} else " without") + " --known-margins"
+
+
+def _weights(args, sample) -> WeightVector:
+    """The --weights (|I| or d entries), the --optimal or the uniform weights on the index set."""
+    index_set, d = sample.index_set, sample.values.shape[-1]
+    if args.weights is not None:
+        raw = restrict(_parse_floats(args.weights), index_set, d)
+        return make_weight_vector(embed(raw, index_set, d), index_set)
+    if args.optimal:
+        best = (optimal_known_ratios(sample) if args.known_margins
+                else optimal_rank_ratios(sample, args.eps)).weights
+        return WeightVector(embed(best, index_set, d), index_set)
+    return uniform_weights(index_set, d)
 
 
 def _cmd_estimate(args, parser) -> int:
+    # usage errors first, from the table, so that they exit 2 before the input is read
+    key = (args.method, args.known_margins)
+    if key not in _METHODS:
+        needs = "uses ranks; drop" if args.known_margins else "requires"
+        parser.error(f"--method {args.method} {needs} --known-margins")
+    if args.weights is not None and args.optimal:
+        parser.error("--weights and --optimal are mutually exclusive")
+    for flag in _FLAGS:
+        if getattr(args, flag) is not None and flag not in _METHODS[key][0]:
+            parser.error(f"--{flag.replace('_', '-')} applies only to --method {_readers(flag)}")
+    if key == _EPS_ONLY_WITH_OPTIMAL and args.eps is not None and not args.optimal:
+        parser.error("--eps applies only to --method moment with --optimal")
+    level = 0.95 if args.u_quantile is None else check_open_unit(args.u_quantile, "--u-quantile")
     x = read_matrix_csv(args.input)
     n, d = x.shape
     index_set = _parse_index_set(args.index_set)
-    index_set.check_within(d)
-    method = args.method
-
-    if method in _KNOWN_METHODS and not args.known_margins:
-        parser.error(f"--method {method} requires --known-margins")
-    if method in _RANK_METHODS and args.known_margins:
-        parser.error(f"--method {method} uses ranks; drop --known-margins")
-    if args.weights and args.optimal:
-        parser.error("--weights and --optimal are mutually exclusive")
-    # a flag the method would not read is a usage error, not silently dropped
-    if (args.weights is not None or args.optimal) and method not in {"bk", "moment"}:
-        parser.error("--weights and --optimal apply only to --method bk and moment")
-    if args.p is not None and method != "moment":
-        parser.error("--p applies only to --method moment")
-    if args.eps is not None and method not in {"bu", "mu"} and not (
-            method == "moment" and args.optimal and not args.known_margins):
-        parser.error("--eps applies only to --method bu, mu and rank-based moment --optimal")
-    if args.k is not None and args.known_margins:
-        parser.error("--k applies only to --method hill, bu, mu and rank-based moment")
-    if not args.known_margins and any(
-            flag is not None for flag in (args.alpha, args.scales, args.u_quantile)):
-        parser.error("--alpha, --scales and --u-quantile apply only to --method bk, mk and "
-                     "moment with --known-margins")
-
-    # one tail sample per command, read by every call below
+    # one tail sample per command, read by the method's call
     if args.known_margins:
-        scales = _parse_floats(args.scales) if args.scales else np.ones(d)
+        scales = np.ones(d) if args.scales is None else _parse_floats(args.scales)
         std = standardize_known(x, 1.0 if args.alpha is None else args.alpha, scales)
-        level = 0.95 if args.u_quantile is None else args.u_quantile
         u = float(np.quantile(partial_max(std.values, index_set), level))
         sample = KnownSample(std, u, index_set)
     else:
-        k = args.k if args.k is not None else max(1, n // 20)
-        sample = RankSample(x, k, index_set)
-
-    def pick_weights() -> WeightVector:
-        if args.weights:
-            return _embed_weights(_parse_floats(args.weights), index_set, d)
-        if args.optimal:
-            w = (optimal_known_ratios(sample) if args.known_margins
-                 else optimal_rank_ratios(sample, args.eps)).weights
-            return WeightVector(embed(w, index_set, d), index_set)
-        return uniform_weights(index_set, d)
-
-    if method == "bk":
-        report = benchmark_ratio_known(sample, u, pick_weights())
-    elif method == "mk":
-        report = tau_moment_known(sample, u, index_set)
-    elif method == "moment":
-        p = 1 if args.p is None else args.p
-        if args.known_margins:
-            report = moment_ratio_known(sample, u, pick_weights(), p=p)
-        else:
-            report = moment_ratio_ranks(sample, k, pick_weights(), p=p)
-    elif method == "hill":
-        report = hill_inverse_alpha(sample, k, index_set)
-    elif method == "bu":
-        report = stable_tail_estimate(sample, k, index_set, eps=args.eps)
-    elif method == "mu":
-        report = tau_moment_ranks(sample, k, index_set, eps=args.eps)
-    else:  # pragma: no cover - argparse restricts choices
-        parser.error(f"unknown method {method}")
-    _report_out(report, args.output)
+        sample = RankSample(x, max(1, n // 20) if args.k is None else args.k, index_set)
+    _report_out(_METHODS[key][1](sample, args), args.output)
     return 0
 
 
@@ -283,14 +275,15 @@ def _build_parser() -> argparse.ArgumentParser:
                                            "(default n/20)")
     est.add_argument("--weights", help="comma-separated weights on the index set, "
                                        "for --method bk or moment")
-    est.add_argument("--optimal", action="store_true",
+    # None when absent, like every other flag of the table
+    est.add_argument("--optimal", action="store_true", default=None,
                      help="use variance-minimizing weights for --method bk or moment")
     est.add_argument("--p", type=int, help="moment power for --method moment (default 1)")
     est.add_argument("--eps", type=float,
                      help="difference-quotient step for --method bu, mu and rank-based "
                           "moment --optimal (default k/n where needed)")
     est.add_argument("--method", default="moment",
-                     choices=sorted(_KNOWN_METHODS | _RANK_METHODS | {"moment"}),
+                     choices=sorted({method for method, _ in _METHODS}),
                      help="estimator (default: moment ratio at the given weights)")
     est.add_argument("--output", choices=("json", "csv"), default="json")
     est.set_defaults(handler=_cmd_estimate)

@@ -160,7 +160,8 @@ def restrict(v, index_set: IndexSet, d: int) -> np.ndarray:
     if arr.shape[0] == index_set.size:
         return arr
     if arr.shape[0] != d:
-        raise ValueError(f"vectors must have length {index_set.size} or {d}, got {arr.shape[0]}")
+        lengths = d if index_set.size == d else f"{index_set.size} or {d}"
+        raise ValueError(f"vectors must have length {lengths}, got {arr.shape[0]}")
     index_set.check_within(d)
     if not _zero_outside(arr, index_set):
         raise SupportViolation(f"a length-{d} vector is non-zero outside the index set "
@@ -434,6 +435,14 @@ def check_finite(values, name: str, positive: bool = True, error: type = ValueEr
     above = (value > 0.0) if positive else (value >= 0.0)
     if not (above and value < np.inf):
         raise error(f"{name} must be {kind} and finite, got {value}")
+    return value
+
+
+def check_open_unit(value, name: str, error: type = ParamOutOfRange) -> float:
+    """``value`` as a float strictly inside (0, 1); NaN and both end points raise ``error``."""
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise error(f"{name} must lie in (0, 1), got {value}")
     return value
 
 

@@ -28,6 +28,7 @@ from .core import (
     Perturbation,
     WeightVector,
     check_moment_power as _check_power,
+    check_open_unit,
     restrict,
 )
 from .samples import KnownSample, RankSample, tail_sample
@@ -124,12 +125,8 @@ def benchmark_ratio_known(data, u: float, v: WeightVector) -> EstimateReport:
 
 def check_eps(eps, k: int, n: int) -> float:
     """Validate a difference-quotient step, ``k / n`` when absent; it must lie in (0, 1)."""
-    if eps is None:
-        eps = k / n
-    eps = float(eps)
-    if not 0.0 < eps < 1.0:
-        raise EpsOutOfRange(f"difference-quotient step must lie in (0, 1), got {eps}")
-    return eps
+    return check_open_unit(k / n if eps is None else eps, "difference-quotient step",
+                           EpsOutOfRange)
 
 
 def moment_ratio_ranks(data, k: int, v: WeightVector, p: int = 1,

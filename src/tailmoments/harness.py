@@ -29,6 +29,7 @@ from .core import (
     NoExceedances,
     ParamOutOfRange,
     check_integer,
+    check_open_unit,
     uniform_weights,
 )
 from .estimators import benchmark_ratios, stable_tail_estimates
@@ -75,16 +76,13 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n", "k", "reps", "seed"):
             object.__setattr__(self, name, check_integer(getattr(self, name), name))
-        object.__setattr__(self, "u_quantile", float(self.u_quantile))
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if not 1 <= self.k < self.n:
             raise KOutOfRange(f"k={self.k} must satisfy 1 <= k < n={self.n}")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        if not 0.0 < self.u_quantile < 1.0:
-            raise ParamOutOfRange(
-                f"u_quantile must lie in (0, 1), got {self.u_quantile}")
+        object.__setattr__(self, "u_quantile", check_open_unit(self.u_quantile, "u_quantile"))
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}

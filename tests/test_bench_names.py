@@ -49,3 +49,14 @@ def test_the_monte_carlo_workloads_replay_passes(workloads, tmp_path):
     workload.build(3, str(tmp_path))
     units = [workload.run_unit(0)]
     assert workload.check(units) == (0, [])
+
+
+def test_the_estimate_workloads_replay_passes(workloads, tmp_path):
+    # the CLI's reports equal the library calls the benchmark compares them with
+    workload = workloads.make_workload("estimate-large", True, 1)
+    workload.build(3, str(tmp_path))
+    try:
+        units = [workload.run_unit(i) for i in range(len(workload.commands()))]
+        assert workload.check(units) == (0, [])
+    finally:
+        workload.close()

@@ -197,6 +197,89 @@ def test_estimate_optimal_weights_are_those_of_the_variance_form(capsys, sample_
     assert out == json.dumps(expected.to_dict(), indent=2) + "\n"
 
 
+# the readers of each flag, as the README states them: --weights and --optimal apply only to bk
+# and moment, --p only to moment, --eps only to bu, mu and rank-based moment --optimal;
+# --alpha, --scales and --u-quantile need --known-margins, and --k applies only without it
+README_READERS = {
+    ("bk", True): {"--alpha", "--scales", "--u-quantile", "--weights", "--optimal"},
+    ("mk", True): {"--alpha", "--scales", "--u-quantile"},
+    ("moment", True): {"--alpha", "--scales", "--u-quantile", "--weights", "--optimal", "--p"},
+    ("hill", False): {"--k"},
+    ("bu", False): {"--k", "--eps"},
+    ("mu", False): {"--k", "--eps"},
+    ("moment", False): {"--k", "--weights", "--optimal", "--p"},  # --eps only with --optimal
+}
+FLAG_VALUES = {"--alpha": ["1.5"], "--scales": ["1,2"], "--u-quantile": ["0.9"], "--k": ["20"],
+               "--weights": ["0.3,0.7"], "--optimal": [], "--p": ["2"], "--eps": ["0.05"]}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("method,known", sorted(README_READERS))
+def test_estimate_flag_matrix(capsys, sample_csv, method, known, flag):
+    argv = ["estimate", "--input", sample_csv, "--index-set", "1,2", "--method", method,
+            *(["--known-margins"] if known else []), flag, *FLAG_VALUES[flag]]
+    if flag in README_READERS[method, known]:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["exceedance_count"] > 0
+    else:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "only to --method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,known", [("bk", False), ("mk", False), ("hill", True),
+                                          ("bu", True), ("mu", True)])
+def test_estimate_method_of_the_other_convention_exits_two(capsys, sample_csv, method, known):
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--input", sample_csv, "--index-set", "1,2", "--method", method,
+              *(["--known-margins"] if known else [])])
+    assert err.value.code == 2
+    assert "known-margins" in capsys.readouterr().err
+
+
+def test_estimate_usage_errors_come_before_the_input_is_read(capsys, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--input", str(tmp_path / "missing.csv"), "--index-set", "1,2",
+              "--method", "mu", "--p", "2"])
+    assert err.value.code == 2
+    assert "only to --method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--weights", "--scales"])
+def test_estimate_an_empty_number_list_is_not_absent(capsys, sample_csv, flag):
+    code, out, err = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
+                         "--known-margins", "--method", "bk", flag, "")
+    assert code == 1 and out == ""
+    assert "invalid number list" in err
+
+
+def test_estimate_empty_weights_conflict_with_optimal(capsys, sample_csv):
+    with pytest.raises(SystemExit) as err:
+        main(["estimate", "--input", sample_csv, "--index-set", "1,2", "--known-margins",
+              "--weights", "", "--optimal"])
+    assert err.value.code == 2
+    assert "mutually exclusive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["0", "1", "nan", "-0.5", "1.5"])
+def test_estimate_u_quantile_outside_the_open_unit_interval(capsys, tmp_path, level):
+    # checked before the input is read
+    code, out, err = run(capsys, "estimate", "--input", str(tmp_path / "missing.csv"),
+                         "--index-set", "1,2", "--known-margins", "--u-quantile", level)
+    assert code == 1 and out == ""
+    assert "ParamOutOfRange" in err and "(0, 1)" in err
+
+
+@pytest.mark.parametrize("index_set,raw,length", [("1,2", "1,2,3", "length 2,"),
+                                                  ("1", "1,2,3", "length 1 or 2,")])
+def test_estimate_weights_of_a_wrong_length(capsys, sample_csv, index_set, raw, length):
+    code, out, err = run(capsys, "estimate", "--input", sample_csv, "--index-set", index_set,
+                         "--known-margins", "--method", "bk", "--weights", raw)
+    assert code == 1 and out == ""
+    assert length in err
+
+
 ONE_SAMPLE_COMMANDS = {
     "bk": ["--known-margins", "--method", "bk"],
     "mk": ["--known-margins", "--method", "mk"],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tailmoments as tm
-from tailmoments.core import check_moment_power
+from tailmoments.core import check_moment_power, check_open_unit
 
 
 def test_index_set_members_and_lookup():
@@ -341,3 +341,26 @@ def test_array_holding_types_compare_and_hash_by_identity(make):
     value, twin = make(), make()
     assert value == value and value != twin
     assert len({value, twin, value}) == 2
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, np.nan, -0.5, 1.5, np.inf])
+def test_check_open_unit_rejects_the_end_points_and_nan(value):
+    with pytest.raises(tm.ParamOutOfRange, match=r"level must lie in \(0, 1\)"):
+        check_open_unit(value, "level")
+    with pytest.raises(tm.EpsOutOfRange):
+        check_open_unit(value, "step", tm.EpsOutOfRange)
+    assert check_open_unit("0.25", "level") == 0.25
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, np.nan])
+def test_config_u_quantile_uses_the_open_unit_rule(value):
+    with pytest.raises(tm.ParamOutOfRange, match="u_quantile must lie in"):
+        tm.ExperimentConfig(tm.make_scenario(0.1, 0.2), n=100, k=5, reps=1, seed=0,
+                            u_quantile=value)
+
+
+def test_restrict_names_one_length_when_the_index_set_is_everything():
+    with pytest.raises(ValueError, match=r"length 2, got 3"):
+        tm.core.restrict(np.ones(3), tm.IndexSet([1, 2]), 2)
+    with pytest.raises(ValueError, match=r"length 1 or 2, got 3"):
+        tm.core.restrict(np.ones(3), tm.IndexSet([1]), 2)
