@@ -9,16 +9,25 @@ most :data:`BLOCK`, whose (block, n, d) data hold at most
 :data:`BLOCK_VALUES` values: one simulation, one tail sample per margin
 convention and one pass of each estimator per block.  A repetition's
 estimates are the same bits in any block, so results do not depend on the
-blocking or on execution order.  With ``TAILMOMENTS_THREADS`` set, one
-process pool per call maps the blocks of every experiment in it (the three
-scenarios of :func:`table_experiments` share one), with no more workers
-than blocks, and closes before the call returns.
+blocking or on execution order.  With ``TAILMOMENTS_THREADS`` set, a
+process pool maps the blocks of every experiment in a call (the three
+scenarios of :func:`table_experiments` share it), with no more workers
+than blocks.  The pool is kept across calls: the first parallel call starts
+it, later calls that resolve the same worker count reuse it, and a call
+that resolves another count shuts it down, waiting for its workers, before
+it starts a new one.  A pool broken by a dead worker is shut down and the
+error raised; the next call starts afresh.  Parallel calls from several
+threads take turns on the pool.  A forked child never uses its parent's
+pool, and the pool is shut down at interpreter exit.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -188,6 +197,41 @@ def _worker_count(tasks: int) -> int | None:
     return None if workers <= 1 else workers
 
 
+#: the kept worker pool, keyed by its worker count; at most one entry
+_pools: dict[int, ProcessPoolExecutor] = {}
+#: held by each parallel call, so that no call resizes the pool another call maps on
+_pool_lock = threading.Lock()
+
+
+def _pool_of(workers: int) -> ProcessPoolExecutor:
+    """The kept pool of ``workers`` workers, started after any pool of another size is
+    shut down."""
+    pool = _pools.get(workers)
+    if pool is None:
+        _shutdown_pool()
+        pool = _pools[workers] = ProcessPoolExecutor(max_workers=workers)
+    return pool
+
+
+def _shutdown_pool() -> None:
+    """Shut the kept pool down and wait for its workers to exit."""
+    while _pools:
+        _pools.popitem()[1].shutdown(wait=True)
+
+
+def _forget_pool() -> None:
+    """In a forked child: drop the parent's pool unused, since its workers belong to the
+    parent, and free the lock a parent thread may have held."""
+    global _pool_lock
+    _pools.clear()
+    _pool_lock = threading.Lock()
+
+
+atexit.register(_shutdown_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _run(configs: list[ExperimentConfig]) -> list[ExperimentReport]:
     """The reports of ``configs``: one set of workers maps every config's blocks.
 
@@ -208,8 +252,12 @@ def _run(configs: list[ExperimentConfig]) -> list[ExperimentReport]:
     if workers is None:
         results = list(map(_block_estimates, *columns))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_block_estimates, *columns))
+        with _pool_lock:
+            try:
+                results = list(_pool_of(workers).map(_block_estimates, *columns))
+            except BrokenProcessPool:
+                _shutdown_pool()
+                raise
     return [_report(config, u, np.concatenate(results[lo:hi]))
             for config, u, lo, hi in zip(configs, thresholds, bounds[:-1], bounds[1:])]
 

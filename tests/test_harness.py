@@ -1,4 +1,9 @@
 import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -16,6 +21,15 @@ from tailmoments.harness import (
 )
 
 I12 = tm.IndexSet([1, 2])
+
+
+@pytest.fixture(autouse=True)
+def no_kept_pool():
+    """Every test starts and ends without a kept worker pool, so a pool left by one test
+    cannot stand in for another's."""
+    harness._shutdown_pool()
+    yield
+    harness._shutdown_pool()
 
 
 def small_config(**overrides):
@@ -133,11 +147,8 @@ class RecordingPool:
     def __init__(self, max_workers):
         RecordingPool.made.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True):
+        pass
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)
@@ -165,8 +176,8 @@ def test_workers_never_outnumber_blocks(monkeypatch, pools):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
     run_experiment(small_config(reps=8))  # one block
     run_experiment(small_config(reps=3 * block + 5))  # four blocks
-    run_experiment(small_config(reps=5 * block))  # five blocks
-    assert pools == [2, 3, 3]
+    run_experiment(small_config(reps=5 * block))  # five blocks: the kept 3-worker pool
+    assert pools == [2, 3]
 
 
 def test_table_maps_every_scenario_through_one_pool(monkeypatch, pools):
@@ -181,9 +192,139 @@ def test_parallel_table_matches_serial(monkeypatch):
     serial = table_experiments(reps=reps, seed=2)
     monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
     parallel = table_experiments(reps=reps, seed=2)
+    harness._shutdown_pool()
     assert multiprocessing.active_children() == []
     assert {key: r.to_dict() for key, r in parallel.items()} == \
         {key: r.to_dict() for key, r in serial.items()}
+
+
+def _worker_pids(workers):
+    """The pids of the kept pool, which must have ``workers`` workers and be the only
+    children of this process."""
+    assert list(harness._pools) == [workers]
+    pids = set(harness._pools[workers]._processes)
+    assert len(pids) == workers
+    assert {child.pid for child in multiprocessing.active_children()} == pids
+    return pids
+
+
+def test_parallel_calls_reuse_the_kept_pool(monkeypatch):
+    monkeypatch.setattr(harness, "BLOCK", 3)
+    serial = run_experiment(small_config()).to_dict()
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
+    assert run_experiment(small_config()).to_dict() == serial
+    pids = _worker_pids(2)
+    assert run_experiment(small_config(reps=7, seed=8)).to_dict() == \
+        run_experiment(small_config(reps=7, seed=8)).to_dict()
+    assert _worker_pids(2) == pids
+
+
+def test_a_new_worker_count_rebuilds_the_pool(monkeypatch):
+    monkeypatch.setattr(harness, "BLOCK", 3)  # three blocks of 8 replications
+    serial = run_experiment(small_config()).to_dict()
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
+    assert run_experiment(small_config()).to_dict() == serial
+    old = _worker_pids(2)
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "3")
+    assert run_experiment(small_config()).to_dict() == serial
+    assert not old & _worker_pids(3)  # the old workers have exited, not just left the pool
+
+
+def test_a_call_after_shutdown_starts_a_new_pool(monkeypatch):
+    monkeypatch.setattr(harness, "BLOCK", 3)
+    serial = run_experiment(small_config()).to_dict()
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
+    run_experiment(small_config())
+    old = _worker_pids(2)
+    harness._shutdown_pool()
+    assert harness._pools == {} and multiprocessing.active_children() == []
+    assert run_experiment(small_config()).to_dict() == serial
+    assert not old & _worker_pids(2)
+
+
+def test_serial_calls_leave_the_pool_alone(monkeypatch):
+    monkeypatch.setattr(harness, "BLOCK", 3)
+    run_experiment(small_config())
+    assert harness._pools == {} and multiprocessing.active_children() == []
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
+    run_experiment(small_config())
+    pool, pids = harness._pools[2], _worker_pids(2)
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "8")
+    run_experiment(small_config(reps=2))  # one block runs serially, even at a new count
+    monkeypatch.delenv("TAILMOMENTS_THREADS")
+    run_experiment(small_config())
+    assert harness._pools == {2: pool} and _worker_pids(2) == pids
+
+
+def test_a_broken_pool_raises_and_the_next_call_starts_afresh(monkeypatch):
+    monkeypatch.setattr(harness, "BLOCK", 3)
+    serial = run_experiment(small_config()).to_dict()
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
+    run_experiment(small_config())
+    pool, old = harness._pools[2], _worker_pids(2)
+    victim = min(old)
+    os.kill(victim, signal.SIGKILL)
+    pool._processes[victim].join(timeout=30)
+    assert not pool._processes[victim].is_alive()
+    deadline = time.monotonic() + 30
+    while not pool._broken and time.monotonic() < deadline:  # the pool notices the death
+        time.sleep(0.01)
+    with pytest.raises(BrokenProcessPool):
+        run_experiment(small_config())
+    assert harness._pools == {} and multiprocessing.active_children() == []
+    assert run_experiment(small_config()).to_dict() == serial
+    assert not old & _worker_pids(2)
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_threads_that_resolve_different_worker_counts_take_turns(monkeypatch):
+    monkeypatch.setattr(harness, "BLOCK", 3)
+    configs = [small_config(reps=3 * blocks, seed=blocks) for blocks in (2, 3, 4)]
+    serial = [run_experiment(config).to_dict() for config in configs]
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "8")  # 2, 3 and 4 workers: each call resizes
+    pool_of = harness._pool_of
+
+    def slow_pool_of(workers):  # widens the gap between taking the pool and mapping on it
+        pool = pool_of(workers)
+        time.sleep(0.02)
+        return pool
+
+    monkeypatch.setattr(harness, "_pool_of", slow_pool_of)
+
+    def calls(config):
+        return [run_experiment(config).to_dict() for _ in range(3)]
+
+    with ThreadPoolExecutor(max_workers=len(configs)) as callers:
+        results = list(callers.map(calls, configs, timeout=120))
+    assert results == [[report] * 3 for report in serial]
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_never_uses_the_parents_pool(monkeypatch):
+    monkeypatch.setattr(harness, "BLOCK", 3)
+    serial = run_experiment(small_config()).to_dict()
+    monkeypatch.setenv("TAILMOMENTS_THREADS", "2")
+    run_experiment(small_config())
+    pids = _worker_pids(2)
+    with harness._pool_lock:  # as if another thread were inside a parallel call
+        child = os.fork()
+        if child == 0:  # the child reports through its exit status only
+            status = 1
+            try:
+                if harness._pools == {} and run_experiment(small_config()).to_dict() == serial:
+                    status = 2 if pids & set(harness._pools[2]._processes) else 0
+                harness._shutdown_pool()
+            finally:
+                os._exit(status)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(child, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+    assert done[0] == child and os.waitstatus_to_exitcode(done[1]) == 0
+    assert run_experiment(small_config()).to_dict() == serial
+    assert _worker_pids(2) == pids
 
 
 @pytest.mark.parametrize("raw", ["abc", "1.5", "-1", ""])

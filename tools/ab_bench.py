@@ -6,8 +6,11 @@ goes first alternates from pair to pair, and pair i uses seed ``--seed + i``.
 The script prints every run's result as it arrives, then, per end-to-end
 metric of the changed checkout's ``BENCHMARK.json``, each side's median
 and quartiles and in how many pairs the change led (ties count for
-neither side).  It only starts the benchmark of each checkout; it changes
-no file under ``bench/``.  For example, against a second checkout of the
+neither side).  Each run leads its own session and writes to temporary
+files; a run that exits non-zero, or leaves a process of its group running
+(a worker that outlived it), stops the comparison, and a left-over group is
+killed.  It only starts the benchmark of each checkout; it changes no file
+under ``bench/``.  For example, against a second checkout of the
 parent commit:
 
     git worktree add ../parent HEAD~1
@@ -18,21 +21,49 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The result line of one untraced benchmark run in ``checkout``."""
+def _group_alive(pgid: int) -> bool:
+    """Whether any process of group ``pgid`` still exists."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass
+    return True
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: int,
+              side: str) -> dict:
+    """The result line of one untraced benchmark run in ``checkout``.
+
+    The run leads a new session, so its workers share its process group, and
+    writes to temporary files, not pipes a surviving worker would hold open.
+    """
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
-    if proc.returncode != 0:
-        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n"
-                         f"{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        with subprocess.Popen(cmd, cwd=checkout, stdout=out, stderr=err,
+                              start_new_session=True) as proc:
+            code = proc.wait()
+        if _group_alive(proc.pid):
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise SystemExit(f"{side} seed {seed}: {' '.join(cmd)} in {checkout} left a "
+                             "process of its group running; the group was killed")
+        if code != 0:
+            err.seek(0)
+            raise SystemExit(f"{side} seed {seed}: {' '.join(cmd)} in {checkout} exited "
+                             f"{code}\n{err.read()[-2000:]}")
+        out.seek(0)
+        return json.loads(out.read().strip().splitlines()[-1])
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -73,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed + i
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            result = run_bench(getattr(args, side), args.workload, seed, args.seconds)
+            result = run_bench(getattr(args, side), args.workload, seed, args.seconds, side)
             runs[side].append(result)
             values = {k: round(m["value"], 4) for k, m in result["metrics"].items()}
             print(f"pair {i} seed {seed} {side}: failed {result['failed']} of "
