@@ -198,7 +198,7 @@ def _cmd_oracle(args, parser) -> int:
         v = _parse_floats(parts[0])
         s = _parse_floats(parts[1])
         value = perturbed_moment(measure, index_set, v, s,
-                                 beta=float(parts[2]), p=int(parts[3]))
+                                 beta=float(parts[2]), p=float(parts[3]))
         print(json.dumps({"c": value}))
     return 0
 

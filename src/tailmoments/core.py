@@ -131,9 +131,6 @@ class IndexSet:
     def __contains__(self, item) -> bool:
         return item in self.members
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def embed(values, index_set: IndexSet, d: int) -> np.ndarray:
     """Zero-filled length-d vectors holding ``values`` on the index set, along the last axis."""
@@ -420,22 +417,15 @@ def check_integer(value, name: str) -> int:
 def check_finite(values, name: str, positive: bool = True, error: type = ValueError):
     """``values`` as a float (array) whose entries are finite and > 0, or >= 0 if not ``positive``.
 
-    NaN and infinity fail like an out-of-range value; the caller's ``error`` class is raised.
+    A 0-d input gives a float.  NaN and infinity fail like an out-of-range value; the caller's
+    ``error`` class is raised.
     """
-    kind = "positive" if positive else "non-negative"
-    if isinstance(values, (list, tuple, np.ndarray)):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim:
-            above = (arr > 0.0) if positive else (arr >= 0.0)
-            if not np.all(above & (arr < np.inf)):
-                raise error(f"{name} must be {kind} and finite")
-            return arr
-        values = arr
-    value = float(values)  # plain comparisons on the scalar path: NaN fails them too
-    above = (value > 0.0) if positive else (value >= 0.0)
-    if not (above and value < np.inf):
-        raise error(f"{name} must be {kind} and finite, got {value}")
-    return value
+    arr = np.asarray(values, dtype=float)
+    above = (arr > 0.0) if positive else (arr >= 0.0)
+    if not np.all(above & (arr < np.inf)):  # NaN fails both comparisons
+        got = f", got {float(arr)}" if arr.ndim == 0 else ""
+        raise error(f"{name} must be {'positive' if positive else 'non-negative'} and finite{got}")
+    return arr if arr.ndim else float(arr)
 
 
 def check_open_unit(value, name: str, error: type = ParamOutOfRange) -> float:
@@ -468,18 +458,11 @@ def matrix_values(data) -> np.ndarray:
 # the partial max functional
 # ---------------------------------------------------------------------------
 
-def partial_max(x, index_set: IndexSet):
-    """Maximum of the coordinates of ``x`` over the index set.
-
-    Accepts a single d-vector (returns a float) or an (n, d) matrix
-    (returns the per-row maxima as an n-vector).
-    """
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise ValueError("x must be a vector or a matrix")
-    index_set.check_within(arr.shape[-1])
-    ell = _row_max(arr[..., index_set.zero_based()])
-    return float(ell) if arr.ndim == 1 else ell
+def partial_max(x, index_set: IndexSet) -> np.ndarray:
+    """The per-row maxima over the index set of an (n, d) matrix ``x``, as an n-vector."""
+    arr = _as_float_array(x, "x", 2)
+    index_set.check_within(arr.shape[1])
+    return _row_max(arr[:, index_set.zero_based()])
 
 
 def _row_max(columns: np.ndarray) -> np.ndarray:

@@ -125,6 +125,9 @@ def benchmark_ratio_known(data, u: float, v: WeightVector) -> EstimateReport:
 
 def check_eps(eps, k: int, n: int) -> float:
     """Validate a difference-quotient step, ``k / n`` when absent; it must lie in (0, 1)."""
+    if eps is None and k >= n:
+        raise EpsOutOfRange(f"the default difference-quotient step k/n = {k / n} must lie in "
+                            "(0, 1); pass eps or take k < n")
     return check_open_unit(k / n if eps is None else eps, "difference-quotient step",
                            EpsOutOfRange)
 

@@ -28,7 +28,6 @@ from .core import (
     DegenerateDirection,
     IndexSet,
     NotStandardized,
-    Perturbation,
     QuadraticForm,
     WeightVector,
     check_finite,
@@ -85,16 +84,15 @@ class DiscreteSpectralMeasure:
     def size(self) -> int:
         return self.atoms.shape[0]
 
-    def merged(self, tol: float = 1e-12) -> "DiscreteSpectralMeasure":
-        """Combine atoms that coincide within ``tol``, summing their probabilities."""
-        tol = check_finite(tol, "tol", positive=False)
+    def merged(self) -> "DiscreteSpectralMeasure":
+        """Combine atoms that coincide within 1e-12, summing their probabilities."""
         order = np.lexsort(self.atoms.T[::-1])
         atoms = self.atoms[order]
         probs = self.probs[order]
         kept_atoms = [atoms[0]]
         kept_probs = [probs[0]]
         for row, weight in zip(atoms[1:], probs[1:]):
-            if np.max(np.abs(row - kept_atoms[-1])) <= tol:
+            if np.max(np.abs(row - kept_atoms[-1])) <= 1e-12:
                 kept_probs[-1] += weight
             else:
                 kept_atoms.append(row)
@@ -162,13 +160,14 @@ class Population:
         return float(means.mean())
 
     def coefficient(self, index_set: IndexSet) -> float:
-        """The extremal coefficient of any index set of the measure, from the checked mean."""
-        mean = self.mean  # an unstandardized measure fails before a set without mass
+        """The extremal coefficient of any index set of the measure, from the checked mean.
+
+        Every atom has sup-norm one, so the equal coordinate means of a
+        standardized measure are each at least 1/d, and so is the mass of
+        any index set: the coefficient is always defined.
+        """
         mass = float(self.measure.probs @ partial_max(self.measure.atoms, index_set))
-        if mass <= 0.0:
-            raise DegenerateDirection(
-                f"the measure puts no mass on the index set {index_set.members}")
-        return 1.0 / mean * mass
+        return 1.0 / self.mean * mass
 
     @cached_property
     def pair_taus(self) -> np.ndarray:
@@ -231,27 +230,19 @@ def extremal_coefficient(measure: DiscreteSpectralMeasure,
 
 
 def perturbed_moment(measure: DiscreteSpectralMeasure, index_set: IndexSet,
-                     v, s=None, beta: float | None = None, p: int = 1) -> float:
+                     v, s=None, beta: float = 1.0, p: int = 1) -> float:
     """The population limit of the perturbed moment ratio.
 
-    For componentwise scales ``s`` (a vector or a Perturbation) and power
-    ``beta``, this is the partial-max-weighted mean of
-    ``(v' angular(s o Theta)^(1/beta))^p`` divided by the mean partial max of
-    ``s o Theta`` — the quantity whose scale and power derivatives enter the
-    rank-based variance corrections.  ``beta=None`` means 1 for a vector
-    ``s``; a Perturbation brings its own power and must live on the index
-    set, and an explicit ``beta`` must then equal the Perturbation's.
+    For componentwise scales ``s`` (a vector read through ``core.restrict``:
+    an |I|- or a d-vector) and power ``beta``, this is the
+    partial-max-weighted mean of ``(v' angular(s o Theta)^(1/beta))^p``
+    divided by the mean partial max of ``s o Theta`` — the quantity whose
+    scale and power derivatives enter the rank-based variance corrections.
     ``s=None`` reads the renormalized atoms as they are, neither scaled nor
     renormalized again; at ``beta`` 1 that is the plain moment E[(v' Theta)^p].
     """
     p = check_moment_power(p)
-    if isinstance(s, Perturbation):
-        if s.index_set != index_set:
-            raise ValueError("the perturbation lives on another index set")
-        if beta is not None and float(beta) != s.beta:
-            raise ValueError(f"beta={beta} contradicts the perturbation's beta={s.beta}")
-        s, beta = s.s, s.beta
-    beta = check_finite(1.0 if beta is None else beta, "beta")
+    beta = check_finite(beta, "beta")
     view = population(measure, index_set)
     theta, probs = view.theta, view.probs
     if s is not None:

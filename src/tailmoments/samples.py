@@ -120,12 +120,9 @@ def _columns(x: np.ndarray, index_set: IndexSet) -> np.ndarray:
     return x if index_set.size == x.shape[-1] else x[..., index_set.zero_based()]
 
 
-def upper_order_statistics(x, k: int):
-    """The k-th largest value (position k of the descending sort, ties kept by multiplicity).
-
-    For a vector, returns a float.  For an (n, d) matrix, returns the
-    per-column k-th largest values as a d-vector, and for an (R, n, d)
-    block an (R, d) array.
+def upper_order_statistics(x, k: int) -> np.ndarray:
+    """The per-column k-th largest values (position k of the descending sort, ties kept by
+    multiplicity) of an (n, d) matrix, as a d-vector, or of an (R, n, d) block, as (R, d).
 
     Raises
     ------
@@ -136,14 +133,12 @@ def upper_order_statistics(x, k: int):
     """
     arr = np.asarray(x, dtype=float)
     k = check_integer(k, "k")
-    if arr.ndim not in (1, 2, 3):
-        raise ValueError("x must be a vector, a matrix or a block of matrices")
-    axis = 0 if arr.ndim == 1 else -2
-    n = arr.shape[axis]
+    if arr.ndim not in (2, 3):
+        raise ValueError("x must be an (n, d) matrix or an (R, n, d) block")
+    n = arr.shape[-2]
     if k < 1 or k > n:
         raise KOutOfRange(f"k={k} must satisfy 1 <= k <= {n}")
-    value = np.take(np.partition(arr, n - k, axis=axis), n - k, axis=axis)
-    return float(value) if arr.ndim == 1 else value
+    return np.take(np.partition(arr, n - k, axis=-2), n - k, axis=-2)
 
 
 class KnownSample(_Sample):

@@ -55,6 +55,36 @@ def test_oracle_perturbed_moment(capsys):
     assert json.loads(out)["c"] == pytest.approx(23.0 / 40.0)
 
 
+def test_oracle_reads_an_integral_float_power_as_an_integer(capsys):
+    code, out, _ = run(capsys, "oracle", "--scenario", "0.1,0.2", "--index-set", "1,2",
+                       "--c", "0.5,0.5;1,1;1;2.0")
+    assert code == 0
+    measure = tm.model_spectral_measure(tm.make_scenario(0.1, 0.2))
+    assert json.loads(out)["c"] == tm.perturbed_moment(measure, tm.IndexSet([1, 2]),
+                                                       [0.5, 0.5], [1.0, 1.0], 1.0, 2)
+    code, out, err = run(capsys, "oracle", "--scenario", "0.1,0.2", "--index-set", "1,2",
+                         "--c", "0.5,0.5;1,1;1;1.5")
+    assert code == 1 and out == ""
+    assert "the moment power p must be an integer, got 1.5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--scenario", "0.1,0.2", "--index-set", "1,x", "--tau"],
+    ["oracle", "--scenario", "0.1,0.2,0.3", "--index-set", "1,2", "--tau"],
+], ids=["index_set", "scenario"])
+def test_oracle_bad_input_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert ("invalid index set" if "1,x" in argv else "exactly two parameters") in err
+
+
+def test_oracle_c_without_four_parts_exits_two(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "--scenario", "0.1,0.2", "--index-set", "1,2", "--c", "0.5,0.5;1,1;1"])
+    assert err.value.code == 2
+    assert "--c expects" in capsys.readouterr().err
+
+
 def test_oracle_measure_file(capsys, tmp_path):
     measure = {"atoms": [[1.0, 0.5], [0.5, 1.0]], "probs": [0.5, 0.5]}
     path = tmp_path / "measure.json"
@@ -336,6 +366,19 @@ def test_estimate_data_errors_exit_one(capsys, sample_csv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [["--method", "mu"], ["--method", "moment", "--optimal"]],
+                         ids=["mu", "moment_optimal"])
+def test_estimate_k_equal_to_n_names_the_default_step(capsys, sample_csv, argv):
+    code, out, err = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
+                         "--k", "400", *argv)
+    assert code == 1 and out == ""
+    assert "EpsOutOfRange: the default difference-quotient step k/n = 1.0" in err
+    assert "pass eps or take k < n" in err
+    code, out, _ = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
+                       "--k", "400", "--eps", "0.5", *argv)
+    assert code == 0 and json.loads(out)["parameters"]["k"] == 400
+
+
 def test_estimate_bu_eps_out_of_range_exits_one_without_exceedances(capsys, tmp_path):
     path = tmp_path / "constant.csv"
     np.savetxt(path, np.ones((50, 2)), delimiter=",", header="x1,x2", comments="")
@@ -403,6 +446,20 @@ def test_experiment_config_run(capsys, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "method,bias,emp_std,theo_std,excluded"
     assert len(lines) == 5
+
+
+def test_experiment_config_reps_and_seed_are_overridden(capsys, tmp_path):
+    cfg = {"scenario": [0.1, 0.2], "n": 300, "k": 15, "reps": 50, "seed": 1}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, _ = run(capsys, "experiment", "--config", str(cfg_path), "--reps", "3",
+                       "--seed", "9")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["config"]["reps"], payload["config"]["seed"]) == (3, 9)
+    direct = tm.run_experiment(tm.ExperimentConfig(tm.make_scenario(0.1, 0.2), n=300, k=15,
+                                                   reps=3, seed=9))
+    assert payload == json.loads(json.dumps(direct.to_dict()))
 
 
 def test_experiment_table_smoke(capsys, tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import tailmoments as tm
-from tailmoments.core import check_moment_power, check_open_unit
+from tailmoments.core import check_finite, check_moment_power, check_open_unit
+from tailmoments.io import read_matrix_csv, write_matrix_csv
 
 
 def test_index_set_members_and_lookup():
@@ -80,7 +81,8 @@ def test_partial_max_is_the_row_max_of_exceedances(members):
     idx = index_set.zero_based()
     ell = tm.core.exceedances(x[:, idx], 0.0)[0]
     assert tm.partial_max(x, index_set).tobytes() == ell.tobytes()
-    assert [tm.partial_max(row, index_set) for row in x[:5]] == ell[:5].tolist()
+    with pytest.raises(ValueError, match="2-dimensional"):  # one row is a (1, d) matrix
+        tm.partial_max(x[0], index_set)
 
 
 def test_data_matrix_rejects_negative_and_nonfinite():
@@ -328,6 +330,71 @@ def test_real_parameters_must_be_finite_and_in_range(site, bad):
         call(value)
 
 
+# each shape, count or content check at the library boundary, fed one bad input, with the
+# error class and the message its site raises; ``tmp`` is a scratch directory for the files
+BOUNDARY_SITES = {
+    "DataMatrix.1d": (lambda tmp: tm.DataMatrix([1.0, 2.0]),
+                      ValueError, r"an \(n, d\) matrix or an \(R, n, d\) block"),
+    "DataMatrix.empty": (lambda tmp: tm.DataMatrix(np.zeros((0, 2))),
+                         ValueError, "at least one row and one column"),
+    "WeightVector.negative": (lambda tmp: tm.WeightVector([1.5, -0.5], _PAIR),
+                              tm.NegativeWeight, "non-negative"),
+    "WeightVector.2d": (lambda tmp: tm.WeightVector([[0.5, 0.5]], _PAIR),
+                        ValueError, "1-dimensional"),
+    "QuadraticForm.shape": (lambda tmp: tm.QuadraticForm(_PAIR, np.eye(3)),
+                            ValueError, "must be 2x2"),
+    "QuadraticForm.nan": (lambda tmp: tm.QuadraticForm(_PAIR, [[1.0, np.nan], [np.nan, 1.0]]),
+                          ValueError, "entries must be finite"),
+    "EstimateReport.count": (lambda tmp: tm.EstimateReport(0.5, -1, "mk"),
+                             ValueError, "exceedance_count must be non-negative"),
+    "ExperimentConfig.n": (lambda tmp: tm.ExperimentConfig(tm.make_scenario(0.1, 0.2), n=1, k=1,
+                                                           reps=1, seed=0),
+                           ValueError, "n must be at least 2"),
+    "variance_grid.zero": (lambda tmp: tm.variance_grid(0.0),
+                           tm.ParamOutOfRange, r"must lie in \(0, 1\], got 0.0"),
+    "variance_grid.above_one": (lambda tmp: tm.variance_grid(1.5),
+                                tm.ParamOutOfRange, r"must lie in \(0, 1\], got 1.5"),
+    "run_experiment.k_one": (lambda tmp: tm.run_experiment(tm.ExperimentConfig(
+        tm.make_scenario(0.1, 0.2), n=50, k=1, reps=2, seed=0)),
+        tm.NoExceedances, "estimator BU produced no usable repetitions"),
+    "read_matrix_csv.empty": (lambda tmp: read_matrix_csv(_empty_file(tmp)),
+                              ValueError, "file is empty"),
+    "write_matrix_csv.vector": (lambda tmp: write_matrix_csv(tmp / "v.csv", [1.0, 2.0]),
+                                ValueError, "2-dimensional"),
+    "standardize_known.scales": (lambda tmp: tm.standardize_known(_POSITIVE, 1.0, [1.0] * 3),
+                                 ValueError, "one entry per column"),
+    "make_scenario": (lambda tmp: tm.make_scenario(1.5, 0),
+                      tm.ParamOutOfRange, r"must lie in \[0, 1\], got \(1.5, 0.0\)"),
+    "MaxLinearModel.1d": (lambda tmp: tm.MaxLinearModel([0.5, 0.5]),
+                          ValueError, "non-empty 2-dimensional"),
+    "MaxLinearModel.zero_column": (lambda tmp: tm.MaxLinearModel([[1.0, 0.0], [1.0, 0.0]]),
+                                   ValueError, "every factor column"),
+    "DiscreteSpectralMeasure.1d": (lambda tmp: tm.DiscreteSpectralMeasure([1.0, 0.5], [1.0]),
+                                   ValueError, "2-dimensional"),
+    "DiscreteSpectralMeasure.probs": (lambda tmp: tm.DiscreteSpectralMeasure(
+        [[1.0, 0.5], [0.5, 1.0]], [1.0]), ValueError, "one probability to each atom"),
+    "KnownSample.perturbation": (lambda tmp: tm.KnownSample(
+        _POSITIVE, 1.0, _PAIR, tm.Perturbation([1.0, 0.0], 1.0, tm.IndexSet([1]))),
+        ValueError, "another index set"),
+    "RankSample.zero_anchor": (lambda tmp: tm.RankSample(
+        np.vstack([np.zeros((8, 2)), _POSITIVE[:2]]), 5, _PAIR),
+        tm.EstimationError, "k-th upper order statistic is zero"),
+}
+
+
+def _empty_file(tmp):
+    path = tmp / "empty.csv"
+    path.write_text("")
+    return path
+
+
+@pytest.mark.parametrize("site", sorted(BOUNDARY_SITES))
+def test_boundary_checks_raise_their_own_error(site, tmp_path):
+    call, error, message = BOUNDARY_SITES[site]
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+
+
 @pytest.mark.parametrize("make", [
     lambda: tm.uniform_weights(_PAIR, 2),
     lambda: tm.Perturbation([1.0, 1.0], 1.0, _PAIR),
@@ -341,6 +408,17 @@ def test_array_holding_types_compare_and_hash_by_identity(make):
     value, twin = make(), make()
     assert value == value and value != twin
     assert len({value, twin, value}) == 2
+
+
+def test_check_finite_reads_scalars_and_arrays_through_one_path():
+    for value in (2, 2.0, np.float64(2.0), np.array(2.0)):
+        out = check_finite(value, "x")
+        assert type(out) is float and out == 2.0
+    assert check_finite([1, 0], "x", positive=False).tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="^x must be positive and finite, got nan$"):
+        check_finite(np.nan, "x")
+    with pytest.raises(tm.NonPositiveScale, match="^x must be non-negative and finite$"):
+        check_finite([1.0, -np.inf], "x", positive=False, error=tm.NonPositiveScale)
 
 
 @pytest.mark.parametrize("value", [0.0, 1.0, np.nan, -0.5, 1.5, np.inf])

@@ -59,6 +59,20 @@ def test_only_the_optimal_weights_read_the_simplex_qp():
     assert readers == {"weights", "oracle", "__init__"}
 
 
+def _reads_perturbation(path: Path) -> bool:
+    """Whether a module imports ``Perturbation`` or reads it as an attribute."""
+    return any("Perturbation" in names for names in _package_imports(path).values()) or any(
+        isinstance(node, ast.Attribute) and node.attr == "Perturbation"
+        for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_only_the_known_sample_and_its_estimators_read_a_perturbation():
+    # the oracle takes its scales in one form, a vector, and its power as a number;
+    # core defines Perturbation and __init__ re-exports it
+    readers = {path.stem for path in sorted(PACKAGE.glob("*.py")) if _reads_perturbation(path)}
+    assert readers == {"samples", "estimators", "__init__"}
+
+
 def _writes_through_zero_based(tree: ast.AST) -> list[int]:
     """Lines that assign into a subscript indexed by a ``.zero_based()`` call."""
     def indexes_by_zero_based(target) -> bool:

@@ -25,8 +25,11 @@ def test_standardize_known_validates_parameters():
 
 
 def test_upper_order_statistics_vector():
-    assert tm.upper_order_statistics(np.array([5.0, 3.0, 8.0, 1.0, 9.0]), 2) == 8.0
-    assert tm.upper_order_statistics(np.array([4.0, 4.0, 4.0]), 3) == 4.0
+    # a vector is one column of a matrix; ties count by multiplicity
+    assert tm.upper_order_statistics(np.array([[5.0, 3.0, 8.0, 1.0, 9.0]]).T, 2).tolist() == [8.0]
+    assert tm.upper_order_statistics(np.array([[4.0, 4.0, 4.0]]).T, 3).tolist() == [4.0]
+    with pytest.raises(ValueError, match="matrix"):
+        tm.upper_order_statistics(np.array([5.0, 3.0, 8.0]), 2)
 
 
 def test_upper_order_statistics_matrix_is_per_column():
@@ -38,7 +41,7 @@ def test_upper_order_statistics_matrix_is_per_column():
 @pytest.mark.parametrize("k", [0, 6])
 def test_upper_order_statistics_k_range(k):
     with pytest.raises(tm.KOutOfRange):
-        tm.upper_order_statistics(np.arange(1.0, 6.0), k)
+        tm.upper_order_statistics(np.arange(1.0, 6.0).reshape(5, 1), k)
 
 
 def test_scaled_by_order_statistics_zeroes_other_columns():

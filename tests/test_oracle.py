@@ -42,13 +42,13 @@ def test_measure_validates_probabilities_and_normalization():
         tm.DiscreteSpectralMeasure(np.array([[1.0, 0.5], [0.0, 0.0]]), np.array([0.5, 0.5]))
 
 
-@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
-def test_merged_checks_its_tolerance(tol):
-    m = tm.DiscreteSpectralMeasure(np.array([[1.0, 0.5], [1.0, 0.5], [0.5, 1.0]]),
-                                   np.array([0.25, 0.25, 0.5]))
-    assert m.merged().size == 2 and m.merged(0.0).size == 2
-    with pytest.raises(ValueError, match="tol must be non-negative and finite"):
-        m.merged(tol)
+def test_merged_sums_the_atoms_that_coincide_within_1e_12():
+    m = tm.DiscreteSpectralMeasure(
+        np.array([[1.0, 0.5], [1.0, 0.5 + 1e-13], [1.0, 0.5 + 1e-9], [0.5, 1.0]]),
+        np.array([0.25, 0.25, 0.125, 0.375]))
+    merged = m.merged()
+    assert merged.atoms.tolist() == [[0.5, 1.0], [1.0, 0.5], [1.0, 0.5 + 1e-9]]
+    assert merged.probs.tolist() == [0.375, 0.5, 0.125]
 
 
 def test_measure_json_holds_only_atoms_and_probs():
@@ -193,28 +193,16 @@ def test_perturbed_moment_at_identity_reduces_to_plain_moment():
         view.probs @ (np.power(view.theta, 0.5) @ [0.3, 0.7]))
 
 
-def test_perturbed_moment_takes_the_power_of_a_perturbation():
+def test_perturbed_moment_reads_beta_as_a_number():
+    # beta defaults to 1.0, an explicit 1.0 is the same call, and another power changes it
     m = scenario(0.4, 0.6)
-    perturbation = tm.Perturbation([1.1, 0.9], 2.0, I12)
-    value = perturbed_moment(m, I12, [0.5, 0.5], perturbation)
-    assert value == perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9], beta=2.0)
+    value = perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9], beta=2.0)
     assert value != perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9])
-    assert perturbed_moment(m, I12, [0.5, 0.5], perturbation, beta=2.0) == value
-
-
-def test_perturbed_moment_rejects_a_beta_contradicting_the_perturbation():
-    perturbation = tm.Perturbation([1.1, 0.9], 2.0, I12)
-    with pytest.raises(ValueError, match="beta"):
-        perturbed_moment(scenario(0.4, 0.6), I12, [0.5, 0.5], perturbation, beta=3.0)
-
-
-def test_perturbed_moment_tells_an_explicit_unit_beta_from_the_default():
-    m = scenario(0.4, 0.6)
-    perturbation = tm.Perturbation([1.1, 0.9], 2.0, I12)
-    with pytest.raises(ValueError, match="beta"):
-        perturbed_moment(m, I12, [0.5, 0.5], perturbation, beta=1.0)
     assert perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9]) == \
         perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9], beta=1.0)
+    atoms, probs = rationalized(m)
+    want = exact.perturbed_moment(atoms, probs, (1, 2), [0.5, 0.5], [1.1, 0.9], 2)
+    assert value == pytest.approx(float(want), rel=1e-12)
 
 
 @pytest.mark.parametrize("beta", [np.nan, np.inf])
@@ -226,12 +214,6 @@ def test_perturbed_moment_rejects_a_non_finite_beta(beta):
 def test_perturbed_moment_with_zero_scales_is_degenerate():
     with pytest.raises(tm.DegenerateDirection):
         perturbed_moment(scenario(0.4, 0.6), I12, [0.5, 0.5], [0.0, 0.0])
-
-
-def test_perturbed_moment_rejects_a_perturbation_on_another_index_set():
-    perturbation = tm.Perturbation([1.1, 0.0], 2.0, tm.IndexSet([1]))
-    with pytest.raises(ValueError, match="another index set"):
-        perturbed_moment(scenario(0.4, 0.6), I12, [0.5, 0.5], perturbation)
 
 
 # -------------------------------------------------------------- derivatives

@@ -159,6 +159,17 @@ def test_rank_variance_form_eps_band(eps):
         rank_variance_form(FULL_DEP, 10, I12, eps=eps)
 
 
+def test_the_default_step_at_k_equal_to_n_is_named_as_the_default():
+    n = FULL_DEP.shape[0]
+    with pytest.raises(tm.EpsOutOfRange, match=r"default difference-quotient step k/n = 1.0 "
+                                               r".* pass eps or take k < n"):
+        tm.tau_moment_ranks(FULL_DEP, n, I12)
+    with pytest.raises(tm.EpsOutOfRange, match=r"difference-quotient step must lie in \(0, 1\), "
+                                               r"got 1.0"):
+        tm.tau_moment_ranks(FULL_DEP, n, I12, eps=1.0)
+    assert tm.tau_moment_ranks(FULL_DEP, n, I12, eps=0.5).parameters["eps"] == 0.5
+
+
 def test_rank_variance_form_converges_to_the_population_matrix():
     model = tm.make_scenario(0.1, 0.2)
     x = tm.simulate(model, 20000, seed=31)
