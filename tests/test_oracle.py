@@ -193,16 +193,23 @@ def test_perturbed_moment_at_identity_reduces_to_plain_moment():
         view.probs @ (np.power(view.theta, 0.5) @ [0.3, 0.7]))
 
 
-def test_perturbed_moment_reads_beta_as_a_number():
-    # beta defaults to 1.0, an explicit 1.0 is the same call, and another power changes it
+def test_perturbed_moment_takes_the_power_of_a_perturbation():
+    # a Perturbation's scales and power are passed as a vector and a number
     m = scenario(0.4, 0.6)
-    value = perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9], beta=2.0)
+    perturbation = tm.Perturbation([1.1, 0.9], 2.0, I12)
+    value = perturbed_moment(m, I12, [0.5, 0.5], perturbation.s, perturbation.beta)
+    assert value == perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9], beta=2.0)
     assert value != perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9])
-    assert perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9]) == \
-        perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9], beta=1.0)
     atoms, probs = rationalized(m)
     want = exact.perturbed_moment(atoms, probs, (1, 2), [0.5, 0.5], [1.1, 0.9], 2)
     assert value == pytest.approx(float(want), rel=1e-12)
+
+
+def test_perturbed_moment_tells_an_explicit_unit_beta_from_the_default():
+    # beta defaults to 1.0, and an explicit 1.0 is the same call
+    m = scenario(0.4, 0.6)
+    assert perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9]) == \
+        perturbed_moment(m, I12, [0.5, 0.5], [1.1, 0.9], beta=1.0)
 
 
 @pytest.mark.parametrize("beta", [np.nan, np.inf])
