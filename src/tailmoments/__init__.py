@@ -40,10 +40,7 @@ from .estimators import (
     stable_tail_estimate,
 )
 from .harness import (
-    ESTIMATOR_NAMES,
     ExperimentConfig,
-    ExperimentReport,
-    MethodSummary,
     run_experiment,
     table_experiments,
     variance_grid,
@@ -68,10 +65,8 @@ from .oracle import (
     Population,
     asymptotic_variances,
     extremal_coefficient,
-    optimal_weights,
     perturbed_moment,
     rank_variance_matrix,
-    ratio_covariance,
 )
 from .samples import KnownSample, RankSample, upper_order_statistics
 from .variance import minimize_quadratic_on_simplex

@@ -209,9 +209,9 @@ def _write_report_csv(path: str, named_reports: list[tuple[str, object]]) -> Non
         header = (("scenario",) + REPORT_CSV_HEADER) if multi else REPORT_CSV_HEADER
         handle.write(",".join(header) + "\n")
         for name, report in named_reports:
-            for method, bias, emp_std, theo_std, excluded in report.csv_rows():
-                cells = [method, format_float(bias), format_float(emp_std),
-                         format_float(theo_std), str(excluded)]
+            for method, summary in report.summaries.items():
+                floats = (summary.bias, summary.emp_std, summary.theo_std)
+                cells = [method, *map(format_float, floats), str(summary.excluded)]
                 if multi:
                     cells = [name] + cells
                 handle.write(",".join(cells) + "\n")
@@ -227,11 +227,10 @@ def _cmd_experiment(args, parser) -> int:
         named = list(reports.items())
     else:
         raw = load_json(args.config)
-        if args.reps is not None:
-            raw["reps"] = args.reps
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        config = ExperimentConfig.from_dict(raw)
+        overrides = {name: getattr(args, name) for name in ("reps", "seed")
+                     if getattr(args, name) is not None}
+        # a payload that is not an object is left to from_dict to reject
+        config = ExperimentConfig.from_dict({**raw, **overrides} if isinstance(raw, dict) else raw)
         report = run_experiment(config)
         payload = report.to_dict()
         named = [("experiment", report)]

@@ -134,6 +134,7 @@ class IndexSet:
 
 def embed(values, index_set: IndexSet, d: int) -> np.ndarray:
     """Zero-filled length-d vectors holding ``values`` on the index set, along the last axis."""
+    index_set.check_within(d)
     values = np.asarray(values, dtype=float)
     out = np.zeros(values.shape[:-1] + (d,))
     out[..., index_set.zero_based()] = values
@@ -395,7 +396,7 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+        return _plain(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, IndexSet):

@@ -101,9 +101,14 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         """The config of a payload that holds a ``model`` dict or a ``scenario`` (p, q)."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"a config must be an object, got {type(payload).__name__}")
         payload = dict(payload)
         if "scenario" in payload:
-            model = make_scenario(*payload.pop("scenario"))
+            scenario = payload.pop("scenario")
+            if not isinstance(scenario, (list, tuple)) or len(scenario) != 2:
+                raise ValueError(f"a scenario needs exactly two parameters, got {scenario!r}")
+            model = make_scenario(*scenario)
         else:
             model = MaxLinearModel.from_dict(payload.pop("model"))
         unknown = set(payload) - {f.name for f in fields(cls) if f.name != "model"}
@@ -149,10 +154,6 @@ class ExperimentReport:
             "estimators": {name: summary.to_dict()
                            for name, summary in self.summaries.items()},
         }
-
-    def csv_rows(self) -> list[tuple]:
-        return [(name, s.bias, s.emp_std, s.theo_std, s.excluded)
-                for name, s in self.summaries.items()]
 
 
 def _block_estimates(seeds, model: MaxLinearModel, n: int, k: int,

@@ -160,6 +160,9 @@ class MaxLinearModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MaxLinearModel":
+        unknown = set(payload) - {"coeffs"}
+        if unknown:
+            raise ValueError(f"unknown model fields: {sorted(unknown)}")
         return cls(payload["coeffs"])
 
 

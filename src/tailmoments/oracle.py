@@ -80,10 +80,6 @@ class DiscreteSpectralMeasure:
     def d(self) -> int:
         return self.atoms.shape[1]
 
-    @property
-    def size(self) -> int:
-        return self.atoms.shape[0]
-
     def merged(self) -> "DiscreteSpectralMeasure":
         """Combine atoms that coincide within 1e-12, summing their probabilities."""
         order = np.lexsort(self.atoms.T[::-1])

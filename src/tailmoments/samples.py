@@ -16,9 +16,10 @@ The data may also be an (R, n, d) block of R replications.  The exceeding
 rows of the whole block are then selected at once, in order, ``rep`` holds
 the replication of each, and every per-replication quantity is a segment
 sum over those rows (:meth:`means`): it has the leading shape of the data,
-nothing for one matrix and (R,) for a block.  One matrix is the R=1 case of
-the same code.  Where one matrix without exceedances raises NoExceedances,
-a block marks the replication with NaN.
+a 0-d array for one matrix and (R,) for a block.  A mean, Hill's estimate
+among them, is NaN for a replication without exceedances.  One matrix is
+the R=1 case of the same code.  Where an estimator on one matrix without
+exceedances raises NoExceedances, a block marks the replication with NaN.
 """
 
 from __future__ import annotations
@@ -96,17 +97,10 @@ class _Sample(DataMatrix):
 
         One matrix without them raises NoExceedances instead.
         """
-        ok = (np.asarray(self.count) > 0) & enough
+        ok = (self.count > 0) & enough
         if self.values.ndim == 2 and not ok:
             raise NoExceedances("no partial maximum exceeds " + self._level.format(self))
         return ok
-
-
-def _plain(values: np.ndarray):
-    """Per-replication values as they are for a block; for one matrix a number, or None for NaN."""
-    if values.ndim:
-        return values
-    return None if np.isnan(values) else values.item()
 
 
 def _own_values(data) -> np.ndarray:
@@ -167,7 +161,7 @@ class KnownSample(_Sample):
             columns, beta = columns * perturbation.s[index_set.zero_based()], perturbation.beta
         _, mask, unit, rep = exceedances(columns, u)
         self._store(values=x, u=u, index_set=index_set, perturbation=perturbation,
-                    mask=mask, rep=rep, count=_plain(_counts(rep, x.shape[:-2])),
+                    mask=mask, rep=rep, count=_counts(rep, x.shape[:-2]),
                     angular=np.power(unit, 1.0 / beta))
 
 
@@ -185,8 +179,8 @@ class RankSample(_Sample):
     ``anchors`` are the per-column k-th largest values, ``ratios`` the (n, m)
     (or (R, n, m)) columns divided by them, ``ell`` the row maxima of ``ratios`` and ``mask``
     the ``count`` rows with ``ell > 1``.  ``unit`` holds those rows divided by
-    their ``ell``, and ``hill`` is Hill's 1/alpha from them (None without
-    exceedances; NaN in a block).  ``angular`` is ``unit ** (1 / inv_alpha)``, where
+    their ``ell``, and ``hill`` is Hill's 1/alpha from them (NaN without
+    exceedances).  ``angular`` is ``unit ** (1 / inv_alpha)``, where
     ``inv_alpha`` is ``inv_alpha_hat`` when one is given and ``hill`` if not.
     """
 
@@ -218,8 +212,7 @@ class RankSample(_Sample):
         inv_alpha = hill if inv_alpha_hat is None else np.full(lead, inv_alpha_hat)
         self._store(values=x, k=k, index_set=index_set, inv_alpha_hat=inv_alpha_hat,
                     anchors=anchors, ratios=ratios, ell=ell, mask=mask, rep=rep,
-                    count=_plain(_counts(rep, lead)), unit=unit, hill=_plain(hill),
-                    inv_alpha=_plain(inv_alpha),
+                    count=_counts(rep, lead), unit=unit, hill=hill, inv_alpha=inv_alpha,
                     angular=np.power(unit, _per_row(1.0 / inv_alpha, rep, lead)[:, None]))
 
     def pair(self, a: int, b: int) -> RankSample:
@@ -244,7 +237,7 @@ class RankSample(_Sample):
         exceedances under any of the scalings.
         """
         lead, bumps = self.values.shape[:-2], eps * np.eye(self.index_set.size)
-        power = 1.0 / np.asarray(self.inv_alpha, dtype=float)  # NaN without exceedances
+        power = 1.0 / self.inv_alpha  # NaN without exceedances
         # a row with ell * (1 + eps) <= 1 exceeds under neither scaling, so
         # dropping it first leaves both exceedance sets, in order, unchanged
         rows = np.flatnonzero(self.ell * (1.0 + eps) > 1.0)

@@ -462,6 +462,36 @@ def test_experiment_config_reps_and_seed_are_overridden(capsys, tmp_path):
     assert payload == json.loads(json.dumps(direct.to_dict()))
 
 
+CONFIG = {"scenario": [0.1, 0.2], "n": 300, "k": 15, "reps": 3, "seed": 1}
+
+
+@pytest.mark.parametrize("payload,argv,message", [
+    ({**CONFIG, "scenario": [0.4, 0.6, 0.1]}, [],
+     "a scenario needs exactly two parameters, got [0.4, 0.6, 0.1]"),
+    ({**CONFIG, "scenario": 0.4}, [], "a scenario needs exactly two parameters, got 0.4"),
+    ([CONFIG], [], "a config must be an object, got list"),
+    ([CONFIG], ["--reps", "3"], "a config must be an object, got list"),
+    ({"model": {"coeffs": [[0.5, 0.5], [0.3, 0.7]], "cofs": 1}, "n": 300, "k": 15,
+      "reps": 3, "seed": 1}, [], "unknown model fields: ['cofs']"),
+], ids=["three_numbers", "one_number", "list", "list_with_reps", "model_field"])
+def test_experiment_malformed_config_exits_one(capsys, tmp_path, payload, argv, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "experiment", "--config", str(cfg_path), *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: ValueError: {message}\n"
+
+
+def test_simulate_rejects_an_unknown_model_field(capsys, tmp_path):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"coeffs": [[0.5, 0.5], [0.3, 0.7]], "cofs": 1}))
+    out_path = tmp_path / "draw.csv"
+    code, out, err = run(capsys, "simulate", "--model", str(model_path), "--n", "10",
+                         "--output", str(out_path))
+    assert code == 1 and out == "" and not out_path.exists()
+    assert err == "error: ValueError: unknown model fields: ['cofs']\n"
+
+
 def test_experiment_table_smoke(capsys, tmp_path):
     csv_path = tmp_path / "table.csv"
     code, out, _ = run(capsys, "experiment", "--table1", "--reps", "4",

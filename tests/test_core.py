@@ -25,8 +25,10 @@ def test_index_set_rejects_bad_members(bad):
 def test_index_set_check_within():
     s = tm.IndexSet([1, 3])
     s.check_within(3)
-    with pytest.raises(ValueError):
-        s.check_within(2)
+    for call in (lambda: s.check_within(2), lambda: tm.uniform_weights(s, 2),
+                 lambda: tm.Perturbation.scaled(tm.IndexSet([3]), 2, [1.0])):
+        with pytest.raises(ValueError, match="index 3 out of range for dimension 2"):
+            call()
 
 
 def test_make_weight_vector_normalizes():

@@ -26,6 +26,13 @@ def test_model_requires_unit_row_sums_and_nonnegativity():
         MaxLinearModel(np.array([[-0.1, 1.1], [0.5, 0.5]]))
 
 
+def test_model_from_dict_rejects_unknown_fields():
+    payload = {"coeffs": [[0.5, 0.5], [0.3, 0.7]]}
+    assert MaxLinearModel.from_dict(payload) == MaxLinearModel(payload["coeffs"])
+    with pytest.raises(ValueError, match=r"unknown model fields: \['cofs'\]"):
+        MaxLinearModel.from_dict({**payload, "cofs": 1})
+
+
 def test_scenario_coefficients_are_a_valid_model():
     model = make_scenario(0.1, 0.2)
     assert model.coeffs.shape == (2, 4)

@@ -216,6 +216,22 @@ def test_a_block_sample_matches_a_plain_loop_over_its_replications(d):
         assert np.max(np.abs(power[r] - plain_power)) <= 1e-12
 
 
+def test_one_matrix_holds_its_per_replication_fields_as_0d_arrays():
+    """One matrix is the R=1 case of a block: 0-d count, hill and inv_alpha, NaN without
+    exceedances, as in the block's replication."""
+    x = np.ones((50, 2))  # constant positive columns: no ratio exceeds one
+    ranks, block = tm.RankSample(x, 5, I12), tm.RankSample(x[None], 5, I12)
+    for name in ("count", "hill", "inv_alpha"):
+        value = getattr(ranks, name)
+        assert isinstance(value, np.ndarray) and value.shape == ()
+        np.testing.assert_array_equal(value, getattr(block, name)[0])
+    assert ranks.count == 0 and np.isnan(ranks.hill) and np.isnan(ranks.inv_alpha)
+    assert tm.KnownSample(x, 5.0, I12).count.shape == ()
+    assert tm.RankSample(_pareto(7), 30, I12).hill.shape == ()
+    with pytest.raises(tm.NoExceedances):
+        ranks.derivatives(0.05)
+
+
 def test_pair_sub_samples_equal_fresh_pair_samples():
     x = _pareto(3, d=4)
     ranks = tm.RankSample(x, 50, tm.IndexSet([1, 2, 4]))

@@ -34,6 +34,32 @@ def test_ab_bench_counts_the_pairs_the_change_led_in_the_better_direction():
     assert ab.quartiles([3.0]) == (3.0, 3.0, 3.0)
 
 
+
+def _metric_runs(values):
+    return [{"metrics": {"m": {"value": v}}} for v in values]
+
+
+@pytest.mark.parametrize("better,base,change,reading", [
+    # base quartiles 9.75, 10, 10.25: spread 0.05 inside the bound 0.25
+    ("higher", [9, 10, 10, 11], [9, 10, 9, 10], "change median 5.0% worse, within the bound"),
+    ("higher", [9, 10, 10, 11], [7, 7, 7, 8], "change median 30.0% worse, by more than the bound"),
+    ("lower", [9, 10, 10, 11], [7, 7, 7, 8], "change median 30.0% better, within the bound"),
+    ("lower", [9, 10, 10, 11], [13, 13, 13, 13],
+     "change median 30.0% worse, by more than the bound"),
+    # base quartiles 8.5, 10, 11.5: spread 0.30 wider than the bound
+    ("higher", [4, 10, 10, 16], [9, 10, 11, 12], "unresolved"),
+    ("lower", [4, 10, 10, 16], [1, 2, 2, 3], "change median 80.0% better, within the bound"),
+    ("higher", [4, 10, 10, 16], [17, 18, 18, 19], "change median 80.0% better, within the bound"),
+    ("higher", [4, 10, 10, 16], [16, 18, 18, 19], "unresolved"),  # a tie is not better
+])
+def test_ab_bench_reads_each_metric_against_its_bound(better, base, change, reading):
+    ab = _load("ab_bench")
+    metric = {"name": "m", "unit": "s", "better": better, "bound": 0.25}
+    line = ab.verdict(metric, _metric_runs(base), _metric_runs(change))
+    spread = "0.05" if base[0] == 9 else "0.30"
+    assert line == f"m: base spread {spread} (IQR/median), bound 0.25: {reading}"
+
+
 STUB_BENCH = """import json, os, time
 if LEAK and os.fork() == 0:
     time.sleep(60)

@@ -6,12 +6,16 @@ goes first alternates from pair to pair, and pair i uses seed ``--seed + i``.
 The script prints every run's result as it arrives, then, per end-to-end
 metric of the changed checkout's ``BENCHMARK.json``, each side's median
 and quartiles and in how many pairs the change led (ties count for
-neither side).  Each run leads its own session and writes to temporary
-files; a run that exits non-zero, or leaves a process of its group running
-(a worker that outlived it), stops the comparison, and a left-over group is
-killed.  It only starts the benchmark of each checkout; it changes no file
-under ``bench/``.  For example, against a second checkout of the
-parent commit:
+neither side), and the metric read against its bound: the base side's
+spread (interquartile range over median) beside the bound, "unresolved"
+when the spread is wider than the bound and not every change run reads
+better than every base run, else whether the change median is worse than
+the base median by more than the bound.  Each run leads its own session
+and writes to temporary files; a run that exits non-zero, or leaves a
+process of its group running (a worker that outlived it), stops the
+comparison, and a left-over group is killed.  It only starts the
+benchmark of each checkout; it changes no file under ``bench/``.  For
+example, against a second checkout of the parent commit:
 
     git worktree add ../parent HEAD~1
     python3 tools/ab_bench.py ../parent . --workload mc-pair --pairs 10 --seconds 30
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import statistics
@@ -74,19 +79,43 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _values(runs: list[dict], name: str) -> list[float]:
+    return [run["metrics"][name]["value"] for run in runs]
+
+
 def summary(metrics: list[dict], base: list[dict], change: list[dict]) -> list[str]:
     """One line per metric: each side's median and quartiles, and the pairs the change led."""
     lines = []
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
-        a = [run["metrics"][name]["value"] for run in base]
-        b = [run["metrics"][name]["value"] for run in change]
+        a, b = _values(base, name), _values(change, name)
         led = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
         (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
         lines.append(f"{name} ({metric['unit']}, {metric['better']} is better): "
                      f"base {a2:.4g} [{a1:.4g}, {a3:.4g}]  change {b2:.4g} [{b1:.4g}, {b3:.4g}]"
                      f"  change led {led} of {len(a)} pairs")
     return lines
+
+
+def verdict(metric: dict, base: list[dict], change: list[dict]) -> str:
+    """One metric read against its bound: the base spread (IQR over median) beside the bound,
+    then "unresolved", or whether the change median is worse by more than the bound.
+
+    A spread wider than the bound leaves the metric unresolved, unless every change run
+    reads better than every base run.
+    """
+    name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
+    a, b = _values(base, name), _values(change, name)
+    (a1, a2, a3), b2 = quartiles(a), quartiles(b)[1]
+    spread = (a3 - a1) / abs(a2) if a2 else math.inf
+    head = f"{name}: base spread {spread:.2f} (IQR/median), bound {bound:g}"
+    all_better = min(b) > max(a) if higher else max(b) < min(a)
+    if spread > bound and not all_better:
+        return f"{head}: unresolved"
+    worse = (a2 - b2 if higher else b2 - a2) / abs(a2)
+    direction = "worse" if worse > 0 else "better"
+    within = "by more than the bound" if worse > bound else "within the bound"
+    return f"{head}: change median {abs(worse):.1%} {direction}, {within}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,7 +138,9 @@ def main(argv: list[str] | None = None) -> int:
             values = {k: round(m["value"], 4) for k, m in result["metrics"].items()}
             print(f"pair {i} seed {seed} {side}: failed {result['failed']} of "
                   f"{result['attempted']} {values}", flush=True)
-    print("\n".join(summary(spec["end_to_end"], runs["base"], runs["change"])))
+    metrics = spec["end_to_end"]
+    print("\n".join(summary(metrics, runs["base"], runs["change"])))
+    print("\n".join(verdict(metric, runs["base"], runs["change"]) for metric in metrics))
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     attempted = {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()}
     print(f"failed operations: base {failed['base']} of {attempted['base']}, "
