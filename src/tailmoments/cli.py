@@ -8,6 +8,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -226,12 +227,10 @@ def _cmd_experiment(args, parser) -> int:
         payload = {name: report.to_dict() for name, report in reports.items()}
         named = list(reports.items())
     else:
-        raw = load_json(args.config)
         overrides = {name: getattr(args, name) for name in ("reps", "seed")
                      if getattr(args, name) is not None}
-        # a payload that is not an object is left to from_dict to reject
-        config = ExperimentConfig.from_dict({**raw, **overrides} if isinstance(raw, dict) else raw)
-        report = run_experiment(config)
+        config = ExperimentConfig.from_dict(load_json(args.config))
+        report = run_experiment(dataclasses.replace(config, **overrides))
         payload = report.to_dict()
         named = [("experiment", report)]
     if args.output:
@@ -339,7 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except (EstimationError, ValueError, OSError, KeyError) as exc:
+    except (EstimationError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

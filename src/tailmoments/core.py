@@ -404,13 +404,38 @@ def _plain(obj):
     return obj
 
 
-def check_integer(value, name: str) -> int:
-    """``value`` as an int; a non-integral or non-finite value raises ValueError, not truncated."""
+def as_number(value, kind: type = float):
+    """``kind(value)``, or ``value`` itself where it has no such reading, for a check to refuse."""
     try:
-        out = int(value)
+        return kind(value)
     except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or out != value:
+        return value
+
+
+def check_fields(payload, name: str, required, optional=()) -> dict:
+    """A copy of the JSON object ``payload``, which must hold every ``required`` field and no
+    field outside ``required`` and ``optional``; anything else raises ValueError.
+
+    Unknown fields are named before missing ones; ``name`` names the object in each message.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"a {name} must be an object, got {type(payload).__name__}")
+    unknown = set(payload) - {*required, *optional}
+    if unknown:
+        raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
+    missing = [field for field in required if field not in payload]
+    if missing:
+        raise ValueError(f"missing {name} fields: {missing}")
+    return dict(payload)
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int; a non-integral or non-finite value raises ValueError, not truncated.
+
+    A bool is not a count or an index, so ``True`` and ``np.True_`` raise too.
+    """
+    out = as_number(value, int)
+    if not isinstance(out, int) or out != value or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be an integer, got {value}")
     return out
 
@@ -430,9 +455,10 @@ def check_finite(values, name: str, positive: bool = True, error: type = ValueEr
 
 
 def check_open_unit(value, name: str, error: type = ParamOutOfRange) -> float:
-    """``value`` as a float strictly inside (0, 1); NaN and both end points raise ``error``."""
-    value = float(value)
-    if not 0.0 < value < 1.0:
+    """``value`` as a float strictly inside (0, 1); NaN, both end points and a value that reads
+    as no number (None, a list) raise ``error``."""
+    value = as_number(value)
+    if not (isinstance(value, float) and 0.0 < value < 1.0):
         raise error(f"{name} must lie in (0, 1), got {value}")
     return value
 

@@ -37,6 +37,7 @@ from .core import (
     KOutOfRange,
     NoExceedances,
     ParamOutOfRange,
+    check_fields,
     check_integer,
     check_open_unit,
     uniform_weights,
@@ -100,21 +101,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        """The config of a payload that holds a ``model`` dict or a ``scenario`` (p, q)."""
-        if not isinstance(payload, dict):
-            raise ValueError(f"a config must be an object, got {type(payload).__name__}")
-        payload = dict(payload)
-        if "scenario" in payload:
-            scenario = payload.pop("scenario")
-            if not isinstance(scenario, (list, tuple)) or len(scenario) != 2:
-                raise ValueError(f"a scenario needs exactly two parameters, got {scenario!r}")
-            model = make_scenario(*scenario)
-        else:
-            model = MaxLinearModel.from_dict(payload.pop("model"))
-        unknown = set(payload) - {f.name for f in fields(cls) if f.name != "model"}
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(model=model, **payload)
+        """The config of a payload that holds ``n``, ``k``, ``reps`` and ``seed``, ``u_quantile``
+        if not the default, and exactly one of a ``model`` dict and a ``scenario`` (p, q)."""
+        payload = check_fields(payload, "config", ("n", "k", "reps", "seed"),
+                               ("u_quantile", "model", "scenario"))
+        if ("model" in payload) == ("scenario" in payload):
+            raise ValueError("a config must hold exactly one of model and scenario")
+        if "model" in payload:
+            return cls(**{**payload, "model": MaxLinearModel.from_dict(payload["model"])})
+        scenario = payload.pop("scenario")
+        if not isinstance(scenario, (list, tuple)) or len(scenario) != 2:
+            raise ValueError(f"a scenario needs exactly two parameters, got {scenario!r}")
+        return cls(model=make_scenario(*scenario), **payload)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, ParamOutOfRange, check_finite, check_integer
+from .core import DataMatrix, ParamOutOfRange, as_number, check_fields, check_finite, check_integer
 from .oracle import DiscreteSpectralMeasure
 
 # splitmix64 constants
@@ -160,10 +160,7 @@ class MaxLinearModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MaxLinearModel":
-        unknown = set(payload) - {"coeffs"}
-        if unknown:
-            raise ValueError(f"unknown model fields: {sorted(unknown)}")
-        return cls(payload["coeffs"])
+        return cls(**check_fields(payload, "model", ("coeffs",)))
 
 
 def make_scenario(p: float, q: float) -> MaxLinearModel:
@@ -174,9 +171,8 @@ def make_scenario(p: float, q: float) -> MaxLinearModel:
     independent pairs of shared factors (asymptotic independence between
     the components).
     """
-    p = float(p)
-    q = float(q)
-    if not (0.0 <= p <= 1.0) or not (0.0 <= q <= 1.0):
+    p, q = as_number(p), as_number(q)
+    if not all(isinstance(x, float) and 0.0 <= x <= 1.0 for x in (p, q)):
         raise ParamOutOfRange(f"scenario parameters must lie in [0, 1], got ({p}, {q})")
     total = 2.0 + p + q
     rows = np.array([[1.0, p, 1.0, q], [p, 1.0, q, 1.0]]) / total
@@ -242,10 +238,11 @@ def simulate(model: MaxLinearModel, n: int, seed) -> DataMatrix:
 
 
 def frechet_sample(n: int, alpha: float, seed: int) -> np.ndarray:
-    """n i.i.d. Frechet(alpha) draws, sharing the counter scheme of :func:`simulate`."""
+    """n i.i.d. Frechet(alpha) draws: the one-factor model's :func:`simulate` data, bit for bit,
+    raised to the power ``1 / alpha``.
+
+    Draw l is ``(-1 / log u_l) ** (1 / alpha)`` with ``u_l`` the uniform of counter l; a
+    sequence of R seeds gives R rows of n draws.
+    """
     alpha = check_finite(alpha, "alpha")
-    n = check_integer(n, "n")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    z = -1.0 / np.log(uniform_open(seed, np.arange(n, dtype=np.uint64)))
-    return z ** (1.0 / alpha)
+    return simulate(MaxLinearModel([[1.0]]), n, seed).values[..., 0] ** (1.0 / alpha)

@@ -30,6 +30,7 @@ from .core import (
     NotStandardized,
     QuadraticForm,
     WeightVector,
+    check_fields,
     check_finite,
     check_moment_power,
     exceedances,
@@ -100,10 +101,7 @@ class DiscreteSpectralMeasure:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DiscreteSpectralMeasure":
-        unknown = set(payload) - {"atoms", "probs"}
-        if unknown:
-            raise ValueError(f"unknown measure fields: {sorted(unknown)}")
-        return cls(payload["atoms"], payload["probs"])
+        return cls(**check_fields(payload, "measure", ("atoms", "probs")))
 
 
 def _renormalized(columns: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -257,6 +257,5 @@ def minimize_quadratic_on_simplex(form: QuadraticForm, d: int | None = None
     index_set = form.index_set
     if d is None:
         d = index_set.members[-1]
-    index_set.check_within(d)
     w, value = simplex_minimizers(form.matrix)
     return WeightVector(embed(w, index_set, d), index_set), float(value)

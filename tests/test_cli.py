@@ -465,21 +465,45 @@ def test_experiment_config_reps_and_seed_are_overridden(capsys, tmp_path):
 CONFIG = {"scenario": [0.1, 0.2], "n": 300, "k": 15, "reps": 3, "seed": 1}
 
 
-@pytest.mark.parametrize("payload,argv,message", [
-    ({**CONFIG, "scenario": [0.4, 0.6, 0.1]}, [],
+NEITHER = {name: value for name, value in CONFIG.items() if name != "scenario"}
+EXACTLY_ONE = "a config must hold exactly one of model and scenario"
+
+
+@pytest.mark.parametrize("payload,argv,error,message", [
+    ({**CONFIG, "scenario": [0.4, 0.6, 0.1]}, [], "ValueError",
      "a scenario needs exactly two parameters, got [0.4, 0.6, 0.1]"),
-    ({**CONFIG, "scenario": 0.4}, [], "a scenario needs exactly two parameters, got 0.4"),
-    ([CONFIG], [], "a config must be an object, got list"),
-    ([CONFIG], ["--reps", "3"], "a config must be an object, got list"),
+    ({**CONFIG, "scenario": 0.4}, [], "ValueError",
+     "a scenario needs exactly two parameters, got 0.4"),
+    ([CONFIG], [], "ValueError", "a config must be an object, got list"),
+    ([CONFIG], ["--reps", "3"], "ValueError", "a config must be an object, got list"),
     ({"model": {"coeffs": [[0.5, 0.5], [0.3, 0.7]], "cofs": 1}, "n": 300, "k": 15,
-      "reps": 3, "seed": 1}, [], "unknown model fields: ['cofs']"),
-], ids=["three_numbers", "one_number", "list", "list_with_reps", "model_field"])
-def test_experiment_malformed_config_exits_one(capsys, tmp_path, payload, argv, message):
+      "reps": 3, "seed": 1}, [], "ValueError", "unknown model fields: ['cofs']"),
+    ({n: v for n, v in CONFIG.items() if n != "k"}, [], "ValueError",
+     "missing config fields: ['k']"),
+    (NEITHER, [], "ValueError", EXACTLY_ONE),
+    ({**CONFIG, "model": {"coeffs": [[0.5, 0.5], [0.3, 0.7]]}}, [], "ValueError", EXACTLY_ONE),
+    ({**NEITHER, "model": [[0.5, 0.5], [0.3, 0.7]]}, [], "ValueError",
+     "a model must be an object, got list"),
+    # an override replaces a field of a complete, valid config
+    ({n: v for n, v in CONFIG.items() if n != "reps"}, ["--reps", "3"], "ValueError",
+     "missing config fields: ['reps']"),
+    ({**CONFIG, "reps": 0}, ["--reps", "3"], "ValueError", "reps must be at least 1"),
+    ({**CONFIG, "reps": True}, [], "ValueError", "reps must be an integer, got True"),
+    ({**CONFIG, "u_quantile": None}, [], "ParamOutOfRange",
+     "u_quantile must lie in (0, 1), got None"),
+    ({**CONFIG, "u_quantile": [0.9]}, [], "ParamOutOfRange",
+     "u_quantile must lie in (0, 1), got [0.9]"),
+    ({**CONFIG, "scenario": [None, 0.6]}, [], "ParamOutOfRange",
+     "scenario parameters must lie in [0, 1], got (None, 0.6)"),
+], ids=["three_numbers", "one_number", "list", "list_with_reps", "model_field", "no_k",
+        "neither", "both", "model_list", "no_reps_with_reps", "zero_reps_with_reps", "reps_true",
+        "u_quantile_null", "u_quantile_list", "scenario_null"])
+def test_experiment_malformed_config_exits_one(capsys, tmp_path, payload, argv, error, message):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(payload))
     code, out, err = run(capsys, "experiment", "--config", str(cfg_path), *argv)
     assert code == 1 and out == ""
-    assert err == f"error: ValueError: {message}\n"
+    assert err == f"error: {error}: {message}\n"
 
 
 def test_simulate_rejects_an_unknown_model_field(capsys, tmp_path):
@@ -490,6 +514,35 @@ def test_simulate_rejects_an_unknown_model_field(capsys, tmp_path):
                          "--output", str(out_path))
     assert code == 1 and out == "" and not out_path.exists()
     assert err == "error: ValueError: unknown model fields: ['cofs']\n"
+
+
+@pytest.mark.parametrize("payload,message", [
+    ([[0.5, 0.5], [0.3, 0.7]], "a model must be an object, got list"),
+    ({}, "missing model fields: ['coeffs']"),
+], ids=["list", "empty"])
+def test_simulate_rejects_a_model_file_that_is_no_model_object(capsys, tmp_path, payload,
+                                                               message):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(payload))
+    out_path = tmp_path / "draw.csv"
+    code, out, err = run(capsys, "simulate", "--model", str(model_path), "--n", "10",
+                         "--output", str(out_path))
+    assert code == 1 and out == "" and not out_path.exists()
+    assert err == f"error: ValueError: {message}\n"
+
+
+@pytest.mark.parametrize("payload,message", [
+    ([1], "a measure must be an object, got list"),
+    ({"atoms": [[1, 1]]}, "missing measure fields: ['probs']"),
+    ({"atoms": [[1, 1]], "probs": [1], "weights": [1]}, "unknown measure fields: ['weights']"),
+], ids=["list", "no_probs", "unknown_field"])
+def test_oracle_rejects_a_measure_file_that_is_no_measure_object(capsys, tmp_path, payload,
+                                                                 message):
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "oracle", "--measure", str(path), "--index-set", "1", "--tau")
+    assert code == 1 and out == ""
+    assert err == f"error: ValueError: {message}\n"
 
 
 def test_experiment_table_smoke(capsys, tmp_path):

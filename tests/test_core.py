@@ -367,6 +367,16 @@ BOUNDARY_SITES = {
                                  ValueError, "one entry per column"),
     "make_scenario": (lambda tmp: tm.make_scenario(1.5, 0),
                       tm.ParamOutOfRange, r"must lie in \[0, 1\], got \(1.5, 0.0\)"),
+    "make_scenario.null": (lambda tmp: tm.make_scenario(None, 0.6),
+                           tm.ParamOutOfRange, r"must lie in \[0, 1\], got \(None, 0.6\)"),
+    "ExperimentConfig.reps_bool": (lambda tmp: tm.ExperimentConfig(
+        tm.make_scenario(0.1, 0.2), n=50, k=5, reps=True, seed=0),
+        ValueError, "reps must be an integer, got True"),
+    "ExperimentConfig.u_quantile_list": (lambda tmp: tm.ExperimentConfig(
+        tm.make_scenario(0.1, 0.2), n=50, k=5, reps=1, seed=0, u_quantile=[0.9]),
+        tm.ParamOutOfRange, r"u_quantile must lie in \(0, 1\), got \[0.9\]"),
+    "IndexSet.bool": (lambda tmp: tm.IndexSet([np.True_, 2]),
+                      ValueError, "a component index must be an integer, got True"),
     "MaxLinearModel.1d": (lambda tmp: tm.MaxLinearModel([0.5, 0.5]),
                           ValueError, "non-empty 2-dimensional"),
     "MaxLinearModel.zero_column": (lambda tmp: tm.MaxLinearModel([[1.0, 0.0], [1.0, 0.0]]),

@@ -31,6 +31,10 @@ def test_model_from_dict_rejects_unknown_fields():
     assert MaxLinearModel.from_dict(payload) == MaxLinearModel(payload["coeffs"])
     with pytest.raises(ValueError, match=r"unknown model fields: \['cofs'\]"):
         MaxLinearModel.from_dict({**payload, "cofs": 1})
+    with pytest.raises(ValueError, match="^a model must be an object, got list$"):
+        MaxLinearModel.from_dict(payload["coeffs"])
+    with pytest.raises(ValueError, match=r"^missing model fields: \['coeffs'\]$"):
+        MaxLinearModel.from_dict({})
 
 
 def test_scenario_coefficients_are_a_valid_model():

@@ -58,6 +58,10 @@ def test_measure_json_holds_only_atoms_and_probs():
     assert np.array_equal(again.atoms, m.atoms) and np.array_equal(again.probs, m.probs)
     with pytest.raises(ValueError, match="normalized_on"):
         tm.DiscreteSpectralMeasure.from_dict({**m.to_dict(), "normalized_on": [1]})
+    with pytest.raises(ValueError, match="^a measure must be an object, got list$"):
+        tm.DiscreteSpectralMeasure.from_dict([1])
+    with pytest.raises(ValueError, match=r"^missing measure fields: \['probs'\]$"):
+        tm.DiscreteSpectralMeasure.from_dict({"atoms": [[1, 1]]})
 
 
 def test_renormalized_measure_example():

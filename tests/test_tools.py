@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from tailmoments.cli import _METHODS
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -39,25 +41,52 @@ def _metric_runs(values):
     return [{"metrics": {"m": {"value": v}}} for v in values]
 
 
-@pytest.mark.parametrize("better,base,change,reading", [
+@pytest.mark.parametrize("better,base,change,reading,gain", [
     # base quartiles 9.75, 10, 10.25: spread 0.05 inside the bound 0.25
-    ("higher", [9, 10, 10, 11], [9, 10, 9, 10], "change median 5.0% worse, within the bound"),
-    ("higher", [9, 10, 10, 11], [7, 7, 7, 8], "change median 30.0% worse, by more than the bound"),
-    ("lower", [9, 10, 10, 11], [7, 7, 7, 8], "change median 30.0% better, within the bound"),
+    ("higher", [9, 10, 10, 11], [9, 10, 9, 10], "change median 5.0% worse, within the bound",
+     "no"),
+    ("higher", [9, 10, 10, 11], [7, 7, 7, 8], "change median 30.0% worse, by more than the bound",
+     "no"),
+    ("lower", [9, 10, 10, 11], [7, 7, 7, 8], "change median 30.0% better, within the bound",
+     "a"),
     ("lower", [9, 10, 10, 11], [13, 13, 13, 13],
-     "change median 30.0% worse, by more than the bound"),
+     "change median 30.0% worse, by more than the bound", "no"),
     # base quartiles 8.5, 10, 11.5: spread 0.30 wider than the bound
-    ("higher", [4, 10, 10, 16], [9, 10, 11, 12], "unresolved"),
-    ("lower", [4, 10, 10, 16], [1, 2, 2, 3], "change median 80.0% better, within the bound"),
-    ("higher", [4, 10, 10, 16], [17, 18, 18, 19], "change median 80.0% better, within the bound"),
-    ("higher", [4, 10, 10, 16], [16, 18, 18, 19], "unresolved"),  # a tie is not better
+    ("higher", [4, 10, 10, 16], [9, 10, 11, 12], "unresolved", "no"),
+    ("lower", [4, 10, 10, 16], [1, 2, 2, 3], "change median 80.0% better, within the bound",
+     "a"),
+    ("higher", [4, 10, 10, 16], [17, 18, 18, 19], "change median 80.0% better, within the bound",
+     "a"),
+    ("higher", [4, 10, 10, 16], [16, 18, 18, 19], "unresolved", "a"),  # a tie is not better
 ])
-def test_ab_bench_reads_each_metric_against_its_bound(better, base, change, reading):
+def test_ab_bench_reads_each_metric_against_its_bound(better, base, change, reading, gain):
     ab = _load("ab_bench")
     metric = {"name": "m", "unit": "s", "better": better, "bound": 0.25}
     line = ab.verdict(metric, _metric_runs(base), _metric_runs(change))
     spread = "0.05" if base[0] == 9 else "0.30"
-    assert line == f"m: base spread {spread} (IQR/median), bound 0.25: {reading}"
+    assert line == (f"m: base spread {spread} (IQR/median), bound 0.25: {reading}; "
+                    f"{gain} gain is shown")
+
+
+# ten base runs 10 .. 19: median 14.5, quartiles 12.25 and 16.75, so an IQR of 4.5
+TEN = list(range(10, 20))
+
+
+@pytest.mark.parametrize("better,change,gain", [
+    ("higher", [x + 10 for x in TEN[:9]] + [TEN[9] - 1], "a"),  # led 9 of 10, by 9 > 4.5
+    ("higher", [x + 10 for x in TEN[:9]] + [TEN[9]], "a"),  # the tie counts for neither side
+    ("higher", [x + 10 for x in TEN[:8]] + [TEN[8], TEN[9] - 1], "no"),  # led 8 of 10
+    ("higher", [x + 1 for x in TEN], "no"),  # led all ten, by 1 < 4.5
+    ("lower", [x - 10 for x in TEN], "a"),
+    ("lower", [x + 10 for x in TEN], "no"),
+], ids=["nine_of_ten", "nine_and_a_tie", "eight_of_ten", "within_the_iqr", "lower",
+        "lower_worse"])
+def test_ab_bench_shows_a_gain_only_past_nine_of_ten_pairs_and_the_base_iqr(better, change,
+                                                                              gain):
+    ab = _load("ab_bench")
+    metric = {"name": "m", "unit": "s", "better": better, "bound": 0.25}
+    line = ab.verdict(metric, _metric_runs(TEN), _metric_runs(change))
+    assert line.endswith(f"; {gain} gain is shown")
 
 
 STUB_BENCH = """import json, os, time
@@ -92,3 +121,16 @@ def test_ab_bench_fails_a_run_that_leaves_a_process_of_its_group_running(tmp_pat
     while ab._group_alive(pgid) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert not ab._group_alive(pgid)
+
+
+def test_output_hashes_are_a_pure_function_of_the_source_and_cover_every_method():
+    oh = _load("output_hashes")
+    first = oh.hashes(oh.SRC, reps=4)
+    assert oh.hashes(oh.SRC, reps=4) == first
+    assert len(first) == 49 and all(len(digest) == 64 for digest in first.values())
+    # the harness gives the same bits serially and on a pool
+    assert first["table_experiments reps=4 threads=-"] == \
+        first["table_experiments reps=4 threads=2"]
+    for method, known in _METHODS:
+        assert any(f"--method {method} " in name and ("--known-margins" in name) == known
+                   for name in first if name.startswith("estimate ")), (method, known)

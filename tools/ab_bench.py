@@ -10,7 +10,9 @@ neither side), and the metric read against its bound: the base side's
 spread (interquartile range over median) beside the bound, "unresolved"
 when the spread is wider than the bound and not every change run reads
 better than every base run, else whether the change median is worse than
-the base median by more than the bound.  Each run leads its own session
+the base median by more than the bound; then whether a gain is shown: the
+change led at least 9 of 10 pairs and its median is better than the base
+median by more than the base side's interquartile range.  Each run leads its own session
 and writes to temporary files; a run that exits non-zero, or leaves a
 process of its group running (a worker that outlived it), stops the
 comparison, and a left-over group is killed.  It only starts the
@@ -83,13 +85,19 @@ def _values(runs: list[dict], name: str) -> list[float]:
     return [run["metrics"][name]["value"] for run in runs]
 
 
+def _led(a: list[float], b: list[float], higher: bool) -> int:
+    """The pairs in which the change run ``b`` reads better than the base run ``a``; a tie
+    counts for neither side."""
+    return sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+
+
 def summary(metrics: list[dict], base: list[dict], change: list[dict]) -> list[str]:
     """One line per metric: each side's median and quartiles, and the pairs the change led."""
     lines = []
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
         a, b = _values(base, name), _values(change, name)
-        led = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+        led = _led(a, b, higher)
         (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
         lines.append(f"{name} ({metric['unit']}, {metric['better']} is better): "
                      f"base {a2:.4g} [{a1:.4g}, {a3:.4g}]  change {b2:.4g} [{b1:.4g}, {b3:.4g}]"
@@ -99,23 +107,28 @@ def summary(metrics: list[dict], base: list[dict], change: list[dict]) -> list[s
 
 def verdict(metric: dict, base: list[dict], change: list[dict]) -> str:
     """One metric read against its bound: the base spread (IQR over median) beside the bound,
-    then "unresolved", or whether the change median is worse by more than the bound.
+    then "unresolved", or whether the change median is worse by more than the bound; and
+    last whether a gain is shown.
 
     A spread wider than the bound leaves the metric unresolved, unless every change run
-    reads better than every base run.
+    reads better than every base run.  A gain is shown when the change led at least 9 of
+    10 pairs (ties count for neither side) and its median is better than the base median
+    by more than the base interquartile range.
     """
     name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
     a, b = _values(base, name), _values(change, name)
     (a1, a2, a3), b2 = quartiles(a), quartiles(b)[1]
     spread = (a3 - a1) / abs(a2) if a2 else math.inf
     head = f"{name}: base spread {spread:.2f} (IQR/median), bound {bound:g}"
+    gain = _led(a, b, higher) >= 0.9 * len(a) and (b2 - a2 if higher else a2 - b2) > a3 - a1
+    shown = "a gain is shown" if gain else "no gain is shown"
     all_better = min(b) > max(a) if higher else max(b) < min(a)
     if spread > bound and not all_better:
-        return f"{head}: unresolved"
+        return f"{head}: unresolved; {shown}"
     worse = (a2 - b2 if higher else b2 - a2) / abs(a2)
     direction = "worse" if worse > 0 else "better"
     within = "by more than the bound" if worse > bound else "within the bound"
-    return f"{head}: change median {abs(worse):.1%} {direction}, {within}"
+    return f"{head}: change median {abs(worse):.1%} {direction}, {within}; {shown}"
 
 
 def main(argv: list[str] | None = None) -> int:
