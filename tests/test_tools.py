@@ -41,7 +41,7 @@ def _metric_runs(values):
     return [{"metrics": {"m": {"value": v}}} for v in values]
 
 
-@pytest.mark.parametrize("better,base,change,reading,gain", [
+VERDICT_CASES = [
     # base quartiles 9.75, 10, 10.25: spread 0.05 inside the bound 0.25
     ("higher", [9, 10, 10, 11], [9, 10, 9, 10], "change median 5.0% worse, within the bound",
      "no"),
@@ -58,7 +58,12 @@ def _metric_runs(values):
     ("higher", [4, 10, 10, 16], [17, 18, 18, 19], "change median 80.0% better, within the bound",
      "a"),
     ("higher", [4, 10, 10, 16], [16, 18, 18, 19], "unresolved", "a"),  # a tie is not better
-])
+]
+
+
+# the ids name each case by its direction, row and reading; the gain column is left out
+@pytest.mark.parametrize("better,base,change,reading,gain", VERDICT_CASES, ids=[
+    f"{case[0]}-base{i}-change{i}-{case[3]}" for i, case in enumerate(VERDICT_CASES)])
 def test_ab_bench_reads_each_metric_against_its_bound(better, base, change, reading, gain):
     ab = _load("ab_bench")
     metric = {"name": "m", "unit": "s", "better": better, "bound": 0.25}
