@@ -10,6 +10,7 @@ import pytest
 from tailmoments.cli import _METHODS
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+GOLDEN = Path(__file__).resolve().parent / "golden_outputs.txt"
 
 
 def _load(name):
@@ -132,10 +133,30 @@ def test_output_hashes_are_a_pure_function_of_the_source_and_cover_every_method(
     oh = _load("output_hashes")
     first = oh.hashes(oh.SRC, reps=4)
     assert oh.hashes(oh.SRC, reps=4) == first
-    assert len(first) == 49 and all(len(digest) == 64 for digest in first.values())
+    assert len(first) == 52 and all(len(digest) == 64 for digest in first.values())
     # the harness gives the same bits serially and on a pool
     assert first["table_experiments reps=4 threads=-"] == \
         first["table_experiments reps=4 threads=2"]
     for method, known in _METHODS:
         assert any(f"--method {method} " in name and ("--known-margins" in name) == known
                    for name in first if name.startswith("estimate ")), (method, known)
+
+
+def test_the_outputs_match_the_golden_lines():
+    oh = _load("output_hashes")
+    assert oh.differences(GOLDEN.read_text(), oh.hashes()) == []
+
+
+def test_a_golden_mismatch_names_each_line_or_both_numpy_versions():
+    oh = _load("output_hashes")
+    digests = {"a x": "1" * 64, "b": "2" * 64}
+    numpy, python = oh.versions()
+    golden = "".join(f"{line}\n" for line in [numpy, python, f"a x {'1' * 64}", f"b {'2' * 64}",
+                                               f"combined {oh.combined(digests)}"])
+    assert oh.differences(golden, digests) == []
+    assert oh.differences(golden.replace(python, "python 0.1"), digests) == []
+    assert oh.differences(golden, {"a x": "3" * 64, "b": "2" * 64, "c": "4" * 64}) == \
+        ["a x: differs", "combined: differs", "c: new"]
+    assert oh.differences(golden, {"b": "2" * 64}) == ["a x: missing", "combined: differs"]
+    assert oh.differences(golden.replace(numpy, "numpy 1.0"), digests) == \
+        [f"the golden outputs were made with numpy 1.0, this is {numpy}"]

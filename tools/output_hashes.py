@@ -6,13 +6,20 @@ run serially and with ``TAILMOMENTS_THREADS=2``; 40 ``estimate`` commands
 index sets ``1,2,3`` and ``1,3``, JSON and CSV) on a seeded 400-row d=3 CSV
 that numpy draws, not the package; the four ``oracle`` modes on scenario
 (0.4, 0.6); ``experiment --config`` and ``experiment --table1 --reps 20``
-with their ``--csv`` files; and the bits of ``frechet_sample``.  The
+with their ``--csv`` files; ``run_experiment`` on a written-out d=3 model, whose
+rank pipeline solves m=3 quadratic programs; ``estimate --method mu`` on
+that CSV squared (tail index 1/2); ``oracle --avars`` on the d=3 model's
+measure; and the bits of ``frechet_sample``.  The
 package is imported from the given source directory (by default the
 ``src`` beside this script), in one child process per
 ``TAILMOMENTS_THREADS`` setting, and everything is written to a temporary
-directory.  Run it on two checkouts and compare the lines:
+directory.  The first two lines name the numpy and Python versions that
+made the rest.  Run it on two checkouts and compare the lines:
 
     python3 tools/output_hashes.py [src dir]
+
+``tests/golden_outputs.txt`` holds these lines for the committed ``src``; a
+change that means to move an output replaces only that output's line there.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -44,15 +52,20 @@ ESTIMATE_SETTINGS = (
     ("--method", "moment", "--optimal", "--p", "2"),
 )
 ORACLE_MODES = (("--tau",), ("--avars",), ("--optimal-weights",), ("--c", "0.3,0.7;1,2;0.5;2"))
+#: a three-component, five-factor model with rows summing to one
+D3_COEFFS = [[0.30, 0.05, 0.25, 0.10, 0.30],
+             [0.10, 0.40, 0.05, 0.30, 0.15],
+             [0.20, 0.20, 0.30, 0.05, 0.25]]
 
 
-def _sample_csv(path: Path) -> None:
-    """A seeded 400 x 3 max-linear sample of unit-Frechet factors, drawn by numpy."""
+def _sample_csv(path: Path, power: float = 1.0) -> None:
+    """A seeded 400 x 3 max-linear sample of unit-Frechet factors, drawn by numpy, raised to
+    ``power``."""
     import numpy as np
 
     coeffs = np.array([[0.5, 0.3, 0.2, 0.0], [0.0, 0.5, 0.3, 0.2], [0.2, 0.0, 0.3, 0.5]])
     factors = 1.0 / np.random.default_rng(20).exponential(size=(400, 1, 4))
-    np.savetxt(path, (factors * coeffs).max(axis=-1), delimiter=",", fmt="%.17g",
+    np.savetxt(path, (factors * coeffs).max(axis=-1) ** power, delimiter=",", fmt="%.17g",
                header="X1,X2,X3", comments="")
 
 
@@ -86,9 +99,18 @@ def _outputs(src: str, reps: int, table_only: bool) -> dict[str, bytes]:
                 argv = ("estimate", "--input", "sample.csv", "--index-set", index_set, *setting,
                         "--output", form)
                 out[" ".join(argv)] = _cli(*argv)
+    _sample_csv(Path("squared.csv"), power=2.0)
+    argv = ("estimate", "--input", "squared.csv", "--index-set", "1,2,3", "--method", "mu")
+    out[" ".join(argv)] = _cli(*argv)
     for mode in ORACLE_MODES:
         argv = ("oracle", "--scenario", "0.4,0.6", "--index-set", "1,2", *mode)
         out[" ".join(argv)] = _cli(*argv)
+    d3 = tm.MaxLinearModel(D3_COEFFS)
+    Path("measure.json").write_text(json.dumps(tm.model_spectral_measure(d3).to_dict()))
+    argv = ("oracle", "--measure", "measure.json", "--index-set", "1,2,3", "--avars")
+    out[" ".join(argv)] = _cli(*argv)
+    report = tm.run_experiment(tm.ExperimentConfig(model=d3, n=1000, k=50, reps=20, seed=5))
+    out["run_experiment d=3 n=1000 k=50 reps=20 seed=5"] = json.dumps(report.to_dict()).encode()
     Path("config.json").write_text(json.dumps(
         {"scenario": [0.4, 0.6], "n": 500, "k": 25, "reps": reps, "seed": 3}))
     for argv in (("experiment", "--config", "config.json"),
@@ -130,9 +152,34 @@ def combined(digests: dict[str, str]) -> str:
                           ).hexdigest()
 
 
+def versions() -> list[str]:
+    """The lines naming the numpy and Python versions of this interpreter."""
+    import numpy as np
+
+    return [f"numpy {np.__version__}", f"python {platform.python_version()}"]
+
+
+def differences(golden: str, digests: dict[str, str]) -> list[str]:
+    """What the lines of a golden file say against ``digests``: that numpy's version differs
+    from the one that made them, else one message for each output whose line differs, is
+    missing or is new (the combined line among them)."""
+    lines = golden.splitlines()
+    made, here = lines[0], versions()[0]
+    if made != here:
+        return [f"the golden outputs were made with {made}, this is {here}"]
+    expected = dict(line.rsplit(" ", 1) for line in lines[2:])
+    got = {**digests, "combined": combined(digests)}
+    return [f"{name}: " + ("new" if name not in expected else "missing" if name not in got
+                           else "differs")
+            for name in [*expected, *(name for name in got if name not in expected)]
+            if expected.get(name) != got.get(name)]
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     digests = hashes(Path(args[0]) if args else SRC)
+    for line in versions():
+        print(line)
     for name, digest in digests.items():
         print(f"{name} {digest}")
     print(f"combined {combined(digests)}")
