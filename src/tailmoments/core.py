@@ -511,5 +511,7 @@ def exceedances(columns: np.ndarray, level: float
     ell = _row_max(columns)
     mask = ell > level
     rows = np.flatnonzero(mask)
-    unit = columns.reshape(-1, columns.shape[-1])[rows] / ell.reshape(-1)[rows, None]
+    unit = np.empty((rows.size, columns.shape[-1]))
+    for j in range(columns.shape[-1]):  # column by column: a column may lie together in memory
+        np.divide(columns[..., j].reshape(-1)[rows], ell.reshape(-1)[rows], out=unit[:, j])
     return ell, mask, unit, rows // mask.shape[-1]

@@ -8,6 +8,7 @@ matrices survive a write/read round trip bit-for-bit.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 
@@ -26,15 +27,17 @@ def read_matrix_csv(path) -> np.ndarray:
     """Read an (n, d) float matrix from a comma-separated file.
 
     An optional single header row (any first token that does not parse as a
-    float) is skipped automatically.
+    float) is skipped automatically.  A header without rows gives an empty
+    matrix, which :class:`~tailmoments.core.DataMatrix` refuses.
     """
     with open(path, "r", newline="") as handle:
         first = handle.readline()
     if not first.strip():
         raise ValueError(f"{path}: file is empty")
     has_header = not _is_number(first.strip().split(",")[0])
-    data = np.loadtxt(path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2)
-    return data
+    with warnings.catch_warnings():  # the empty matrix is the answer, not a warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2)
 
 
 def write_matrix_csv(path, values, header: list[str] | None = None) -> None:

@@ -207,9 +207,10 @@ def simulate(model: MaxLinearModel, n: int, seed) -> DataMatrix:
     if n < 1:
         raise ValueError("n must be at least 1")
     states, m = _seed_states(seed), model.factors
-    # built in its final shape; no caller holds it, so DataMatrix keeps it uncopied
-    data = np.empty(np.shape(states) + (n, model.d))
-    states, out = np.reshape(states, -1), data.reshape(-1, n, model.d)
+    # component-major, so that each component's n draws of a replication lie together; no
+    # caller holds it, so DataMatrix keeps its (R, n, d) view uncopied
+    buf = np.empty((model.d,) + np.shape(states) + (n,))
+    states, out = np.reshape(states, -1), buf.reshape(model.d, -1, n)
     rows = min(n, max(1, CHUNK_DRAWS // m))
     per = max(1, CHUNK_DRAWS // (rows * m))  # replications per piece
     bits, z, term = np.empty(per * m * rows, np.uint64), np.empty(per * m * rows), \
@@ -229,12 +230,13 @@ def simulate(model: MaxLinearModel, n: int, seed) -> DataMatrix:
             # since a maximum does not depend on order
             scaled = term[:r * (hi - lo)].reshape(r, hi - lo)
             for j, row in enumerate(model.coeffs):
-                column = out[first:last, lo:hi, j]
+                column = out[j, first:last, lo:hi]
                 np.multiply(piece[:, 0, :], row[0], out=column)
                 for i in range(1, m):
                     np.multiply(piece[:, i, :], row[i], out=scaled)
                     np.maximum(column, scaled, out=column)
-    return DataMatrix(data, copy=False)
+    buf.flags.writeable = False
+    return DataMatrix(np.moveaxis(buf, 0, -1), copy=False)
 
 
 def frechet_sample(n: int, alpha: float, seed: int) -> np.ndarray:

@@ -132,7 +132,10 @@ def upper_order_statistics(x, k: int) -> np.ndarray:
     n = arr.shape[-2]
     if k < 1 or k > n:
         raise KOutOfRange(f"k={k} must satisfy 1 <= k <= {n}")
-    return np.take(np.partition(arr, n - k, axis=-2), n - k, axis=-2)
+    out = np.empty(arr.shape[:-2] + arr.shape[-1:])
+    for j in range(arr.shape[-1]):  # one column at a time, along its own n values
+        out[..., j] = np.partition(arr[..., j], n - k, axis=-1)[..., n - k]
+    return out
 
 
 class KnownSample(_Sample):
@@ -198,8 +201,8 @@ class RankSample(_Sample):
                 "a k-th upper order statistic is zero; the ratio data are undefined"
             )
         # one column at a time: dividing by a broadcast short trailing axis is several times
-        # slower, and the quotients are the same bits
-        ratios = np.empty(columns.shape)
+        # slower, and the quotients are the same bits; the ratios keep the columns' layout
+        ratios = np.empty_like(columns)
         for j in range(columns.shape[-1]):
             np.divide(columns[..., j], anchors[..., j, None], out=ratios[..., j])
         # upper_order_statistics checked that k is an integer
@@ -241,7 +244,9 @@ class RankSample(_Sample):
         # a row with ell * (1 + eps) <= 1 exceeds under neither scaling, so
         # dropping it first leaves both exceedance sets, in order, unchanged
         rows = np.flatnonzero(self.ell * (1.0 + eps) > 1.0)
-        candidates, rep = self.ratios.reshape(-1, self.index_set.size)[rows], rows // self.n
+        candidates = np.stack([self.ratios[..., j].reshape(-1)[rows]
+                               for j in range(self.index_set.size)], axis=-1)
+        rep = rows // self.n
         scale = (np.stack([_scaled_means(candidates, rep, 1.0 + bump, power, lead)
                            for bump in bumps], axis=-2)
                  - np.stack([_scaled_means(candidates, rep, 1.0 - bump, power, lead)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import tailmoments as tm
 from tailmoments import samples
 from tailmoments.cli import main
 from tailmoments.io import read_matrix_csv
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -364,6 +370,18 @@ def test_estimate_data_errors_exit_one(capsys, sample_csv):
                        "--method", "mu", "--k", "20")
     assert code == 1
     assert "error:" in err
+
+
+def test_estimate_a_header_only_csv_prints_only_the_error(tmp_path):
+    path = tmp_path / "header_only.csv"
+    path.write_text("X1,X2\n")
+    done = subprocess.run([sys.executable, "-m", "tailmoments.cli", "estimate", "--input",
+                           str(path), "--index-set", "1,2", "--method", "hill"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == \
+        "error: ValueError: data matrix must have at least one row and one column\n"
 
 
 @pytest.mark.parametrize("argv", [["--method", "mu"], ["--method", "moment", "--optimal"]],

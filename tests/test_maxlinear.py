@@ -142,7 +142,10 @@ def test_simulate_never_holds_its_output_twice(seed, n):
     finally:
         tracemalloc.stop()
     assert values.shape == np.shape(seed) + (n, 2)
-    assert values.flags.owndata and not values.flags.writeable
+    # a view of one buffer that holds these values and nothing more, both read-only
+    base = values.base
+    assert base.flags.owndata and base.nbytes == values.nbytes
+    assert not values.flags.writeable and not base.flags.writeable
     # the pieces' scratch arrays have a fixed size, below one copy of these outputs
     assert peak < 2 * values.nbytes
 

@@ -279,6 +279,64 @@ def test_samples_do_not_alias_the_callers_array():
 
 # ------------------------------------------------ differential checks of fast paths
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def _layouts(model, n, seeds):
+    """The same values three ways: a C-order array, simulate's block, in which each component
+    lies together, and a DataMatrix copy of that block."""
+    simulated = tm.simulate(model, n, seeds)
+    columns = simulated.values[..., 0].size * simulated.values.itemsize
+    assert simulated.values.strides[-1] == columns  # component-major
+    copied = tm.DataMatrix(simulated.values)
+    assert copied.values.strides == simulated.values.strides
+    assert not np.shares_memory(copied.values, simulated.values)
+    plain = np.ascontiguousarray(simulated.values)
+    assert plain.flags.c_contiguous
+    return plain, simulated, copied
+
+
+RANK_FIELDS = ("anchors", "ratios", "ell", "mask", "rep", "count", "unit", "hill", "inv_alpha",
+               "angular")
+KNOWN_FIELDS = ("mask", "rep", "count", "angular")
+
+
+@pytest.mark.parametrize("coeffs, members", [(None, (1, 2)), (D3_COEFFS, (1, 2, 3)),
+                                             (D3_COEFFS, (1, 3))])
+@pytest.mark.parametrize("seeds", [11, list(range(6))])
+def test_the_samples_give_the_same_bits_in_every_layout(coeffs, members, seeds):
+    model = tm.make_scenario(0.4, 0.6) if coeffs is None else tm.MaxLinearModel(coeffs)
+    n, k, index_set = 400, 20, tm.IndexSet(members)
+    plain, *others = _layouts(model, n, seeds)
+    rank, known = samples.RankSample(plain, k, index_set), samples.KnownSample(plain, U95, index_set)
+    pair = rank.pair(0, 1)
+    derivatives = rank.derivatives(k / n)
+    assert not np.any(np.isnan(derivatives[0]))
+    for data in others:
+        other = samples.RankSample(data, k, index_set)
+        assert all(_same_bits(getattr(rank, f), getattr(other, f)) for f in RANK_FIELDS)
+        assert all(_same_bits(getattr(pair, f), getattr(other.pair(0, 1), f))
+                   for f in RANK_FIELDS)
+        assert all(map(_same_bits, derivatives, other.derivatives(k / n)))
+        other = samples.KnownSample(data, U95, index_set)
+        assert all(_same_bits(getattr(known, f), getattr(other, f)) for f in KNOWN_FIELDS)
+
+
+@pytest.mark.parametrize("coeffs", [None, D3_COEFFS])
+def test_block_estimates_give_the_same_bits_in_every_layout(coeffs, monkeypatch):
+    model = tm.make_scenario(0.4, 0.6) if coeffs is None else tm.MaxLinearModel(coeffs)
+    seeds = list(range(8))
+    estimates = []
+    for data in _layouts(model, 1000, seeds):
+        data = data if isinstance(data, tm.DataMatrix) else tm.DataMatrix(data)
+        monkeypatch.setattr(harness, "simulate", lambda *args, data=data: data)
+        estimates.append(harness._block_estimates(seeds, model, 1000, 50, U95))
+    assert not np.any(np.isnan(estimates[0]))
+    assert _same_bits(estimates[0], estimates[1]) and _same_bits(estimates[0], estimates[2])
+
 def _d_wide_known_sample(x, u, index_set, perturbation=None):
     """The (count, d) angular parts, zero outside the index set: the earlier full-width layout."""
     if perturbation is None:
