@@ -189,9 +189,12 @@ class DataMatrix:
 
     ``values`` may also be an (R, n, d) block: R replications of such a
     matrix along a leading axis.  They are checked and kept as a read-only
-    copy.  ``copy=False`` keeps the checked array itself, made read-only:
-    it is only for an array that nothing else holds or views, such as the
-    block :func:`~tailmoments.maxlinear.simulate` has just built.
+    copy in the layout of the array handed in, so the copy of a
+    column-major block, as :func:`~tailmoments.maxlinear.simulate` builds,
+    is column-major too; no result depends on the layout.  ``copy=False``
+    keeps the checked array itself, made read-only: it is only for an array
+    that nothing else holds or views, such as the block ``simulate`` has
+    just built.
     """
 
     values: np.ndarray
@@ -447,8 +450,8 @@ def check_finite(values, name: str, positive: bool = True, error: type = ValueEr
     ``error`` class is raised.
     """
     arr = np.asarray(values, dtype=float)
-    above = (arr > 0.0) if positive else (arr >= 0.0)
-    if not np.all(above & (arr < np.inf)):  # NaN fails both comparisons
+    low, high = arr.min(initial=np.inf), arr.max(initial=-np.inf)  # both NaN if an entry is
+    if not ((low > 0.0 if positive else low >= 0.0) and high < np.inf):  # NaN fails both
         got = f", got {float(arr)}" if arr.ndim == 0 else ""
         raise error(f"{name} must be {'positive' if positive else 'non-negative'} and finite{got}")
     return arr if arr.ndim else float(arr)
@@ -511,7 +514,7 @@ def exceedances(columns: np.ndarray, level: float
     ell = _row_max(columns)
     mask = ell > level
     rows = np.flatnonzero(mask)
-    unit = np.empty((rows.size, columns.shape[-1]))
+    norms, unit = ell.reshape(-1)[rows], np.empty((rows.size, columns.shape[-1]))
     for j in range(columns.shape[-1]):  # column by column: a column may lie together in memory
-        np.divide(columns[..., j].reshape(-1)[rows], ell.reshape(-1)[rows], out=unit[:, j])
+        np.divide(columns[..., j].reshape(-1)[rows], norms, out=unit[:, j])
     return ell, mask, unit, rows // mask.shape[-1]

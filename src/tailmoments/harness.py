@@ -72,7 +72,7 @@ BLOCK = 100
 BLOCK_VALUES = 2 ** 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """Settings of one Monte Carlo experiment."""
 
@@ -115,7 +115,7 @@ class ExperimentConfig:
         return cls(model=make_scenario(*scenario), **payload)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodSummary:
     """Bias and spread of one estimator's reciprocal-coefficient estimates."""
 
@@ -129,7 +129,7 @@ class MethodSummary:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentReport:
     """Results of one experiment: per-estimator summaries plus the exact targets."""
 

@@ -117,7 +117,7 @@ def derive_seed(seed: int, index):
     return int(child) if child.ndim == 0 else child
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaxLinearModel:
     """Coefficient matrix of a max-linear model, one row per component.
 
@@ -199,9 +199,12 @@ def simulate(model: MaxLinearModel, n: int, seed) -> DataMatrix:
     sub-block of rows is reproducible in isolation and identical components
     of the model yield bitwise identical data columns.  A sequence of R
     seeds gives an (R, n, d) block whose slice r is, bit for bit, the data
-    of seed r.  The draws are made in pieces of at most :data:`CHUNK_DRAWS`
-    (or one row, if that is more): whole replications while they fit, else
-    row ranges of one.
+    of seed r.  The block is column-major: a view of one (d, R, n) array, in
+    which each component's n draws of a replication lie together.  A
+    :class:`~tailmoments.core.DataMatrix` copy keeps that layout, and no
+    result depends on it.  The draws are made in pieces of at most
+    :data:`CHUNK_DRAWS` (or one row, if that is more): whole replications
+    while they fit, else row ranges of one.
     """
     n = check_integer(n, "n")
     if n < 1:

@@ -20,6 +20,12 @@ a 0-d array for one matrix and (R,) for a block.  A mean, Hill's estimate
 among them, is NaN for a replication without exceedances.  One matrix is
 the R=1 case of the same code.  Where an estimator on one matrix without
 exceedances raises NoExceedances, a block marks the replication with NaN.
+
+A simulated block is column-major, each component's values of a
+replication together in memory, and a DataMatrix copy keeps that layout.
+The samples read their data one column at a time (the order statistics,
+the ratios, the exceeding rows), which is fast in that layout and gives
+the same bits in any other: no result depends on the layout.
 """
 
 from __future__ import annotations

@@ -94,6 +94,18 @@ def test_data_matrix_rejects_negative_and_nonfinite():
         tm.DataMatrix(np.array([[1.0, np.nan]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+@pytest.mark.parametrize("where", [(0, 0, 0), (1, 3, 77), (1, 4, 99)])
+def test_data_matrix_rejects_a_bad_entry_anywhere_in_a_component_major_block(bad, where):
+    buf = np.ones((2, 5, 100))
+    buf[where] = bad
+    block = np.moveaxis(buf, 0, -1)  # the layout simulate builds
+    for copy in (True, False):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            tm.DataMatrix(block, copy=copy)
+    assert tm.core.check_finite(np.zeros(0), "empty").shape == (0,)
+
+
 def test_data_matrix_copies_what_its_source_could_still_change():
     writable = np.arange(1.0, 7.0).reshape(3, 2)
     source = np.arange(1.0, 7.0).reshape(3, 2)

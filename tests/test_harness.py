@@ -92,6 +92,9 @@ def test_run_experiment_report_contents():
     # every CSV column after the method name is a field of the summary written on its row
     assert all(hasattr(s, column) for s in rep.summaries.values()
                for column in REPORT_CSV_HEADER[1:])
+    # a table's caller may hold many reports: no part of one carries a per-instance dict
+    for part in (rep, rep.config, rep.config.model, *rep.summaries.values()):
+        assert not hasattr(part, "__dict__"), type(part).__name__
 
 
 def test_run_experiment_theoretical_stds_come_from_the_oracle():
