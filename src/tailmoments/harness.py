@@ -58,6 +58,9 @@ ESTIMATOR_NAMES = ("BK", "MK", "BU", "MU")
 
 #: the three (p, q) benchmark scenarios reported side by side
 TABLE_SCENARIOS = ((0.1, 0.2), (0.4, 0.6), (0.8, 0.9))
+#: their models, built once: every table's reports share these immutable models, so a
+#: caller that keeps many tables keeps no copies of them
+_TABLE_MODELS = tuple(make_scenario(p, q) for p, q in TABLE_SCENARIOS)
 
 GRID_HEADER = ("p", "q", "sd_bk", "sd_mk", "sd_bu", "sd_mu", "v1_star", "v1_tilde")
 
@@ -315,9 +318,9 @@ def table_experiments(reps: int = 5000, seed: int = 1, n: int = 1000,
     The three experiments share one set of workers, as one :func:`run_experiment`
     call would.
     """
-    configs = [ExperimentConfig(model=make_scenario(p, q), n=n, k=k, reps=reps,
+    configs = [ExperimentConfig(model=model, n=n, k=k, reps=reps,
                                 seed=derive_seed(seed, idx), u_quantile=u_quantile)
-               for idx, (p, q) in enumerate(TABLE_SCENARIOS)]
+               for idx, model in enumerate(_TABLE_MODELS)]
     return {f"scenario_{idx + 1}": report for idx, report in enumerate(_run(configs))}
 
 

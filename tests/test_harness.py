@@ -396,6 +396,11 @@ def test_table_experiments_covers_the_three_scenarios():
         assert rep.config.k == 50
         assert rep.config.u_quantile == 0.95
         assert rep.config.reps == 6
+    # each scenario's model, built once and shared by every table
+    again = table_experiments(reps=2, seed=3)
+    for (p, q), key in zip(TABLE_SCENARIOS, reports):
+        assert reports[key].config.model == tm.make_scenario(p, q)
+        assert again[key].config.model is reports[key].config.model
 
 
 def test_variance_grid_shape_and_degeneracies():
