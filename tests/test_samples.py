@@ -311,9 +311,9 @@ def test_the_samples_give_the_same_bits_in_every_layout(coeffs, members, seeds):
     model = tm.make_scenario(0.4, 0.6) if coeffs is None else tm.MaxLinearModel(coeffs)
     n, k, index_set = 400, 20, tm.IndexSet(members)
     plain, *others = _layouts(model, n, seeds)
-    rank, known = samples.RankSample(plain, k, index_set), samples.KnownSample(plain, U95, index_set)
-    pair = rank.pair(0, 1)
-    derivatives = rank.derivatives(k / n)
+    rank = samples.RankSample(plain, k, index_set)
+    known = samples.KnownSample(plain, U95, index_set)
+    pair, derivatives = rank.pair(0, 1), rank.derivatives(k / n)
     assert not np.any(np.isnan(derivatives[0]))
     for data in others:
         other = samples.RankSample(data, k, index_set)
@@ -336,6 +336,7 @@ def test_block_estimates_give_the_same_bits_in_every_layout(coeffs, monkeypatch)
         estimates.append(harness._block_estimates(seeds, model, 1000, 50, U95))
     assert not np.any(np.isnan(estimates[0]))
     assert _same_bits(estimates[0], estimates[1]) and _same_bits(estimates[0], estimates[2])
+
 
 def _d_wide_known_sample(x, u, index_set, perturbation=None):
     """The (count, d) angular parts, zero outside the index set: the earlier full-width layout."""
