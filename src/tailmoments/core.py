@@ -509,7 +509,8 @@ def exceedances(columns: np.ndarray, level: float
     and the replication (the leading index) of each of those rows, all zero without a leading axis.
 
     The one exceedance step of the estimators and the oracle; a level >= 0 divides by no zero.
-    The rows of a block are selected once, in order, replication by replication.
+    The rows of a block are selected once, in order, replication by replication.  The tail
+    samples run it on the (count, m) rows that :func:`rows_above` selects from a block.
     """
     ell = _row_max(columns)
     mask = ell > level
@@ -518,3 +519,18 @@ def exceedances(columns: np.ndarray, level: float
     for j in range(columns.shape[-1]):  # column by column: a column may lie together in memory
         np.divide(columns[..., j].reshape(-1)[rows], norms, out=unit[:, j])
     return ell, mask, unit, rows // mask.shape[-1]
+
+
+def rows_above(columns: np.ndarray, bounds) -> np.ndarray:
+    """The mask of the rows of (..., n, m) columns in which some column j exceeds its bound
+    ``bounds[..., j]``, one bound per leading index (broadcast to the leading shape).
+
+    The columns are read through one comparison each, so a block costs boolean temporaries
+    alone, and every float of the exceedance step is computed on the selected rows only.
+    """
+    bounds = np.broadcast_to(bounds, columns.shape[:-2] + columns.shape[-1:])
+    mask = np.greater(columns[..., 0], bounds[..., 0, None])
+    above = np.empty_like(mask)
+    for j in range(1, columns.shape[-1]):
+        mask |= np.greater(columns[..., j], bounds[..., j, None], out=above)
+    return mask

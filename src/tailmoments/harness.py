@@ -6,8 +6,10 @@ and summarizes bias and spread of the reciprocal extremal coefficient
 against the exact population values from the spectral measure.  Repetitions
 are seeded individually from the experiment seed and run in blocks of at
 most :data:`BLOCK`, whose (block, n, d) data hold at most
-:data:`BLOCK_VALUES` values: one simulation, one tail sample per margin
-convention and one pass of each estimator per block.  A repetition's
+:data:`BLOCK_VALUES` values, split into as few blocks of near-equal sizes
+as these allow: one simulation, one tail sample per margin convention and
+one pass of each estimator per block.  The oracle's targets are derived
+once per model in a process.  A repetition's
 estimates are the same bits in any block, so results do not depend on the
 blocking or on execution order.  With ``TAILMOMENTS_THREADS`` set, a
 process pool maps the blocks of every experiment in a call (the three
@@ -24,11 +26,13 @@ pool, and the pool is shut down at interpreter exit.
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,7 +75,7 @@ REPORT_CSV_HEADER = ("method", "bias", "emp_std", "theo_std", "excluded")
 BLOCK = 100
 
 #: values the data of one block may hold, so its temporaries stay bounded at large n:
-#: a block takes min(BLOCK, BLOCK_VALUES // (n * d)) replications, at least one
+#: a block takes at most min(BLOCK, BLOCK_VALUES // (n * d)) replications, at least one
 BLOCK_VALUES = 2 ** 20
 
 
@@ -246,8 +250,9 @@ def _run(configs: list[ExperimentConfig]) -> list[ExperimentReport]:
         size = min(BLOCK, max(1, BLOCK_VALUES // (config.n * config.model.d)))
         u = -1.0 / np.log(config.u_quantile)
         thresholds.append(u)
-        tasks += [(seeds[start:start + size], config.model, config.n, config.k, u)
-                  for start in range(0, config.reps, size)]
+        # ceil(reps / size) blocks of near-equal sizes, so that workers finish together
+        tasks += [(block, config.model, config.n, config.k, u)
+                  for block in np.array_split(seeds, math.ceil(config.reps / size))]
         bounds.append(len(tasks))
     columns = list(zip(*tasks))  # seeds, models, n, k and u as parallel iterables
     workers = _worker_count(len(tasks))
@@ -264,11 +269,17 @@ def _run(configs: list[ExperimentConfig]) -> list[ExperimentReport]:
             for config, u, lo, hi in zip(configs, thresholds, bounds[:-1], bounds[1:])]
 
 
+@lru_cache(maxsize=16)
+def _targets(model: MaxLinearModel):
+    """The oracle's asymptotic variances of a model on all its components, derived once per
+    model for the configs of a process (seed sweeps, repeated tables)."""
+    return asymptotic_variances(model_spectral_measure(model), IndexSet(range(1, model.d + 1)))
+
+
 def _report(config: ExperimentConfig, u: float, estimates: np.ndarray) -> ExperimentReport:
     """Summaries of a config's (reps, 4) estimates at threshold ``u`` against the oracle's
     targets."""
-    model = config.model
-    av = asymptotic_variances(model_spectral_measure(model), IndexSet(range(1, model.d + 1)))
+    av = _targets(config.model)
     inv_tau = 1.0 / av.tau
     marginal_pairs = config.n * (1.0 - config.u_quantile)
     theo = {

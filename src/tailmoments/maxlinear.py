@@ -48,11 +48,19 @@ def _splitmix(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
 
 
 def _seed_states(seed) -> np.ndarray:
-    """The splitmix state of an integer seed, or the vector of states of a sequence of them."""
+    """The splitmix state of an integer seed, or the vector of states of a sequence of them.
+
+    Seeds are taken modulo 2**64.  A uint64 array of at most one axis, as :func:`derive_seed`
+    returns, holds nothing else, so it is read without a check per seed.
+    """
     one = np.ndim(seed) == 0
-    seeds = [check_integer(s, "seed") & 0xFFFFFFFFFFFFFFFF for s in ([seed] if one else seed)]
+    if isinstance(seed, np.ndarray) and seed.dtype == np.uint64 and seed.ndim <= 1:
+        seeds = seed.reshape(-1)
+    else:
+        seeds = np.array([check_integer(s, "seed") & 0xFFFFFFFFFFFFFFFF
+                          for s in ([seed] if one else seed)], dtype=np.uint64)
     with np.errstate(over="ignore"):
-        states = _splitmix(np.array(seeds, dtype=np.uint64) + _GOLDEN)
+        states = _splitmix(seeds + _GOLDEN)
     return states[0] if one else states
 
 

@@ -21,16 +21,23 @@ among them, is NaN for a replication without exceedances.  One matrix is
 the R=1 case of the same code.  Where an estimator on one matrix without
 exceedances raises NoExceedances, a block marks the replication with NaN.
 
+A block is read only through each column's order statistic and one
+comparison per column (:func:`core.rows_above`: ``x > u``, ``x`` above its
+anchor, or a bound below which no row can exceed), so the only temporaries
+of the block's size are boolean.  Every float, the ratios and their row
+maxima, the angular parts, Hill's logs and the derivatives' candidates, is
+computed on the rows so selected, with the bits the full arrays would give.
 A simulated block is column-major, each component's values of a
 replication together in memory, and a DataMatrix copy keeps that layout.
-The samples read their data one column at a time (the order statistics,
-the ratios, the exceeding rows), which is fast in that layout and gives
-the same bits in any other: no result depends on the layout.
+The samples read their data one column at a time, which is fast in that
+layout and gives the same bits in any other: no result depends on the
+layout.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +51,7 @@ from .core import (
     check_finite,
     check_integer,
     exceedances,
+    rows_above,
 )
 
 
@@ -120,6 +128,37 @@ def _columns(x: np.ndarray, index_set: IndexSet) -> np.ndarray:
     return x if index_set.size == x.shape[-1] else x[..., index_set.zero_based()]
 
 
+def _tail_rows(columns: np.ndarray, bounds, combine, operands) -> tuple[np.ndarray, np.ndarray,
+                                                                       np.ndarray]:
+    """The rows in which some column exceeds its bound (:func:`core.rows_above`), as a mask of
+    the leading shape and n and as flat indices, and their (count, m) values ``combine(x,
+    operand)``, computed on those rows alone with each column's operand of their replication."""
+    mask = rows_above(columns, bounds)
+    rows = np.flatnonzero(mask)
+    m = columns.shape[-1]
+    operands = np.broadcast_to(operands, columns.shape[:-2] + (m,)).reshape(-1, m)
+    rep = rows // mask.shape[-1]
+    values = np.empty((rows.size, m))
+    for j in range(m):  # column by column: a column may lie together in memory
+        combine(columns[..., j].reshape(-1)[rows], operands[rep, j], out=values[:, j])
+    return mask, rows, values
+
+
+def _bounds(start, image, level: float) -> np.ndarray:
+    """``start`` lowered until ``image`` of each bound is at most ``level``.
+
+    ``image`` is non-decreasing, so no value at or below its bound has an image above
+    ``level``: the rows above the bounds hold every row whose image exceeds it.  A bound is
+    stepped to the next float down at most three times, then set to zero, whose image is zero.
+    """
+    bounds = np.array(start, dtype=float)
+    for _ in range(3):
+        over = image(bounds) > level
+        bounds[over] = np.nextafter(bounds[over], 0.0)
+    bounds[image(bounds) > level] = 0.0
+    return bounds
+
+
 def upper_order_statistics(x, k: int) -> np.ndarray:
     """The per-column k-th largest values (position k of the descending sort, ties kept by
     multiplicity) of an (n, d) matrix, as a d-vector, or of an (R, n, d) block, as (R, d).
@@ -139,8 +178,11 @@ def upper_order_statistics(x, k: int) -> np.ndarray:
     if k < 1 or k > n:
         raise KOutOfRange(f"k={k} must satisfy 1 <= k <= {n}")
     out = np.empty(arr.shape[:-2] + arr.shape[-1:])
+    column = np.empty(arr.shape[:-1])  # one partition buffer for every column
     for j in range(arr.shape[-1]):  # one column at a time, along its own n values
-        out[..., j] = np.partition(arr[..., j], n - k, axis=-1)[..., n - k]
+        np.copyto(column, arr[..., j])
+        column.partition(n - k, axis=-1)
+        out[..., j] = column[..., n - k]
     return out
 
 
@@ -161,14 +203,20 @@ class KnownSample(_Sample):
                  perturbation: Perturbation | None = None):
         x = _own_values(data)
         u = check_finite(u, "threshold u", positive=False)
-        columns = _columns(x, index_set)
         if perturbation is None:
-            beta = 1.0
+            scales, beta = np.ones(index_set.size), 1.0
         elif perturbation.index_set != index_set:
             raise ValueError("the perturbation lives on another index set")
         else:
-            columns, beta = columns * perturbation.s[index_set.zero_based()], perturbation.beta
-        _, mask, unit, rep = exceedances(columns, u)
+            scales, beta = perturbation.s[index_set.zero_based()], perturbation.beta
+        # x * s exceeds u only where x is above its bound, u itself when s is one; the exact
+        # test on the scaled rows drops any row that a lowered bound let in
+        with np.errstate(over="ignore"):
+            bounds = _bounds(u / scales, lambda b: b * scales, u)
+        mask, rows, scaled = _tail_rows(_columns(x, index_set), bounds, np.multiply, scales)
+        _, keep, unit, _ = exceedances(scaled, u)
+        mask.reshape(-1)[rows[~keep]] = False
+        rep = rows[keep] // x.shape[-2]
         self._store(values=x, u=u, index_set=index_set, perturbation=perturbation,
                     mask=mask, rep=rep, count=_counts(rep, x.shape[:-2]),
                     angular=np.power(unit, 1.0 / beta))
@@ -185,12 +233,16 @@ def _scaled_means(ratios, rep, scales, power, lead) -> np.ndarray:
 class RankSample(_Sample):
     """Rank-scaled columns of an index set and the rows where their maximum exceeds one.
 
-    ``anchors`` are the per-column k-th largest values, ``ratios`` the (n, m)
-    (or (R, n, m)) columns divided by them, ``ell`` the row maxima of ``ratios`` and ``mask``
-    the ``count`` rows with ``ell > 1``.  ``unit`` holds those rows divided by
-    their ``ell``, and ``hill`` is Hill's 1/alpha from them (NaN without
-    exceedances).  ``angular`` is ``unit ** (1 / inv_alpha)``, where
-    ``inv_alpha`` is ``inv_alpha_hat`` when one is given and ``hill`` if not.
+    ``anchors`` are the per-column k-th largest values and ``mask`` flags the
+    ``count`` rows with a column above its anchor: the rows whose ratios,
+    the columns divided by their anchors, have a maximum ``ell`` above one
+    (``fl(x / a) > 1`` exactly when ``x > a``).  Only those rows' ratios are
+    computed: ``ell`` holds their maxima, ``unit`` the rows divided by them,
+    and ``hill`` is Hill's 1/alpha from them (NaN without exceedances).
+    ``angular`` is ``unit ** (1 / inv_alpha)``, where ``inv_alpha`` is
+    ``inv_alpha_hat`` when one is given and ``hill`` if not.  ``ratios``,
+    every row's ratios as an (n, m) (or (R, n, m)) array, is built when first
+    read.
     """
 
     _args = ("k", "index_set", "inv_alpha_hat")  # the fields tail_sample compares
@@ -206,33 +258,41 @@ class RankSample(_Sample):
             raise EstimationError(
                 "a k-th upper order statistic is zero; the ratio data are undefined"
             )
-        # one column at a time: dividing by a broadcast short trailing axis is several times
-        # slower, and the quotients are the same bits; the ratios keep the columns' layout
-        ratios = np.empty_like(columns)
-        for j in range(columns.shape[-1]):
-            np.divide(columns[..., j], anchors[..., j, None], out=ratios[..., j])
         # upper_order_statistics checked that k is an integer
-        self._fill(x, int(k), index_set, inv_alpha_hat, anchors, ratios)
+        self._fill(x, int(k), index_set, inv_alpha_hat, anchors, columns)
 
-    def _fill(self, x, k, index_set, inv_alpha_hat, anchors, ratios) -> None:
+    def _fill(self, x, k, index_set, inv_alpha_hat, anchors, columns) -> None:
         lead = x.shape[:-2]
-        ell, mask, unit, rep = exceedances(ratios, 1.0)
-        hill = _means(rep, np.log(ell[mask]), lead)
+        mask, rows, ratios = _tail_rows(columns, anchors, np.divide, anchors)
+        ell, _, unit, _ = exceedances(ratios, 1.0)  # every row exceeds
+        rep = rows // x.shape[-2]
+        hill = _means(rep, np.log(ell), lead)
         inv_alpha = hill if inv_alpha_hat is None else np.full(lead, inv_alpha_hat)
         self._store(values=x, k=k, index_set=index_set, inv_alpha_hat=inv_alpha_hat,
-                    anchors=anchors, ratios=ratios, ell=ell, mask=mask, rep=rep,
-                    count=_counts(rep, lead), unit=unit, hill=hill, inv_alpha=inv_alpha,
+                    anchors=anchors, ell=ell, mask=mask, rep=rep, count=_counts(rep, lead),
+                    unit=unit, hill=hill, inv_alpha=inv_alpha,
                     angular=np.power(unit, _per_row(1.0 / inv_alpha, rep, lead)[:, None]))
 
+    @cached_property
+    def ratios(self) -> np.ndarray:
+        """Every row's columns divided by their anchors, in the columns' layout, built once."""
+        columns = _columns(self.values, self.index_set)
+        ratios = np.empty_like(columns)
+        for j in range(columns.shape[-1]):  # the quotients _fill takes on the exceeding rows
+            np.divide(columns[..., j], self.anchors[..., j, None], out=ratios[..., j])
+        ratios.flags.writeable = False
+        return ratios
+
     def pair(self, a: int, b: int) -> RankSample:
-        """The sub-sample on positions ``a < b``, from these anchors and ratios.
+        """The sub-sample on positions ``a < b``, from these anchors.
 
         It has its own Hill estimate, unless this sample's power was given.
         """
         members = self.index_set.members
+        index_set = IndexSet((members[a], members[b]))
         out = object.__new__(RankSample)
-        out._fill(self.values, self.k, IndexSet((members[a], members[b])),
-                  self.inv_alpha_hat, self.anchors[..., [a, b]], self.ratios[..., [a, b]])
+        out._fill(self.values, self.k, index_set, self.inv_alpha_hat,
+                  self.anchors[..., [a, b]], _columns(self.values, index_set))
         return out
 
     def derivatives(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -247,11 +307,13 @@ class RankSample(_Sample):
         """
         lead, bumps = self.values.shape[:-2], eps * np.eye(self.index_set.size)
         power = 1.0 / self.inv_alpha  # NaN without exceedances
-        # a row with ell * (1 + eps) <= 1 exceeds under neither scaling, so
-        # dropping it first leaves both exceedance sets, in order, unchanged
-        rows = np.flatnonzero(self.ell * (1.0 + eps) > 1.0)
-        candidates = np.stack([self.ratios[..., j].reshape(-1)[rows]
-                               for j in range(self.index_set.size)], axis=-1)
+        # a row whose every ratio times 1 + eps is at most one exceeds under no scaling, and
+        # neither does a row at or below the bounds, so the rows above them hold every
+        # exceedance, in order; _scaled_means tests each of them exactly
+        anchors = self.anchors
+        bounds = _bounds(anchors / (1.0 + eps), lambda b: b / anchors * (1.0 + eps), 1.0)
+        _, rows, candidates = _tail_rows(_columns(self.values, self.index_set), bounds,
+                                         np.divide, anchors)
         rep = rows // self.n
         scale = (np.stack([_scaled_means(candidates, rep, 1.0 + bump, power, lead)
                            for bump in bumps], axis=-2)

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import signal
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -361,7 +362,7 @@ def test_blocks_hold_at_most_the_value_budget(monkeypatch):
     monkeypatch.setattr(harness, "BLOCK_VALUES", 3 * 800 + 799)
     sizes = _recorded_block_sizes(monkeypatch)
     assert run_experiment(config).to_dict() == single
-    assert sizes == [3, 3, 3, 1]
+    assert sizes == [3, 3, 2, 2]  # ceil(10 / 3) blocks of near-equal sizes
     # a replication larger than the budget still runs, one per block
     monkeypatch.setattr(harness, "BLOCK_VALUES", 100)
     sizes.clear()
@@ -373,8 +374,26 @@ def test_blocks_hold_at_most_the_value_budget(monkeypatch):
 def test_the_module_budget_sizes_blocks_by_their_values(monkeypatch, n):
     sizes = _recorded_block_sizes(monkeypatch, compute=False)
     per = min(harness.BLOCK, max(1, harness.BLOCK_VALUES // (n * 2)))
-    run_experiment(small_config(n=n, k=50, reps=2 * per + 1))
-    assert sizes == [per, per, 1]
+    reps = 2 * per + 1  # three blocks of at most per replications, as even as they can be
+    run_experiment(small_config(n=n, k=50, reps=reps))
+    low, extra = divmod(reps, 3)
+    assert sizes == [low + 1] * extra + [low] * (3 - extra)
+    assert max(sizes) <= per
+
+
+def test_a_block_allocates_little_beyond_its_data():
+    # the tail samples compare on the block and compute on the exceeding rows alone, so a
+    # 100-replication block (n=1000, d=2: 1.53 MiB of data) peaks at about 3.0 MiB, not 5.3
+    model, u = tm.make_scenario(0.4, 0.6), -1.0 / np.log(0.95)
+    seeds = tm.derive_seed(7, range(100))
+    harness._block_estimates(seeds, model, 1000, 50, u)
+    tracemalloc.start()
+    try:
+        harness._block_estimates(seeds, model, 1000, 50, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2 ** 20
 
 
 def test_experiment_bias_shrinks_toward_the_target():

@@ -106,6 +106,32 @@ def test_seeds_are_checked_integers(seed):
     assert np.array_equal(simulate(model, 3, 7.0).values, simulate(model, 3, 7).values)
 
 
+def test_a_uint64_seed_array_is_read_unchecked_with_the_same_bits(monkeypatch):
+    seeds = derive_seed(3, range(100))
+    assert seeds.dtype == np.uint64
+    checked = maxlinear._seed_states([int(s) for s in seeds])
+    calls = []
+    check_integer = maxlinear.check_integer
+    monkeypatch.setattr(maxlinear, "check_integer",
+                        lambda *args: calls.append(args) or check_integer(*args))
+    assert np.array_equal(maxlinear._seed_states(seeds), checked) and calls == []
+    assert maxlinear._seed_states(seeds[5:5]).shape == (0,) and calls == []
+    assert maxlinear._seed_states(seeds[5]) == checked[5]  # a uint64 scalar
+    assert (seeds.view(np.int64) < 0).any()  # seeds above 2**63 - 1 read as negative int64s
+    for same in (seeds.astype(object), seeds.tolist(), seeds.view(np.int64)):
+        assert np.array_equal(maxlinear._seed_states(same), checked)
+    # every other input keeps its checks: a non-integral or bool seed raises, and an integer
+    # outside [0, 2**64) is taken modulo 2**64, as before
+    calls.clear()
+    for bad in (1.5, np.nan, True, np.True_, [1, 2.5], [1, True], np.array([1.0, 0.5]),
+                np.array([True, False])):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            maxlinear._seed_states(bad)
+    assert calls
+    for seed in (-1, 2 ** 64 + 5, -2 ** 70):
+        assert maxlinear._seed_states(seed) == maxlinear._seed_states(seed % 2 ** 64)
+
+
 @pytest.mark.parametrize("bad", [1.5, -1, 2 ** 64, np.nan])
 def test_indices_and_counters_are_checked_not_truncated(bad):
     for call in (lambda i: derive_seed(1, i), lambda i: derive_seed(1, [0, i]),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tailmoments as tm
 from tailmoments import harness, samples, variance, weights
@@ -105,7 +107,7 @@ def test_one_replication_computes_the_anchors_once(monkeypatch):
     monkeypatch.setattr(harness, "BLOCK", 4)
     harness.run_experiment(tm.ExperimentConfig(model=tm.make_scenario(0.4, 0.6), n=1000,
                                                k=50, reps=10, seed=3))
-    assert calls == [((4, 1000, 2), 50), ((4, 1000, 2), 50), ((2, 1000, 2), 50)]
+    assert calls == [((4, 1000, 2), 50), ((3, 1000, 2), 50), ((3, 1000, 2), 50)]
 
 
 def test_tau_moment_ranks_validates_a_raw_array_once(monkeypatch):
@@ -393,6 +395,127 @@ def test_row_restricted_scale_differences_equal_the_unrestricted_ones(seed):
                 plain = (samples._scaled_means(ranks.ratios, rows, 1.0 + bump, power, ())
                          - samples._scaled_means(ranks.ratios, rows, 1.0 - bump, power, ()))
                 assert np.array_equal(ranks.derivatives(eps)[0][pos], plain / (2 * eps))
+
+
+
+# ------------------------------------------------ the exceedance step against full arrays
+
+def _plain_rank_fields(x, k, members, eps):
+    """A RankSample's fields the earlier way: every row's ratios and row maxima, the mask
+    ``ell > 1`` and the exceeding rows gathered from those full arrays.  Hill's mean and the
+    derivatives' means take the package's segment sums; every row is a derivative candidate."""
+    n, m, lead = x.shape[-2], len(members), x.shape[:-2]
+    columns = x[..., np.asarray(members) - 1]
+    anchors = np.sort(columns, axis=-2)[..., n - k, :]
+    ratios = columns / anchors[..., None, :]
+    ell = np.max(ratios, axis=-1)
+    mask = ell > 1.0
+    rows = np.flatnonzero(mask)
+    rep = rows // n
+    flat, flat_ell = ratios.reshape(-1, m), ell.reshape(-1)
+    unit = flat[rows] / flat_ell[rows, None]
+    hill = samples._means(rep, np.log(flat_ell[rows]), lead)
+    power = 1.0 / hill
+    every = np.arange(flat.shape[0]) // n
+    scale = np.stack([samples._scaled_means(flat, every, 1.0 + bump, power, lead)
+                      - samples._scaled_means(flat, every, 1.0 - bump, power, lead)
+                      for bump in eps * np.eye(m)], axis=-2) / (2.0 * eps)
+    powered = [samples._means(rep, unit ** (power / (1.0 + sign * eps)).reshape(-1)[rep][:, None],
+                              lead) for sign in (1.0, -1.0)]
+    return {"anchors": anchors, "ratios": ratios, "ell": flat_ell[rows], "mask": mask,
+            "rep": rep, "unit": unit, "hill": hill,
+            "angular": unit ** power.reshape(-1)[rep][:, None],
+            "derivatives": (scale, (powered[0] - powered[1]) / (2.0 * eps))}
+
+
+def _plain_known_fields(x, u, members, perturbation):
+    """A KnownSample's fields the earlier way: the scaled columns and their row maxima in full,
+    the mask ``ell > u`` and the exceeding rows gathered from them."""
+    n, m = x.shape[-2], len(members)
+    columns = x[..., np.asarray(members) - 1]
+    beta = 1.0
+    if perturbation is not None:
+        columns, beta = columns * perturbation.s[np.asarray(members) - 1], perturbation.beta
+    ell = np.max(columns, axis=-1)
+    mask = ell > u
+    rows = np.flatnonzero(mask)
+    unit = columns.reshape(-1, m)[rows] / ell.reshape(-1)[rows, None]
+    return {"mask": mask, "rep": rows // n, "angular": unit ** (1.0 / beta)}
+
+
+def _component_major(x):
+    """The values of ``x`` with each column together in memory, as simulate lays a block out."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+
+
+def _differential_data(kind, d):
+    """Data of one kind: Pareto, values rounded to one decimal (many rows equal their anchors
+    and many rows tie across columns), a column zero below its 80% quantile, a short block
+    (n < 20) and one matrix."""
+    rng = np.random.default_rng(["pareto", "ties", "zeros", "short", "matrix"].index(kind))
+    shape = {"short": (4, 12, d), "matrix": (300, d)}.get(kind, (4, 300, d))
+    x = rng.pareto(1.5, size=shape)
+    if kind == "ties":
+        x = np.round(x, 1)
+    elif kind == "zeros":
+        x[..., 1] = np.where(x[..., 1] > np.quantile(x[..., 1], 0.8), x[..., 1], 0.0)
+    return x
+
+
+@pytest.mark.parametrize("layout", ["c_order", "component_major"])
+@pytest.mark.parametrize("kind", ["pareto", "ties", "zeros", "short", "matrix"])
+@pytest.mark.parametrize("members", [(1, 2), (1, 2, 3), (1, 3)])
+def test_the_samples_match_the_full_array_step_bit_for_bit(layout, kind, members):
+    x = _differential_data(kind, 3 if 3 in members else 2)
+    data = _component_major(x) if layout == "component_major" else np.ascontiguousarray(x)
+    index_set, n = tm.IndexSet(members), x.shape[-2]
+    k, eps = max(2, n // 10), 0.05
+    rank = samples.RankSample(data, k, index_set)
+    plain = _plain_rank_fields(x, k, members, eps)
+    got = {name: getattr(rank, name) for name in plain if name != "derivatives"}
+    assert all(_same_bits(got[name], plain[name]) for name in got),         [name for name in got if not _same_bits(got[name], plain[name])]
+    assert _same_bits(rank.count, samples._counts(plain["rep"], x.shape[:-2]))
+    assert all(map(_same_bits, rank.derivatives(eps), plain["derivatives"]))
+    rng = np.random.default_rng(len(members))
+    u = float(np.quantile(x[..., np.asarray(members) - 1].max(axis=-1), 0.8))
+    scales = tm.core.embed(rng.uniform(0.5, 2.0, size=len(members)), index_set, x.shape[-1])
+    for perturbation in (None, tm.Perturbation(scales, 1.3, index_set)):
+        if perturbation is not None:  # values at and next to the scaled threshold
+            near = u / scales[members[0] - 1]
+            data = data.copy()
+            data[..., :3, members[0] - 1] = [np.nextafter(near, 0.0), near,
+                                             np.nextafter(near, np.inf)]
+        known = samples.KnownSample(data, u, index_set, perturbation)
+        plain = _plain_known_fields(np.array(data), u, members, perturbation)
+        assert all(_same_bits(getattr(known, name), plain[name]) for name in plain)
+
+
+def test_a_zero_column_raises_for_the_ranks_and_drops_out_of_the_known_sample():
+    x = _pareto(9, n=200, d=3)
+    x[:, 1] = 0.0
+    with pytest.raises(tm.EstimationError, match="upper order statistic is zero"):
+        samples.RankSample(x, 20, tm.IndexSet([1, 2, 3]))
+    known = samples.KnownSample(x, 3.0, tm.IndexSet([1, 2, 3]))
+    plain = _plain_known_fields(x, 3.0, (1, 2, 3), None)
+    assert all(_same_bits(getattr(known, name), plain[name]) for name in plain)
+    assert np.all(known.angular[:, 1] == 0.0)
+
+
+POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(anchor=POSITIVE, value=st.one_of(POSITIVE, st.just(0.0)), ulps=st.integers(-3, 3),
+       near=st.booleans())
+def test_a_ratio_exceeds_one_exactly_where_its_value_exceeds_the_anchor(anchor, value, ulps,
+                                                                        near):
+    # RankSample's rows above their anchors are its rows whose ratios exceed one
+    a = np.float64(anchor)
+    x = a if near else np.float64(value)
+    with np.errstate(over="ignore"):  # past the largest float, or over a subnormal anchor: inf
+        for _ in range(abs(ulps) if near else 0):  # the values next to the anchor
+            x = np.nextafter(x, np.inf if ulps > 0 else 0.0)
+        assert bool(x / a > 1.0) == bool(x > a)
 
 
 QP_FORMS = {

@@ -96,6 +96,7 @@ def test_ab_bench_shows_a_gain_only_past_nine_of_ten_pairs_and_the_base_iqr(bett
 
 
 STUB_BENCH = """import json, os, time
+touched = bytearray(TOUCH)  # zero-filled, so every page is written
 if LEAK and os.fork() == 0:
     time.sleep(60)
     os._exit(0)
@@ -107,11 +108,12 @@ print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
 """
 
 
-def _stub_checkout(path, leak):
+def _stub_checkout(path, leak, touch=0):
     (path / "bench").mkdir(parents=True)
-    (path / "bench" / "run.py").write_text(f"LEAK = {leak}\n" + STUB_BENCH)
+    (path / "bench" / "run.py").write_text(f"LEAK = {leak}\nTOUCH = {touch}\n" + STUB_BENCH)
     (path / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "ops_per_s", "unit": "1/s", "better": "higher"}]}))
+        {"end_to_end": [{"name": "ops_per_s", "unit": "1/s", "better": "higher",
+                         "bound": 0.25}]}))
     return path
 
 
@@ -127,6 +129,20 @@ def test_ab_bench_fails_a_run_that_leaves_a_process_of_its_group_running(tmp_pat
     while ab._group_alive(pgid) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert not ab._group_alive(pgid)
+
+
+def test_ab_bench_counts_each_runs_minor_page_faults(tmp_path, capsys):
+    ab = _load("ab_bench")
+    quiet = _stub_checkout(tmp_path / "quiet", leak=False)
+    churn = _stub_checkout(tmp_path / "churn", leak=False, touch=64 << 20)  # 16384 pages
+    faults = {name: ab.run_bench(path, "mc-pair", 1, 1, name)["minor_faults"]
+              for name, path in (("quiet", quiet), ("churn", churn))}
+    assert 0 < faults["quiet"] < faults["churn"] - 12000
+    assert ab.main([str(quiet), str(churn), "--workload", "mc-pair", "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    runs = [line for line in lines if line.startswith("pair ")]
+    assert len(runs) == 4 and all(" minor faults {" in line for line in runs)
+    assert [line for line in lines if line.startswith("minor faults per run: base ")]
 
 
 def test_output_hashes_are_a_pure_function_of_the_source_and_cover_every_method():

@@ -12,10 +12,13 @@ when the spread is wider than the bound and not every change run reads
 better than every base run, else whether the change median is worse than
 the base median by more than the bound; then whether a gain is shown: the
 change led at least 9 of 10 pairs and its median is better than the base
-median by more than the base side's interquartile range.  Each run leads its own session
-and writes to temporary files; a run that exits non-zero, or leaves a
-process of its group running (a worker that outlived it), stops the
-comparison, and a left-over group is killed.  It only starts the
+median by more than the base side's interquartile range.  Each run's
+line also gives its minor page faults, its own and its reaped workers', so
+that the pairs show heap churn, and the summary gives each side's median
+of them.  Each run leads its own session and writes to temporary files; a
+run that exits non-zero, or leaves a process of its group running (a
+worker that outlived it), stops the comparison, and a left-over group is
+killed.  It only starts the
 benchmark of each checkout; it changes no file under ``bench/``.  For
 example, against a second checkout of the parent commit:
 
@@ -29,6 +32,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import signal
 import statistics
 import subprocess
@@ -50,17 +54,22 @@ def _group_alive(pgid: int) -> bool:
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: int,
               side: str) -> dict:
-    """The result line of one untraced benchmark run in ``checkout``.
+    """The result line of one untraced benchmark run in ``checkout``, with the run's minor
+    page faults under ``"minor_faults"``.
 
     The run leads a new session, so its workers share its process group, and
     writes to temporary files, not pipes a surviving worker would hold open.
+    The faults are the growth of ``RUSAGE_CHILDREN`` across the run: the
+    run's own and those of the workers it reaped.
     """
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
         with subprocess.Popen(cmd, cwd=checkout, stdout=out, stderr=err,
                               start_new_session=True) as proc:
             code = proc.wait()
+        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
         if _group_alive(proc.pid):
             os.killpg(proc.pid, signal.SIGKILL)
             raise SystemExit(f"{side} seed {seed}: {' '.join(cmd)} in {checkout} left a "
@@ -70,7 +79,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int,
             raise SystemExit(f"{side} seed {seed}: {' '.join(cmd)} in {checkout} exited "
                              f"{code}\n{err.read()[-2000:]}")
         out.seek(0)
-        return json.loads(out.read().strip().splitlines()[-1])
+        return {**json.loads(out.read().strip().splitlines()[-1]), "minor_faults": faults}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -150,9 +159,13 @@ def main(argv: list[str] | None = None) -> int:
             runs[side].append(result)
             values = {k: round(m["value"], 4) for k, m in result["metrics"].items()}
             print(f"pair {i} seed {seed} {side}: failed {result['failed']} of "
-                  f"{result['attempted']} {values}", flush=True)
+                  f"{result['attempted']}, {result['minor_faults']} minor faults {values}",
+                  flush=True)
     metrics = spec["end_to_end"]
     print("\n".join(summary(metrics, runs["base"], runs["change"])))
+    print("minor faults per run: " + "  ".join(
+        f"{side} {statistics.median(r['minor_faults'] for r in rs):.0f}"
+        for side, rs in runs.items()))
     print("\n".join(verdict(metric, runs["base"], runs["change"]) for metric in metrics))
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     attempted = {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()}
