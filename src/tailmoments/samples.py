@@ -145,16 +145,16 @@ def _tail_rows(columns: np.ndarray, bounds, combine, operands) -> tuple[np.ndarr
 
 
 def _bounds(start, image, level: float) -> np.ndarray:
-    """``start`` lowered until ``image`` of each bound is at most ``level``.
+    """``start`` lowered where needed so that ``image`` of each bound is at most ``level``.
 
     ``image`` is non-decreasing, so no value at or below its bound has an image above
-    ``level``: the rows above the bounds hold every row whose image exceeds it.  A bound is
-    stepped to the next float down at most three times, then set to zero, whose image is zero.
+    ``level``: the rows above the bounds hold every row whose image exceeds it.  A bound
+    whose image is above ``level`` is stepped to the next float down, which sufficed for
+    every quotient start tried, and else set to zero, whose image is zero.
     """
     bounds = np.array(start, dtype=float)
-    for _ in range(3):
-        over = image(bounds) > level
-        bounds[over] = np.nextafter(bounds[over], 0.0)
+    over = image(bounds) > level
+    bounds[over] = np.nextafter(bounds[over], 0.0)
     bounds[image(bounds) > level] = 0.0
     return bounds
 

@@ -397,7 +397,6 @@ def test_row_restricted_scale_differences_equal_the_unrestricted_ones(seed):
                 assert np.array_equal(ranks.derivatives(eps)[0][pos], plain / (2 * eps))
 
 
-
 # ------------------------------------------------ the exceedance step against full arrays
 
 def _plain_rank_fields(x, k, members, eps):
@@ -473,18 +472,21 @@ def test_the_samples_match_the_full_array_step_bit_for_bit(layout, kind, members
     rank = samples.RankSample(data, k, index_set)
     plain = _plain_rank_fields(x, k, members, eps)
     got = {name: getattr(rank, name) for name in plain if name != "derivatives"}
-    assert all(_same_bits(got[name], plain[name]) for name in got),         [name for name in got if not _same_bits(got[name], plain[name])]
+    assert [name for name in got if not _same_bits(got[name], plain[name])] == []
     assert _same_bits(rank.count, samples._counts(plain["rep"], x.shape[:-2]))
     assert all(map(_same_bits, rank.derivatives(eps), plain["derivatives"]))
-    rng = np.random.default_rng(len(members))
     u = float(np.quantile(x[..., np.asarray(members) - 1].max(axis=-1), 0.8))
-    scales = tm.core.embed(rng.uniform(0.5, 2.0, size=len(members)), index_set, x.shape[-1])
+    # a first scale whose quotient u / s lies below the exact threshold: the value next above
+    # it passes the comparison on the block, and the exact test on the scaled rows drops it
+    first = next(s for s in np.linspace(0.5, 2.0, 1001)
+                 if u / s * s <= u and np.nextafter(u / s, np.inf) * s <= u)
+    scales = tm.core.embed(np.linspace(first, 0.7, len(members)), index_set, x.shape[-1])
     for perturbation in (None, tm.Perturbation(scales, 1.3, index_set)):
         if perturbation is not None:  # values at and next to the scaled threshold
-            near = u / scales[members[0] - 1]
+            bound = u / first
             data = data.copy()
-            data[..., :3, members[0] - 1] = [np.nextafter(near, 0.0), near,
-                                             np.nextafter(near, np.inf)]
+            data[..., :4, members[0] - 1] = [np.nextafter(bound, 0.0), bound,
+                                             np.nextafter(bound, np.inf), bound * (1 + 1e-15)]
         known = samples.KnownSample(data, u, index_set, perturbation)
         plain = _plain_known_fields(np.array(data), u, members, perturbation)
         assert all(_same_bits(getattr(known, name), plain[name]) for name in plain)
