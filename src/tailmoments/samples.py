@@ -60,14 +60,15 @@ def _counts(rep: np.ndarray, lead: tuple) -> np.ndarray:
     return np.bincount(rep, minlength=math.prod(lead)).reshape(lead)
 
 
-def _means(rep: np.ndarray, rows: np.ndarray, lead: tuple) -> np.ndarray:
-    """Per-replication means of ``rows``, shaped ``lead + rows.shape[1:]``.
+def _means(counts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per-replication means of ``rows``, shaped ``counts.shape + rows.shape[1:]``.
 
-    ``rep`` gives the replication of each row, in order.  Each replication's
-    rows are summed as a segment of their own, so its mean does not depend
-    on its block; a replication without rows gets NaN.
+    ``counts`` (:func:`_counts`) holds the number of rows of each replication,
+    whose rows come in order.  Each replication's rows are summed as a segment
+    of their own, so its mean does not depend on its block; a replication
+    without rows gets NaN.
     """
-    counts = _counts(rep, lead).reshape(-1)
+    lead, counts = counts.shape, counts.reshape(-1)
     means = np.full(counts.shape + rows.shape[1:], np.nan)
     some = counts > 0
     if np.any(some):
@@ -100,7 +101,7 @@ class _Sample(DataMatrix):
 
     def means(self, rows: np.ndarray) -> np.ndarray:
         """Per-replication means of values given on the exceeding rows, NaN without exceedances."""
-        return _means(self.rep, rows, self.values.shape[:-2])
+        return _means(self.count, rows)
 
     def per_row(self, values) -> np.ndarray:
         """Per-replication ``values`` (the data's leading shape first) on each exceeding row."""
@@ -228,7 +229,7 @@ def _scaled_means(ratios, rep, scales, power, lead) -> np.ndarray:
     NaN without exceedances; ``rep`` gives the replication of each ratio row."""
     _, mask, unit, _ = exceedances(ratios * scales, 1.0)
     rep = rep[mask]
-    return _means(rep, np.power(unit, _per_row(power, rep, lead)[:, None]), lead)
+    return _means(_counts(rep, lead), np.power(unit, _per_row(power, rep, lead)[:, None]))
 
 
 class RankSample(_Sample):
@@ -267,10 +268,11 @@ class RankSample(_Sample):
         mask, rows, ratios = _tail_rows(columns, anchors, np.divide, anchors)
         ell, _, unit, _ = exceedances(ratios, 1.0)  # every row exceeds
         rep = rows // x.shape[-2]
-        hill = _means(rep, np.log(ell), lead)
+        count = _counts(rep, lead)
+        hill = _means(count, np.log(ell))
         inv_alpha = hill if inv_alpha_hat is None else np.full(lead, inv_alpha_hat)
         self._store(values=x, k=k, index_set=index_set, inv_alpha_hat=inv_alpha_hat,
-                    anchors=anchors, ell=ell, mask=mask, rep=rep, count=_counts(rep, lead),
+                    anchors=anchors, ell=ell, mask=mask, rep=rep, count=count,
                     unit=unit, hill=hill, inv_alpha=inv_alpha,
                     angular=np.power(unit, _per_row(1.0 / inv_alpha, rep, lead)[:, None]))
 

@@ -413,14 +413,15 @@ def _plain_rank_fields(x, k, members, eps):
     rep = rows // n
     flat, flat_ell = ratios.reshape(-1, m), ell.reshape(-1)
     unit = flat[rows] / flat_ell[rows, None]
-    hill = samples._means(rep, np.log(flat_ell[rows]), lead)
+    count = samples._counts(rep, lead)
+    hill = samples._means(count, np.log(flat_ell[rows]))
     power = 1.0 / hill
     every = np.arange(flat.shape[0]) // n
     scale = np.stack([samples._scaled_means(flat, every, 1.0 + bump, power, lead)
                       - samples._scaled_means(flat, every, 1.0 - bump, power, lead)
                       for bump in eps * np.eye(m)], axis=-2) / (2.0 * eps)
-    powered = [samples._means(rep, unit ** (power / (1.0 + sign * eps)).reshape(-1)[rep][:, None],
-                              lead) for sign in (1.0, -1.0)]
+    powered = [samples._means(count, unit ** (power / (1.0 + sign * eps)).reshape(-1)[rep][:, None])
+               for sign in (1.0, -1.0)]
     return {"anchors": anchors, "ratios": ratios, "ell": flat_ell[rows], "mask": mask,
             "rep": rep, "unit": unit, "hill": hill,
             "angular": unit ** power.reshape(-1)[rep][:, None],
