@@ -11,24 +11,17 @@ import types as _types
 
 from .core import (
     DataMatrix,
-    DegenerateDirection,
     EpsOutOfRange,
     EstimateReport,
     EstimationError,
     IndexSet,
     KOutOfRange,
-    NegativeWeight,
     NoExceedances,
-    NonPositiveAlpha,
-    NonPositiveScale,
-    NonSymmetric,
-    NotStandardized,
     ParamOutOfRange,
     Perturbation,
     QuadraticForm,
     SupportViolation,
     WeightVector,
-    ZeroSum,
     make_weight_vector,
     partial_max,
     uniform_weights,

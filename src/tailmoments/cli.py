@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .core import (
-    EstimationError,
     IndexSet,
     WeightVector,
     check_open_unit,
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except (EstimationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -21,28 +21,15 @@ SYM_TOL = 1e-12
 # errors
 # ---------------------------------------------------------------------------
 
-class EstimationError(Exception):
-    """Base class for all errors raised by this package."""
+class EstimationError(ValueError):
+    """Base class of the package's own error classes, each naming the input to change.
 
-
-class NegativeWeight(EstimationError):
-    """A raw weight on the support is negative."""
-
-
-class ZeroSum(EstimationError):
-    """Raw weights sum to zero, so they cannot be normalized."""
+    It is a ValueError, so one ``except ValueError`` catches every bad input.
+    """
 
 
 class SupportViolation(EstimationError):
     """A weight is non-zero outside the declared support."""
-
-
-class NonPositiveAlpha(EstimationError):
-    """The tail index must be strictly positive."""
-
-
-class NonPositiveScale(EstimationError):
-    """Every marginal scale must be strictly positive."""
 
 
 class KOutOfRange(EstimationError):
@@ -55,18 +42,6 @@ class NoExceedances(EstimationError):
 
 class EpsOutOfRange(EstimationError):
     """The difference-quotient step must lie in (0, 1)."""
-
-
-class NonSymmetric(EstimationError):
-    """A quadratic-form matrix is not symmetric."""
-
-
-class NotStandardized(EstimationError):
-    """The spectral measure does not have tail-equivalent (standardized) margins."""
-
-
-class DegenerateDirection(EstimationError):
-    """The measure puts no mass in the requested direction (E[l_I] = 0)."""
 
 
 class ParamOutOfRange(EstimationError):
@@ -235,7 +210,7 @@ class WeightVector:
         if not _zero_outside(w, support):
             raise SupportViolation("weights must be exactly zero outside the support")
         if np.any(w < 0):
-            raise NegativeWeight("weights must be non-negative")
+            raise ValueError("weights must be non-negative")
         if not abs(float(w.sum()) - 1.0) <= WEIGHT_TOL:  # NaN and inf fail it too
             raise ValueError(f"weights must be finite and sum to 1 within {WEIGHT_TOL}")
         object.__setattr__(self, "weights", _freeze(w))
@@ -269,11 +244,8 @@ def make_weight_vector(raw, support: IndexSet) -> WeightVector:
     Raises
     ------
     ValueError
-        If any entry is not finite.
-    NegativeWeight
-        If any entry is negative.
-    ZeroSum
-        If the entries sum to zero (nothing to normalize).
+        If any entry is not finite or negative, or if the entries sum to zero
+        (nothing to normalize).
     SupportViolation
         If any entry outside the support is non-zero (raised by :class:`WeightVector`).
     """
@@ -281,10 +253,10 @@ def make_weight_vector(raw, support: IndexSet) -> WeightVector:
     if not np.all(np.isfinite(w)):  # before dividing: inf / inf would warn
         raise ValueError("raw weights must be finite")
     if np.any(w < 0):
-        raise NegativeWeight("raw weights must be non-negative")
+        raise ValueError("raw weights must be non-negative")
     total = float(w.sum())
     if total <= 0.0:
-        raise ZeroSum("raw weights sum to zero")
+        raise ValueError("raw weights sum to zero")
     return WeightVector(w / total, support)
 
 
@@ -344,7 +316,7 @@ class QuadraticForm:
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix entries must be finite")
         if np.max(np.abs(mat - mat.T), initial=0.0) > SYM_TOL:
-            raise NonSymmetric("quadratic-form matrix is not symmetric")
+            raise ValueError("quadratic-form matrix is not symmetric")
         # exact symmetry for downstream eigensolves
         mat = 0.5 * (mat + mat.T)
         object.__setattr__(self, "index_set", index_set)
@@ -443,17 +415,17 @@ def check_integer(value, name: str) -> int:
     return out
 
 
-def check_finite(values, name: str, positive: bool = True, error: type = ValueError):
+def check_finite(values, name: str, positive: bool = True):
     """``values`` as a float (array) whose entries are finite and > 0, or >= 0 if not ``positive``.
 
-    A 0-d input gives a float.  NaN and infinity fail like an out-of-range value; the caller's
-    ``error`` class is raised.
+    A 0-d input gives a float.  NaN and infinity fail like an out-of-range value: ValueError.
     """
     arr = np.asarray(values, dtype=float)
     low, high = arr.min(initial=np.inf), arr.max(initial=-np.inf)  # both NaN if an entry is
     if not ((low > 0.0 if positive else low >= 0.0) and high < np.inf):  # NaN fails both
         got = f", got {float(arr)}" if arr.ndim == 0 else ""
-        raise error(f"{name} must be {'positive' if positive else 'non-negative'} and finite{got}")
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be {sign} and finite{got}")
     return arr if arr.ndim else float(arr)
 
 

@@ -14,8 +14,6 @@ from .core import (
     DataMatrix,
     EstimateReport,
     IndexSet,
-    NonPositiveAlpha,
-    NonPositiveScale,
     check_finite,
     embed,
     matrix_values,
@@ -46,11 +44,11 @@ def standardize_known(data, alpha: float, scales) -> DataMatrix:
         overflow, is rejected like any other data.
     """
     x = matrix_values(data)
-    alpha = check_finite(alpha, "alpha", error=NonPositiveAlpha)
+    alpha = check_finite(alpha, "alpha")
     sc = np.asarray(scales, dtype=float)
     if sc.ndim != 1 or sc.shape[0] != x.shape[-1]:
         raise ValueError("scales must be a vector with one entry per column")
-    check_finite(sc, "scales", error=NonPositiveScale)
+    check_finite(sc, "scales")
     return DataMatrix(np.power(x, alpha) / sc)
 
 
@@ -61,7 +59,7 @@ def scaled_by_order_statistics(data, k: int, index_set: IndexSet) -> np.ndarray:
     to zero, so downstream partial maxima over the index set are unaffected.
     """
     sample = tail_sample(RankSample, data, k, index_set)
-    return embed(sample.ratios, index_set, sample.d)
+    return embed(sample.values[:, index_set.zero_based()] / sample.anchors, index_set, sample.d)
 
 
 def hill_inverse_alpha(data, k: int, index_set: IndexSet) -> EstimateReport:

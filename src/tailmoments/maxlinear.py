@@ -48,28 +48,24 @@ def _splitmix(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
 
 
 def _seed_states(seed) -> np.ndarray:
-    """The splitmix state of an integer seed, or the vector of states of a sequence of them.
+    """The splitmix state of an integer seed, or the array of states of a sequence of them.
 
-    Seeds are taken modulo 2**64.  A uint64 array of at most one axis, as :func:`derive_seed`
-    returns, holds nothing else, so it is read without a check per seed.
+    Seeds are read as :func:`derive_seed` reads stream indices: one outside the integers
+    0 .. 2**64 - 1 raises ValueError.
     """
-    one = np.ndim(seed) == 0
-    if isinstance(seed, np.ndarray) and seed.dtype == np.uint64 and seed.ndim <= 1:
-        seeds = seed.reshape(-1)
-    else:
-        seeds = np.array([check_integer(s, "seed") & 0xFFFFFFFFFFFFFFFF
-                          for s in ([seed] if one else seed)], dtype=np.uint64)
+    seeds = _unsigned(seed, "a seed")
     with np.errstate(over="ignore"):
-        states = _splitmix(seeds + _GOLDEN)
-    return states[0] if one else states
+        return _splitmix(seeds.reshape(-1) + _GOLDEN).reshape(seeds.shape)
 
 
 def _unsigned(values, name: str) -> np.ndarray:
-    """Indices or counters as uint64; a non-integral, negative or >= 2**64 entry raises ValueError.
+    """Seeds, indices or counters as uint64; a non-integral, negative or >= 2**64 entry, or a
+    bool, raises ValueError.
 
-    Integer arrays are checked at once, anything else entry by entry (exact above 2**53)."""
+    Integer arrays are checked at once, anything else entry by entry (exact above 2**53), and
+    so is a list or tuple, which may hold a bool among integers."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
+    if arr.dtype.kind not in "iu" or isinstance(values, (list, tuple)):
         arr = np.array([check_integer(x, name) for x in np.ravel(np.asarray(values, dtype=object))],
                        dtype=object).reshape(arr.shape)
     if arr.dtype.kind != "u" and np.any((arr < 0) | (arr >= 2 ** 64)):
@@ -105,8 +101,8 @@ def uniform_open(seed, counters: np.ndarray) -> np.ndarray:
     Each output is ``mix(mix(seed + golden) + (counter + 1) * golden)`` with
     the top 53 bits mapped to ``[2^-54, 1 - 2^-54]``, so logs of either tail
     are always finite.  A sequence of R seeds gives R such arrays along a
-    leading axis, each the same bits as its seed's own call.  A counter outside
-    the integers 0 .. 2**64 - 1 raises ValueError.
+    leading axis, each the same bits as its seed's own call.  A seed or a
+    counter outside the integers 0 .. 2**64 - 1 raises ValueError.
     """
     states, keys = _seed_states(seed), _keys(_unsigned(counters, "a counter"))
     shape = np.shape(states) + keys.shape
@@ -116,8 +112,8 @@ def uniform_open(seed, counters: np.ndarray) -> np.ndarray:
 def derive_seed(seed: int, index):
     """A decorrelated child seed for stream ``index`` (used for per-repetition seeding).
 
-    A sequence of indices gives a uint64 array of their child seeds.  An index
-    outside the integers 0 .. 2**64 - 1 raises ValueError.
+    A sequence of indices gives a uint64 array of their child seeds.  A seed or
+    an index outside the integers 0 .. 2**64 - 1 raises ValueError.
     """
     index = _unsigned(index, "a stream index")
     with np.errstate(over="ignore"):

@@ -25,9 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    DegenerateDirection,
     IndexSet,
-    NotStandardized,
     QuadraticForm,
     WeightVector,
     check_fields,
@@ -113,7 +111,7 @@ def _renormalized(columns: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, n
     """
     peaks, keep, theta, _ = exceedances(columns, 0.0)
     if not np.any(keep):
-        raise DegenerateDirection("no atom has a positive partial max on the index set")
+        raise ValueError("no atom has a positive partial max on the index set")
     weights = probs[keep] * peaks[keep]
     return theta, weights / weights.sum()
 
@@ -148,7 +146,7 @@ class Population:
         """The common coordinate mean E[Theta_i] of the measure, checked once."""
         means = self.measure.atoms.T @ self.measure.probs
         if float(means.max() - means.min()) > STANDARDIZED_TOL:
-            raise NotStandardized(
+            raise ValueError(
                 "margins are not tail-equivalent: coordinate means of the spectral "
                 f"vector differ by {means.max() - means.min():.3g}")
         return float(means.mean())

@@ -37,7 +37,6 @@ layout.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -242,9 +241,7 @@ class RankSample(_Sample):
     computed: ``ell`` holds their maxima, ``unit`` the rows divided by them,
     and ``hill`` is Hill's 1/alpha from them (NaN without exceedances).
     ``angular`` is ``unit ** (1 / inv_alpha)``, where ``inv_alpha`` is
-    ``inv_alpha_hat`` when one is given and ``hill`` if not.  ``ratios``,
-    every row's ratios as an (n, m) (or (R, n, m)) array, is built when first
-    read.
+    ``inv_alpha_hat`` when one is given and ``hill`` if not.
     """
 
     _args = ("k", "index_set", "inv_alpha_hat")  # the fields tail_sample compares
@@ -275,16 +272,6 @@ class RankSample(_Sample):
                     anchors=anchors, ell=ell, mask=mask, rep=rep, count=count,
                     unit=unit, hill=hill, inv_alpha=inv_alpha,
                     angular=np.power(unit, _per_row(1.0 / inv_alpha, rep, lead)[:, None]))
-
-    @cached_property
-    def ratios(self) -> np.ndarray:
-        """Every row's columns divided by their anchors, in the columns' layout, built once."""
-        columns = _columns(self.values, self.index_set)
-        ratios = np.empty_like(columns)
-        for j in range(columns.shape[-1]):  # the quotients _fill takes on the exceeding rows
-            np.divide(columns[..., j], self.anchors[..., j, None], out=ratios[..., j])
-        ratios.flags.writeable = False
-        return ratios
 
     def pair(self, a: int, b: int) -> RankSample:
         """The sub-sample on positions ``a < b``, from these anchors.

@@ -106,7 +106,7 @@ def test_oracle_rejects_unstandardized_measure(capsys, tmp_path):
     path.write_text(json.dumps(measure))
     code, _, err = run(capsys, "oracle", "--measure", str(path), "--index-set", "1,2", "--tau")
     assert code == 1
-    assert "NotStandardized" in err
+    assert "ValueError: margins are not tail-equivalent" in err
 
 
 def test_oracle_rejects_a_measure_normalized_on_a_subset(capsys, tmp_path):
@@ -130,7 +130,7 @@ def test_estimate_rejects_a_scale_that_is_not_positive_and_finite(capsys, sample
     code, out, err = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
                          "--known-margins", "--scales", scales, "--method", "mk")
     assert code == 1 and out == ""
-    assert "NonPositiveScale" in err
+    assert "ValueError: scales must be positive and finite" in err
 
 
 def test_estimate_rank_method(capsys, sample_csv):

@@ -47,11 +47,12 @@ def test_make_weight_vector_rejects_mass_off_support():
 
 
 def test_make_weight_vector_rejects_negative_and_zero_sum():
-    with pytest.raises(tm.NegativeWeight):
+    with pytest.raises(ValueError, match="raw weights must be non-negative"):
         tm.make_weight_vector([1, -1], tm.IndexSet([1, 2]))
-    with pytest.raises(tm.NegativeWeight):  # negativity is checked before the support
+    # negativity is checked before the support
+    with pytest.raises(ValueError, match="raw weights must be non-negative"):
         tm.make_weight_vector([0, 0, -1], tm.IndexSet([1, 2]))
-    with pytest.raises(tm.ZeroSum):
+    with pytest.raises(ValueError, match="raw weights sum to zero"):
         tm.make_weight_vector([0, 0], tm.IndexSet([1, 2]))
     with pytest.raises(ValueError, match="finite"):
         tm.make_weight_vector([np.nan, 1], tm.IndexSet([1, 2]))
@@ -206,7 +207,7 @@ def test_perturbation_rejects_a_non_finite_beta(beta):
 
 def test_quadratic_form_requires_symmetry():
     s = tm.IndexSet([1, 2])
-    with pytest.raises(tm.NonSymmetric):
+    with pytest.raises(ValueError, match="quadratic-form matrix is not symmetric"):
         tm.QuadraticForm(s, np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
@@ -309,9 +310,9 @@ _PAIR = tm.IndexSet([1, 2])
 # a finite value out of its range (zero where it must be positive)
 RANGE_SITES = {
     "standardize_known.alpha": (lambda b: tm.standardize_known(_POSITIVE, b, [1.0, 1.0]),
-                                tm.NonPositiveAlpha, 0.0),
+                                ValueError, 0.0),
     "standardize_known.scales": (lambda b: tm.standardize_known(_POSITIVE, 1.0, [b, 1.0]),
-                                 tm.NonPositiveScale, 0.0),
+                                 ValueError, 0.0),
     "frechet_sample.alpha": (lambda b: tm.frechet_sample(5, b, seed=1), ValueError, 0.0),
     "DiscreteSpectralMeasure.probs": (lambda b: tm.DiscreteSpectralMeasure([[1.0, 0.5]], [b]),
                                       ValueError, 0.0),
@@ -352,7 +353,7 @@ BOUNDARY_SITES = {
     "DataMatrix.empty": (lambda tmp: tm.DataMatrix(np.zeros((0, 2))),
                          ValueError, "at least one row and one column"),
     "WeightVector.negative": (lambda tmp: tm.WeightVector([1.5, -0.5], _PAIR),
-                              tm.NegativeWeight, "non-negative"),
+                              ValueError, "weights must be non-negative"),
     "WeightVector.2d": (lambda tmp: tm.WeightVector([[0.5, 0.5]], _PAIR),
                         ValueError, "1-dimensional"),
     "QuadraticForm.shape": (lambda tmp: tm.QuadraticForm(_PAIR, np.eye(3)),
@@ -403,6 +404,32 @@ BOUNDARY_SITES = {
     "RankSample.zero_anchor": (lambda tmp: tm.RankSample(
         np.vstack([np.zeros((8, 2)), _POSITIVE[:2]]), 5, _PAIR),
         tm.EstimationError, "k-th upper order statistic is zero"),
+    "RankSample.k": (lambda tmp: tm.RankSample(_POSITIVE, 11, _PAIR),
+                     tm.KOutOfRange, "k=11 must satisfy 1 <= k <= 10"),
+    "WeightVector.support": (lambda tmp: tm.WeightVector([0.5, 0.5], tm.IndexSet([1])),
+                             tm.SupportViolation, "exactly zero outside the support"),
+    "make_weight_vector.negative": (lambda tmp: tm.make_weight_vector([1.0, -1.0], _PAIR),
+                                    ValueError, "raw weights must be non-negative"),
+    "make_weight_vector.zero_sum": (lambda tmp: tm.make_weight_vector([0.0, 0.0], _PAIR),
+                                    ValueError, "raw weights sum to zero"),
+    "QuadraticForm.asymmetric": (lambda tmp: tm.QuadraticForm(_PAIR, [[1.0, 2.0], [0.0, 1.0]]),
+                                 ValueError, "quadratic-form matrix is not symmetric"),
+    "extremal_coefficient.unstandardized": (lambda tmp: tm.extremal_coefficient(
+        tm.DiscreteSpectralMeasure([[1.0, 0.0]], [1.0]), _PAIR),
+        ValueError, "margins are not tail-equivalent"),
+    "perturbed_moment.zero_scales": (lambda tmp: tm.perturbed_moment(
+        tm.model_spectral_measure(tm.make_scenario(0.4, 0.6)), _PAIR, [0.5, 0.5], [0.0, 0.0]),
+        ValueError, "no atom has a positive partial max on the index set"),
+    "perturbed_moment.off_index_set": (lambda tmp: tm.perturbed_moment(
+        tm.model_spectral_measure(tm.make_scenario(0.4, 0.6)), tm.IndexSet([1]), [0.5, 0.5]),
+        tm.SupportViolation, "non-zero outside the index set"),
+    "stable_tail_estimate.eps": (lambda tmp: tm.stable_tail_estimate(_POSITIVE, 3, _PAIR, eps=1.0),
+                                 tm.EpsOutOfRange, r"step must lie in \(0, 1\), got 1.0"),
+    "simulate.seed": (lambda tmp: tm.simulate(tm.make_scenario(0.1, 0.2), 3, -1),
+                      ValueError, r"a seed must lie in \[0, 2\*\*64\)"),
+    "ExperimentConfig.from_dict.missing": (lambda tmp: tm.ExperimentConfig.from_dict(
+        {"n": 50, "reps": 1, "seed": 0, "scenario": [0.1, 0.2]}),
+        ValueError, r"missing config fields: \['k'\]"),
 }
 
 
@@ -417,6 +444,16 @@ def test_boundary_checks_raise_their_own_error(site, tmp_path):
     call, error, message = BOUNDARY_SITES[site]
     with pytest.raises(error, match=message):
         call(tmp_path)
+
+
+def test_every_error_class_is_an_estimation_error_and_a_value_error():
+    errors = [value for value in map(vars(tm).get, tm.__all__)
+              if isinstance(value, type) and issubclass(value, BaseException)]
+    assert sorted(error.__name__ for error in errors) == [
+        "EpsOutOfRange", "EstimationError", "KOutOfRange", "NoExceedances", "ParamOutOfRange",
+        "SupportViolation"]
+    assert issubclass(tm.EstimationError, ValueError)
+    assert all(issubclass(error, tm.EstimationError) for error in errors)
 
 
 @pytest.mark.parametrize("make", [
@@ -441,8 +478,8 @@ def test_check_finite_reads_scalars_and_arrays_through_one_path():
     assert check_finite([1, 0], "x", positive=False).tolist() == [1.0, 0.0]
     with pytest.raises(ValueError, match="^x must be positive and finite, got nan$"):
         check_finite(np.nan, "x")
-    with pytest.raises(tm.NonPositiveScale, match="^x must be non-negative and finite$"):
-        check_finite([1.0, -np.inf], "x", positive=False, error=tm.NonPositiveScale)
+    with pytest.raises(ValueError, match="^x must be non-negative and finite$"):
+        check_finite([1.0, -np.inf], "x", positive=False)
 
 
 @pytest.mark.parametrize("value", [0.0, 1.0, np.nan, -0.5, 1.5, np.inf])

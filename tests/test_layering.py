@@ -1,4 +1,5 @@
 import ast
+import builtins
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -232,3 +233,36 @@ def test_estimators_reach_tail_samples_through_the_reuse_rule():
                for module in ("estimators", "weights", "margins"))
     assert len(_calls(ast.parse("tm.KnownSample(x, u, s)\nRankSample(x, k, s)"),
                       "KnownSample")) == 1
+
+
+BUILTIN_ERRORS = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+
+
+def _exception_classes(tree: ast.AST, known: set[str]) -> list[str]:
+    """The classes a module defines on an exception class: a builtin one, one of ``known``, or
+    one the module defines on those.  A base is read by its name, ``core.NoExceedances`` too."""
+    known, found = set(known), []
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    while True:
+        new = [node.name for node in classes if node.name not in found and any(
+            getattr(base, "id", getattr(base, "attr", None)) in known for base in node.bases)]
+        if not new:
+            return sorted(found)
+        found += new
+        known |= set(new)
+
+
+def test_only_core_defines_exception_classes():
+    # one error type per kind of fault: a module raises ValueError or a class of core's
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    errors = _exception_classes(trees.pop("core"), BUILTIN_ERRORS)
+    assert errors == ["EpsOutOfRange", "EstimationError", "KOutOfRange", "NoExceedances",
+                      "ParamOutOfRange", "SupportViolation"]
+    found = {module: _exception_classes(tree, BUILTIN_ERRORS | set(errors))
+             for module, tree in trees.items()}
+    assert {module: names for module, names in found.items() if names} == {}
+    # the guard sees a class on a builtin error, on core's and on one defined before it
+    code = ("class A(ValueError): pass\nclass B(core.NoExceedances): pass\n"
+            "class C(B): pass\nclass D: pass\nclass E(D): pass\n")
+    assert _exception_classes(ast.parse(code), BUILTIN_ERRORS | set(errors)) == ["A", "B", "C"]

@@ -16,9 +16,9 @@ def test_standardize_known_powers_then_scales():
 
 def test_standardize_known_validates_parameters():
     x = np.array([[1.0, 2.0]])
-    with pytest.raises(tm.NonPositiveAlpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
         tm.standardize_known(x, 0.0, np.array([1.0, 1.0]))
-    with pytest.raises(tm.NonPositiveScale):
+    with pytest.raises(ValueError, match="scales must be positive and finite"):
         tm.standardize_known(x, 1.0, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         tm.standardize_known(np.array([[-1.0, 2.0]]), 1.0, np.array([1.0, 1.0]))

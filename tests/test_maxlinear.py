@@ -117,19 +117,26 @@ def test_a_uint64_seed_array_is_read_unchecked_with_the_same_bits(monkeypatch):
     assert np.array_equal(maxlinear._seed_states(seeds), checked) and calls == []
     assert maxlinear._seed_states(seeds[5:5]).shape == (0,) and calls == []
     assert maxlinear._seed_states(seeds[5]) == checked[5]  # a uint64 scalar
-    assert (seeds.view(np.int64) < 0).any()  # seeds above 2**63 - 1 read as negative int64s
-    for same in (seeds.astype(object), seeds.tolist(), seeds.view(np.int64)):
+    for same in (seeds.astype(object), seeds.tolist()):
         assert np.array_equal(maxlinear._seed_states(same), checked)
-    # every other input keeps its checks: a non-integral or bool seed raises, and an integer
-    # outside [0, 2**64) is taken modulo 2**64, as before
+    # every other input is checked entry by entry: a non-integral or bool seed raises
     calls.clear()
     for bad in (1.5, np.nan, True, np.True_, [1, 2.5], [1, True], np.array([1.0, 0.5]),
                 np.array([True, False])):
         with pytest.raises(ValueError, match="seed must be an integer"):
             maxlinear._seed_states(bad)
     assert calls
-    for seed in (-1, 2 ** 64 + 5, -2 ** 70):
-        assert maxlinear._seed_states(seed) == maxlinear._seed_states(seed % 2 ** 64)
+    # seeds follow the rule of stream indices and counters: an integer outside [0, 2**64) raises
+    assert (seeds.view(np.int64) < 0).any()  # seeds above 2**63 - 1 read as negative int64s
+    for bad in (-1, 2 ** 64, 2 ** 64 + 5, -2 ** 70, np.int64(-2), [0, -1], [2 ** 64],
+                seeds.view(np.int64)):
+        with pytest.raises(ValueError, match=r"a seed must lie in \[0, 2\*\*64\)"):
+            maxlinear._seed_states(bad)
+    model = tm.make_scenario(0.4, 0.6)
+    for call in (lambda: simulate(model, 3, -1), lambda: frechet_sample(3, 1.0, 2 ** 64),
+                 lambda: derive_seed(-1, 0), lambda: uniform_open(-1, [0])):
+        with pytest.raises(ValueError, match=r"a seed must lie in \[0, 2\*\*64\)"):
+            call()
 
 
 @pytest.mark.parametrize("bad", [1.5, -1, 2 ** 64, np.nan])
@@ -178,13 +185,15 @@ def test_simulate_never_holds_its_output_twice(seed, n):
 
 def test_a_block_of_seeds_gives_each_seeds_own_data():
     model = tm.MaxLinearModel([[0.5, 0.2, 0.3], [0.1, 0.6, 0.3]])
-    seeds = [derive_seed(3, r) for r in range(5)] + [-1, 0]
+    seeds = [derive_seed(3, r) for r in range(5)] + [2 ** 64 - 1, 0]
     block = simulate(model, 40, seeds)
     assert block.values.shape == (7, 40, 2) and (block.n, block.d) == (40, 2)
     for seed, values in zip(seeds, block.values):
         assert np.array_equal(values, simulate(model, 40, seed).values)
     counters = np.arange(12, dtype=np.uint64).reshape(3, 4)
     assert np.array_equal(uniform_open(seeds[:2], counters)[1], uniform_open(seeds[1], counters))
+    with pytest.raises(ValueError, match=r"a seed must lie in \[0, 2\*\*64\)"):
+        simulate(model, 40, seeds[:5] + [-1])
 
 
 def test_equal_models_hash_equal_and_configs_are_dict_keys():

@@ -223,7 +223,7 @@ def test_perturbed_moment_rejects_a_non_finite_beta(beta):
 
 
 def test_perturbed_moment_with_zero_scales_is_degenerate():
-    with pytest.raises(tm.DegenerateDirection):
+    with pytest.raises(ValueError, match="no atom has a positive partial max on the index set"):
         perturbed_moment(scenario(0.4, 0.6), I12, [0.5, 0.5], [0.0, 0.0])
 
 
@@ -444,16 +444,16 @@ def test_population_is_read_as_given_and_its_arrays_are_read_only():
 
 def test_asymptotic_variances_reject_unstandardized_measures():
     lopsided = tm.DiscreteSpectralMeasure(np.array([[1.0, 0.0]]), np.array([1.0]))
-    with pytest.raises(tm.NotStandardized):
+    with pytest.raises(ValueError, match="margins are not tail-equivalent"):
         asymptotic_variances(lopsided, I12)
     # on a set without mass, functions needing tau still report the standardization first
     second = tm.IndexSet([2])
     for call in (lambda: asymptotic_variances(lopsided, second),
                  lambda: rank_variance_matrix(lopsided, second),
                  lambda: ratio_covariance(lopsided, second, [1.0], [1.0])):
-        with pytest.raises(tm.NotStandardized):
+        with pytest.raises(ValueError, match="margins are not tail-equivalent"):
             call()
-    with pytest.raises(tm.DegenerateDirection):
+    with pytest.raises(ValueError, match="no atom has a positive partial max"):
         tm.Population(lopsided, second).second
 
 
