@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .core import (
+    DataMatrix,
     IndexSet,
     WeightVector,
     check_open_unit,
@@ -148,17 +149,17 @@ def _cmd_estimate(args, parser) -> int:
     if key == _EPS_ONLY_WITH_OPTIMAL and args.eps is not None and not args.optimal:
         parser.error("--eps applies only to --method moment with --optimal")
     level = 0.95 if args.u_quantile is None else check_open_unit(args.u_quantile, "--u-quantile")
-    x = read_matrix_csv(args.input)
-    n, d = x.shape
     index_set = _parse_index_set(args.index_set)
+    # nothing else holds the array read, so the data keep it uncopied
+    data = DataMatrix(read_matrix_csv(args.input), copy=False)
     # one tail sample per command, read by the method's call
     if args.known_margins:
-        scales = np.ones(d) if args.scales is None else _parse_floats(args.scales)
-        std = standardize_known(x, 1.0 if args.alpha is None else args.alpha, scales)
-        u = float(np.quantile(partial_max(std.values, index_set), level))
-        sample = KnownSample(std, u, index_set)
+        scales = np.ones(data.d) if args.scales is None else _parse_floats(args.scales)
+        data = standardize_known(data, 1.0 if args.alpha is None else args.alpha, scales)
+        u = float(np.quantile(partial_max(data.values, index_set), level))
+        sample = KnownSample(data, u, index_set)
     else:
-        sample = RankSample(x, max(1, n // 20) if args.k is None else args.k, index_set)
+        sample = RankSample(data, max(1, data.n // 20) if args.k is None else args.k, index_set)
     _report_out(_METHODS[key][1](sample, args), args.output)
     return 0
 

@@ -415,6 +415,21 @@ def check_integer(value, name: str) -> int:
     return out
 
 
+def check_unsigned(values, name: str) -> np.ndarray:
+    """Seeds, stream indices or counters as uint64; a non-integral, negative or >= 2**64 entry,
+    or a bool, raises ValueError.
+
+    Integer arrays are checked at once, anything else entry by entry (exact above 2**53), and
+    so is a list or tuple, which may hold a bool among integers."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" or isinstance(values, (list, tuple)):
+        arr = np.array([check_integer(x, name) for x in np.ravel(np.asarray(values, dtype=object))],
+                       dtype=object).reshape(arr.shape)
+    if arr.dtype.kind != "u" and np.any((arr < 0) | (arr >= 2 ** 64)):
+        raise ValueError(f"{name} must lie in [0, 2**64)")
+    return arr.astype(np.uint64, copy=False)
+
+
 def check_finite(values, name: str, positive: bool = True):
     """``values`` as a float (array) whose entries are finite and > 0, or >= 0 if not ``positive``.
 
@@ -460,11 +475,15 @@ def matrix_values(data) -> np.ndarray:
 # the partial max functional
 # ---------------------------------------------------------------------------
 
+def index_columns(x: np.ndarray, index_set: IndexSet) -> np.ndarray:
+    """The columns of the index set (the last axis); all of them are ``x`` itself, not a copy."""
+    index_set.check_within(x.shape[-1])
+    return x if index_set.size == x.shape[-1] else x[..., index_set.zero_based()]
+
+
 def partial_max(x, index_set: IndexSet) -> np.ndarray:
     """The per-row maxima over the index set of an (n, d) matrix ``x``, as an n-vector."""
-    arr = _as_float_array(x, "x", 2)
-    index_set.check_within(arr.shape[1])
-    return _row_max(arr[:, index_set.zero_based()])
+    return _row_max(index_columns(_as_float_array(x, "x", 2), index_set))
 
 
 def _row_max(columns: np.ndarray) -> np.ndarray:

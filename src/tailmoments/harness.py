@@ -44,6 +44,7 @@ from .core import (
     check_fields,
     check_integer,
     check_open_unit,
+    check_unsigned,
     uniform_weights,
 )
 from .estimators import benchmark_ratios, stable_tail_estimates
@@ -91,8 +92,9 @@ class ExperimentConfig:
     u_quantile: float = 0.95
 
     def __post_init__(self):
-        for name in ("n", "k", "reps", "seed"):
+        for name in ("n", "k", "reps"):
             object.__setattr__(self, name, check_integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", int(check_unsigned(self.seed, "a seed")))
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if not 1 <= self.k < self.n:

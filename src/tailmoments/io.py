@@ -13,6 +13,8 @@ import warnings
 import numpy as np
 
 FLOAT_FORMAT = "%.17g"
+#: rows :func:`write_matrix_csv` formats at a time
+WRITE_ROWS = 4096
 
 
 def _is_number(token: str) -> bool:
@@ -41,14 +43,24 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, values, header: list[str] | None = None) -> None:
-    """Write an (n, d) matrix with a header row and full float precision."""
+    """Write an (n, d) matrix with a header row and full float precision.
+
+    The bytes are those of ``np.savetxt(path, values, delimiter=",", fmt=FLOAT_FORMAT,
+    header=",".join(header), comments="")``; the rows are formatted :data:`WRITE_ROWS` at a
+    time through one format string, not one by one.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError("values must be 2-dimensional")
     if header is None:
         header = [f"X{j + 1}" for j in range(values.shape[1])]
-    np.savetxt(path, values, delimiter=",", fmt=FLOAT_FORMAT,
-               header=",".join(header), comments="")
+    header, line = ",".join(header), ",".join([FLOAT_FORMAT] * values.shape[1]) + "\n"
+    with open(path, "w") as handle:
+        if header:  # as savetxt, no line for an empty header
+            handle.write(header + "\n")
+        for start in range(0, values.shape[0], WRITE_ROWS):
+            block = values[start:start + WRITE_ROWS]
+            handle.write(line * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def load_json(path) -> dict:

@@ -49,7 +49,9 @@ def standardize_known(data, alpha: float, scales) -> DataMatrix:
     if sc.ndim != 1 or sc.shape[0] != x.shape[-1]:
         raise ValueError("scales must be a vector with one entry per column")
     check_finite(sc, "scales")
-    return DataMatrix(np.power(x, alpha) / sc)
+    out = np.power(x, alpha)
+    out /= sc
+    return DataMatrix(out, copy=False)  # nothing else holds the new array
 
 
 def scaled_by_order_statistics(data, k: int, index_set: IndexSet) -> np.ndarray:

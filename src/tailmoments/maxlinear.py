@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataMatrix, ParamOutOfRange, as_number, check_fields, check_finite, check_integer
+from .core import (
+    DataMatrix,
+    ParamOutOfRange,
+    as_number,
+    check_fields,
+    check_finite,
+    check_integer,
+    check_unsigned,
+)
 from .oracle import DiscreteSpectralMeasure
 
 # splitmix64 constants
@@ -53,24 +61,9 @@ def _seed_states(seed) -> np.ndarray:
     Seeds are read as :func:`derive_seed` reads stream indices: one outside the integers
     0 .. 2**64 - 1 raises ValueError.
     """
-    seeds = _unsigned(seed, "a seed")
+    seeds = check_unsigned(seed, "a seed")
     with np.errstate(over="ignore"):
         return _splitmix(seeds.reshape(-1) + _GOLDEN).reshape(seeds.shape)
-
-
-def _unsigned(values, name: str) -> np.ndarray:
-    """Seeds, indices or counters as uint64; a non-integral, negative or >= 2**64 entry, or a
-    bool, raises ValueError.
-
-    Integer arrays are checked at once, anything else entry by entry (exact above 2**53), and
-    so is a list or tuple, which may hold a bool among integers."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu" or isinstance(values, (list, tuple)):
-        arr = np.array([check_integer(x, name) for x in np.ravel(np.asarray(values, dtype=object))],
-                       dtype=object).reshape(arr.shape)
-    if arr.dtype.kind != "u" and np.any((arr < 0) | (arr >= 2 ** 64)):
-        raise ValueError(f"{name} must lie in [0, 2**64)")
-    return arr.astype(np.uint64, copy=False)
 
 
 def _keys(counters) -> np.ndarray:
@@ -104,7 +97,7 @@ def uniform_open(seed, counters: np.ndarray) -> np.ndarray:
     leading axis, each the same bits as its seed's own call.  A seed or a
     counter outside the integers 0 .. 2**64 - 1 raises ValueError.
     """
-    states, keys = _seed_states(seed), _keys(_unsigned(counters, "a counter"))
+    states, keys = _seed_states(seed), _keys(check_unsigned(counters, "a counter"))
     shape = np.shape(states) + keys.shape
     return _uniforms(states, keys, np.empty(shape, np.uint64), np.empty(shape))
 
@@ -115,7 +108,7 @@ def derive_seed(seed: int, index):
     A sequence of indices gives a uint64 array of their child seeds.  A seed or
     an index outside the integers 0 .. 2**64 - 1 raises ValueError.
     """
-    index = _unsigned(index, "a stream index")
+    index = check_unsigned(index, "a stream index")
     with np.errstate(over="ignore"):
         child = _splitmix(_seed_states(seed) ^ _splitmix((index + np.uint64(1)) * _GOLDEN))
     return int(child) if child.ndim == 0 else child

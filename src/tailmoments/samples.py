@@ -50,6 +50,7 @@ from .core import (
     check_finite,
     check_integer,
     exceedances,
+    index_columns,
     rows_above,
 )
 
@@ -120,12 +121,6 @@ class _Sample(DataMatrix):
 def _own_values(data) -> np.ndarray:
     """The checked values of ``data``: a DataMatrix's own, else a checked copy of the array."""
     return (data if isinstance(data, DataMatrix) else DataMatrix(data)).values
-
-
-def _columns(x: np.ndarray, index_set: IndexSet) -> np.ndarray:
-    """The columns of the index set; all of them are ``x`` itself, not a copy."""
-    index_set.check_within(x.shape[-1])
-    return x if index_set.size == x.shape[-1] else x[..., index_set.zero_based()]
 
 
 def _tail_rows(columns: np.ndarray, bounds, combine, operands
@@ -214,7 +209,7 @@ class KnownSample(_Sample):
         # test on the scaled rows drops any row that a lowered bound let in
         with np.errstate(over="ignore"):
             bounds = _bounds(u / scales, lambda b: b * scales, u)
-        mask, rows, scaled = _tail_rows(_columns(x, index_set), bounds, np.multiply, scales)
+        mask, rows, scaled = _tail_rows(index_columns(x, index_set), bounds, np.multiply, scales)
         _, keep, unit, _ = exceedances(scaled, u)
         mask.reshape(-1)[rows[~keep]] = False
         rep = rows[keep] // x.shape[-2]
@@ -251,7 +246,7 @@ class RankSample(_Sample):
         x = _own_values(data)
         if inv_alpha_hat is not None:
             inv_alpha_hat = check_finite(inv_alpha_hat, "inv_alpha_hat")
-        columns = _columns(x, index_set)
+        columns = index_columns(x, index_set)
         anchors = upper_order_statistics(columns, k)
         if np.any(anchors <= 0):
             raise EstimationError(
@@ -282,7 +277,7 @@ class RankSample(_Sample):
         index_set = IndexSet((members[a], members[b]))
         out = object.__new__(RankSample)
         out._fill(self.values, self.k, index_set, self.inv_alpha_hat,
-                  self.anchors[..., [a, b]], _columns(self.values, index_set))
+                  self.anchors[..., [a, b]], index_columns(self.values, index_set))
         return out
 
     def derivatives(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +297,7 @@ class RankSample(_Sample):
         # exceedance, in order; _scaled_means tests each of them exactly
         anchors = self.anchors
         bounds = _bounds(anchors / (1.0 + eps), lambda b: b / anchors * (1.0 + eps), 1.0)
-        _, rows, candidates = _tail_rows(_columns(self.values, self.index_set), bounds,
+        _, rows, candidates = _tail_rows(index_columns(self.values, self.index_set), bounds,
                                          np.divide, anchors)
         rep = rows // self.n
         scale = (np.stack([_scaled_means(candidates, rep, 1.0 + bump, power, lead)

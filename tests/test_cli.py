@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,28 @@ def test_estimate_builds_one_tail_sample_per_command(monkeypatch, capsys, sample
     assert calls == ["known" if "--known-margins" in argv else "ranks"]
 
 
+@pytest.mark.parametrize("argv", [["--method", "bk", "--known-margins"], ["--method", "mu"]],
+                         ids=["bk", "mu"])
+def test_estimate_holds_one_copy_of_the_data(capsys, tmp_path, argv):
+    # the matrix read is the data, uncopied; known margins replace it by one new array, and the
+    # partial max over every column reads the columns in place: the peak is about two copies
+    model = tm.MaxLinearModel([[0.4, 0.3, 0.2, 0.1, 0.0, 0.0], [0.0, 0.4, 0.3, 0.2, 0.1, 0.0],
+                               [0.0, 0.0, 0.4, 0.3, 0.2, 0.1], [0.1, 0.0, 0.0, 0.4, 0.3, 0.2]])
+    x = tm.simulate(model, 20000, seed=30).values
+    path = tmp_path / "large.csv"
+    np.savetxt(path, x, delimiter=",", fmt="%.17g")
+    command = ["estimate", "--input", str(path), "--index-set", "1,2,3,4", *argv]
+    assert main(command) == 0  # a first call's one-time allocations are not the data's
+    tracemalloc.start()
+    try:
+        assert main(command) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 2.3 * x.nbytes, peak / x.nbytes
+
+
 def test_estimate_data_errors_exit_one(capsys, sample_csv):
     code, _, err = run(capsys, "estimate", "--input", sample_csv, "--index-set", "1,2",
                        "--method", "mu", "--k", "2000")
@@ -507,6 +530,7 @@ EXACTLY_ONE = "a config must hold exactly one of model and scenario"
      "missing config fields: ['reps']"),
     ({**CONFIG, "reps": 0}, ["--reps", "3"], "ValueError", "reps must be at least 1"),
     ({**CONFIG, "reps": True}, [], "ValueError", "reps must be an integer, got True"),
+    ({**CONFIG, "seed": -1}, ["--seed", "3"], "ValueError", "a seed must lie in [0, 2**64)"),
     ({**CONFIG, "u_quantile": None}, [], "ParamOutOfRange",
      "u_quantile must lie in (0, 1), got None"),
     ({**CONFIG, "u_quantile": [0.9]}, [], "ParamOutOfRange",
@@ -515,7 +539,7 @@ EXACTLY_ONE = "a config must hold exactly one of model and scenario"
      "scenario parameters must lie in [0, 1], got (None, 0.6)"),
 ], ids=["three_numbers", "one_number", "list", "list_with_reps", "model_field", "no_k",
         "neither", "both", "model_list", "no_reps_with_reps", "zero_reps_with_reps", "reps_true",
-        "u_quantile_null", "u_quantile_list", "scenario_null"])
+        "negative_seed_with_seed", "u_quantile_null", "u_quantile_list", "scenario_null"])
 def test_experiment_malformed_config_exits_one(capsys, tmp_path, payload, argv, error, message):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(payload))

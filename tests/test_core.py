@@ -427,6 +427,9 @@ BOUNDARY_SITES = {
                                  tm.EpsOutOfRange, r"step must lie in \(0, 1\), got 1.0"),
     "simulate.seed": (lambda tmp: tm.simulate(tm.make_scenario(0.1, 0.2), 3, -1),
                       ValueError, r"a seed must lie in \[0, 2\*\*64\)"),
+    "ExperimentConfig.seed": (lambda tmp: tm.ExperimentConfig(tm.make_scenario(0.1, 0.2), n=50,
+                                                              k=5, reps=1, seed=-1),
+                              ValueError, r"a seed must lie in \[0, 2\*\*64\)"),
     "ExperimentConfig.from_dict.missing": (lambda tmp: tm.ExperimentConfig.from_dict(
         {"n": 50, "reps": 1, "seed": 0, "scenario": [0.1, 0.2]}),
         ValueError, r"missing config fields: \['k'\]"),

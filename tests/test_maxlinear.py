@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tailmoments as tm
-from tailmoments import maxlinear
+from tailmoments import core, maxlinear
 from tailmoments.maxlinear import (
     MaxLinearModel,
     derive_seed,
@@ -111,8 +111,8 @@ def test_a_uint64_seed_array_is_read_unchecked_with_the_same_bits(monkeypatch):
     assert seeds.dtype == np.uint64
     checked = maxlinear._seed_states([int(s) for s in seeds])
     calls = []
-    check_integer = maxlinear.check_integer
-    monkeypatch.setattr(maxlinear, "check_integer",
+    check_integer = core.check_integer
+    monkeypatch.setattr(core, "check_integer",
                         lambda *args: calls.append(args) or check_integer(*args))
     assert np.array_equal(maxlinear._seed_states(seeds), checked) and calls == []
     assert maxlinear._seed_states(seeds[5:5]).shape == (0,) and calls == []

@@ -149,7 +149,7 @@ def test_output_hashes_are_a_pure_function_of_the_source_and_cover_every_method(
     oh = _load("output_hashes")
     first = oh.hashes(oh.SRC, reps=4)
     assert oh.hashes(oh.SRC, reps=4) == first
-    assert len(first) == 52 and all(len(digest) == 64 for digest in first.values())
+    assert len(first) == 54 and all(len(digest) == 64 for digest in first.values())
     # the harness gives the same bits serially and on a pool
     assert first["table_experiments reps=4 threads=-"] == \
         first["table_experiments reps=4 threads=2"]

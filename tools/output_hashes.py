@@ -6,7 +6,9 @@ run serially and with ``TAILMOMENTS_THREADS=2``; 40 ``estimate`` commands
 index sets ``1,2,3`` and ``1,3``, JSON and CSV) on a seeded 400-row d=3 CSV
 that numpy draws, not the package; the four ``oracle`` modes on scenario
 (0.4, 0.6); ``experiment --config`` and ``experiment --table1 --reps 20``
-with their ``--csv`` files; ``run_experiment`` on a written-out d=3 model, whose
+with their ``--csv`` files; the files that ``simulate --scenario 0.4,0.6
+--n 500 --seed 3`` and ``grid --pq-grid 0.25`` write, which pin the CSV
+writer's bytes; ``run_experiment`` on a written-out d=3 model, whose
 rank pipeline solves m=3 quadratic programs; ``estimate --method mu`` on
 that CSV squared (tail index 1/2); ``oracle --avars`` on the d=3 model's
 measure; and the bits of ``frechet_sample``.  The
@@ -116,6 +118,9 @@ def _outputs(src: str, reps: int, table_only: bool) -> dict[str, bytes]:
     for argv in (("experiment", "--config", "config.json"),
                  ("experiment", "--table1", "--reps", "20")):
         out[" ".join(argv) + " --csv"] = _cli(*argv, "--csv", "table.csv", files=("table.csv",))
+    for argv in (("simulate", "--scenario", "0.4,0.6", "--n", "500", "--seed", "3"),
+                 ("grid", "--pq-grid", "0.25")):
+        out[" ".join(argv) + " --output"] = _cli(*argv, "--output", "out.csv", files=("out.csv",))
     draws = [tm.frechet_sample(n, alpha, seed).tobytes() for n in (1, 5, 1000, 70000)
              for alpha in (0.5, 1.0, 1.5, 3.0) for seed in (0, 11, 2 ** 40, [0, 11, 2 ** 40])]
     out["frechet_sample"] = b"".join(draws)
