@@ -501,12 +501,13 @@ def exceedances(columns: np.ndarray, level: float
 
     The one exceedance step of the estimators and the oracle; a level >= 0 divides by no zero.
     The rows of a block are selected once, in order, replication by replication.  The tail
-    samples run it on the (count, m) rows that :func:`rows_above` selects from a block.
+    samples run it on the (count, m) rows that :func:`rows_above` selects from a block.  The
+    rows / ``ell`` are column-major, each column together in memory.
     """
     ell = _row_max(columns)
     mask = ell > level
     rows = np.flatnonzero(mask)
-    norms, unit = ell.reshape(-1)[rows], np.empty((rows.size, columns.shape[-1]))
+    norms, unit = ell.reshape(-1)[rows], np.empty((columns.shape[-1], rows.size)).T
     for j in range(columns.shape[-1]):  # column by column: a column may lie together in memory
         np.divide(columns[..., j].reshape(-1)[rows], norms, out=unit[:, j])
     return ell, mask, unit, rows // mask.shape[-1]

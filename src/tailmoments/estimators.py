@@ -45,7 +45,9 @@ def moment_ratios(sample: KnownSample | RankSample, weights,
     :func:`moment_ratio_ranks`), NaN for a replication without exceedances.
     """
     sample.require_exceedances()
-    powered = np.einsum("ij,ij->i", sample.angular, sample.per_row(weights)) ** p
+    # in C order: einsum's summation order, and so the bits at m >= 3, follow the layout
+    angular = np.ascontiguousarray(sample.angular)
+    powered = np.einsum("ij,ij->i", angular, sample.per_row(weights)) ** p
     estimate = sample.means(powered)
     variance = sample.means(powered ** 2) - estimate ** 2
     return estimate, np.sqrt(np.maximum(variance, 0.0) / sample.count)

@@ -16,10 +16,12 @@ The data may also be an (R, n, d) block of R replications.  The exceeding
 rows of the whole block are then selected at once, in order, ``rep`` holds
 the replication of each, and every per-replication quantity is a segment
 sum over those rows (:meth:`means`): it has the leading shape of the data,
-a 0-d array for one matrix and (R,) for a block.  A mean, Hill's estimate
-among them, is NaN for a replication without exceedances.  One matrix is
-the R=1 case of the same code.  Where an estimator on one matrix without
-exceedances raises NoExceedances, a block marks the replication with NaN.
+a 0-d array for one matrix and (R,) for a block.  A per-replication value
+reaches the rows by ``np.repeat`` over the counts (:meth:`per_row`).  A
+mean, Hill's estimate among them, is NaN for a replication without
+exceedances.  One matrix is the R=1 case of the same code.  Where an
+estimator on one matrix without exceedances raises NoExceedances, a block
+marks the replication with NaN.
 
 A block is read only through each column's order statistic and one
 comparison per column (:func:`core.rows_above`: ``x > u``, ``x`` above its
@@ -31,7 +33,9 @@ A simulated block is column-major, each component's values of a
 replication together in memory, and a DataMatrix copy keeps that layout.
 The samples read their data one column at a time, which is fast in that
 layout and gives the same bits in any other: no result depends on the
-layout.
+layout.  The (count, m) arrays of the exceeding rows (ratios, ``unit``,
+``angular``, the derivatives' candidates) are column-major too, so each
+elementwise step runs along a column rather than along rows of m values.
 """
 
 from __future__ import annotations
@@ -77,10 +81,12 @@ def _means(counts: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return means.reshape(lead + rows.shape[1:])
 
 
-def _per_row(values, rep: np.ndarray, lead: tuple) -> np.ndarray:
-    """Per-replication ``values`` (leading shape ``lead`` first) repeated on each row of ``rep``."""
+def _per_row(values, counts: np.ndarray) -> np.ndarray:
+    """Per-replication vectors ``values`` (the leading shape of ``counts``, then one axis; or one
+    vector for all) repeated on each replication's ``counts`` rows, as (rows, length)."""
     values = np.asarray(values, dtype=float)
-    return values.reshape((math.prod(lead),) + values.shape[len(lead):])[rep]
+    values = np.broadcast_to(values, counts.shape + values.shape[-1:])
+    return np.repeat(values.reshape(-1, values.shape[-1]), counts.reshape(-1), axis=0)
 
 
 class _Sample(DataMatrix):
@@ -104,8 +110,9 @@ class _Sample(DataMatrix):
         return _means(self.count, rows)
 
     def per_row(self, values) -> np.ndarray:
-        """Per-replication ``values`` (the data's leading shape first) on each exceeding row."""
-        return _per_row(values, self.rep, self.values.shape[:-2])
+        """Per-replication vectors ``values`` (the data's leading shape, then one axis; or one
+        vector for all) on each exceeding row, as (count, length)."""
+        return _per_row(values, self.count)
 
     def require_exceedances(self, enough=True) -> np.ndarray:
         """The replications with exceedances and ``enough``, as a mask of the leading shape.
@@ -131,11 +138,10 @@ def _tail_rows(columns: np.ndarray, bounds, combine, operands
     mask = rows_above(columns, bounds)
     rows = np.flatnonzero(mask)
     m = columns.shape[-1]
-    operands = np.broadcast_to(operands, columns.shape[:-2] + (m,)).reshape(-1, m)
-    rep = rows // mask.shape[-1]
-    values = np.empty((rows.size, m))
-    for j in range(m):  # column by column: a column may lie together in memory
-        combine(columns[..., j].reshape(-1)[rows], operands[rep, j], out=values[:, j])
+    operands = _per_row(operands, _counts(rows // mask.shape[-1], mask.shape[:-1]))
+    values = np.empty((m, rows.size)).T  # column-major: each column lies together in memory
+    for j in range(m):
+        combine(columns[..., j].reshape(-1)[rows], operands[:, j], out=values[:, j])
     return mask, rows, values
 
 
@@ -222,8 +228,8 @@ def _scaled_means(ratios, rep, scales, power, lead) -> np.ndarray:
     """Per-replication column means of the powered angular parts after scaling the ratio columns,
     NaN without exceedances; ``rep`` gives the replication of each ratio row."""
     _, mask, unit, _ = exceedances(ratios * scales, 1.0)
-    rep = rep[mask]
-    return _means(_counts(rep, lead), np.power(unit, _per_row(power, rep, lead)[:, None]))
+    counts = _counts(rep[mask], lead)
+    return _means(counts, np.power(unit, _per_row(power[..., None], counts)))
 
 
 class RankSample(_Sample):
@@ -266,7 +272,7 @@ class RankSample(_Sample):
         self._store(values=x, k=k, index_set=index_set, inv_alpha_hat=inv_alpha_hat,
                     anchors=anchors, ell=ell, mask=mask, rep=rep, count=count,
                     unit=unit, hill=hill, inv_alpha=inv_alpha,
-                    angular=np.power(unit, _per_row(1.0 / inv_alpha, rep, lead)[:, None]))
+                    angular=np.power(unit, _per_row(1.0 / inv_alpha[..., None], count)))
 
     def pair(self, a: int, b: int) -> RankSample:
         """The sub-sample on positions ``a < b``, from these anchors.
@@ -307,8 +313,8 @@ class RankSample(_Sample):
         # a scaling without exceedances leaves NaN means; with no exceedance at all, every
         # scaling down has none
         self.require_exceedances(~np.isnan(scale).any(axis=(-2, -1)))
-        upper = self.means(np.power(self.unit, self.per_row(power / (1.0 + eps))[:, None]))
-        lower = self.means(np.power(self.unit, self.per_row(power / (1.0 - eps))[:, None]))
+        upper = self.means(np.power(self.unit, self.per_row(power[..., None] / (1.0 + eps))))
+        lower = self.means(np.power(self.unit, self.per_row(power[..., None] / (1.0 - eps))))
         return scale / (2.0 * eps), (upper - lower) / (2.0 * eps)
 
 

@@ -267,10 +267,14 @@ def test_a_broken_pool_raises_and_the_next_call_starts_afresh(monkeypatch):
     run_experiment(small_config())
     pool, old = harness._pools[2], _worker_pids(2)
     victim = min(old)
+    process = pool._processes[victim]
     os.kill(victim, signal.SIGKILL)
-    pool._processes[victim].join(timeout=30)
-    assert not pool._processes[victim].is_alive()
+    # the pool's manager thread may reap the worker first; until it records the exit code,
+    # a poll from this thread reads None, so wait for the code rather than read it once
     deadline = time.monotonic() + 30
+    while process.exitcode is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert process.exitcode == -signal.SIGKILL
     while not pool._broken and time.monotonic() < deadline:  # the pool notices the death
         time.sleep(0.01)
     with pytest.raises(BrokenProcessPool):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import tailmoments as tm
 from tailmoments import harness, samples, variance, weights
+from tailmoments.estimators import moment_ratios
 from tailmoments.harness import TABLE_SCENARIOS
 
 I12 = tm.IndexSet([1, 2])
@@ -235,6 +236,26 @@ def test_one_matrix_holds_its_per_replication_fields_as_0d_arrays():
         ranks.derivatives(0.05)
 
 
+@pytest.mark.parametrize("shape", [(3, 400, 2), (400, 2), (3, 400, 3), (400, 3)])
+def test_the_samples_hold_their_rows_column_major(shape):
+    """The (count, m) arrays of both samples lie column by column, as the block does."""
+    x = np.random.default_rng(4).pareto(1.5, size=shape) + 1.0
+    index_set = tm.IndexSet(range(1, shape[-1] + 1))
+    ranks, known = tm.RankSample(x, 40, index_set), tm.KnownSample(x, 5.0, index_set)
+    for rows in (ranks.unit, ranks.angular, known.angular):
+        assert rows.shape[0] >= 2 and rows.flags.f_contiguous
+
+
+@pytest.mark.parametrize("reps", [2, 3])
+def test_moment_ratios_read_one_weight_vector_for_every_replication(reps):
+    x = np.stack([_pareto(seed, n=300) for seed in range(reps)])
+    v = np.array([0.2, 0.3, 0.5])
+    for sample in (tm.KnownSample(x, 5.0, tm.IndexSet([1, 2, 3])),
+                   tm.RankSample(x, 30, tm.IndexSet([1, 2, 3]))):
+        one, tiled = moment_ratios(sample, v), moment_ratios(sample, np.tile(v, (reps, 1)))
+        assert all(map(_same_bits, one, tiled))
+
+
 def test_pair_sub_samples_equal_fresh_pair_samples():
     x = _pareto(3, d=4)
     ranks = tm.RankSample(x, 50, tm.IndexSet([1, 2, 4]))
@@ -453,7 +474,8 @@ def _component_major(x):
 def _differential_data(kind, d):
     """Data of one kind: Pareto, values rounded to one decimal (many rows equal their anchors
     and many rows tie across columns), a column zero below its 80% quantile, a short block
-    (n < 20) and one matrix."""
+    (n < 20) and one matrix.  In a block, replication 1 is constant, so that it has no
+    exceedances between replications that have some."""
     rng = np.random.default_rng(["pareto", "ties", "zeros", "short", "matrix"].index(kind))
     shape = {"short": (4, 12, d), "matrix": (300, d)}.get(kind, (4, 300, d))
     x = rng.pareto(1.5, size=shape)
@@ -461,6 +483,8 @@ def _differential_data(kind, d):
         x = np.round(x, 1)
     elif kind == "zeros":
         x[..., 1] = np.where(x[..., 1] > np.quantile(x[..., 1], 0.8), x[..., 1], 0.0)
+    if x.ndim == 3:
+        x[1] = 0.5
     return x
 
 
@@ -477,11 +501,12 @@ def test_the_samples_match_the_full_array_step_bit_for_bit(layout, kind, members
     got = {name: getattr(rank, name) for name in plain if name != "derivatives"}
     assert [name for name in got if not _same_bits(got[name], plain[name])] == []
     assert _same_bits(rank.count, samples._counts(plain["rep"], x.shape[:-2]))
+    assert x.ndim == 2 or rank.count[1] == 0
     assert all(map(_same_bits, rank.derivatives(eps), plain["derivatives"]))
     u = float(np.quantile(x[..., np.asarray(members) - 1].max(axis=-1), 0.8))
     # a first scale whose quotient u / s lies below the exact threshold: the value next above
     # it passes the comparison on the block, and the exact test on the scaled rows drops it
-    first = next(s for s in np.linspace(0.5, 2.0, 1001)
+    first = next(s for s in np.linspace(0.5, 2.0, 10001)
                  if u / s * s <= u and np.nextafter(u / s, np.inf) * s <= u)
     scales = tm.core.embed(np.linspace(first, 0.7, len(members)), index_set, x.shape[-1])
     for perturbation in (None, tm.Perturbation(scales, 1.3, index_set)):
@@ -493,6 +518,7 @@ def test_the_samples_match_the_full_array_step_bit_for_bit(layout, kind, members
         known = samples.KnownSample(data, u, index_set, perturbation)
         plain = _plain_known_fields(np.array(data), u, members, perturbation)
         assert all(_same_bits(getattr(known, name), plain[name]) for name in plain)
+        assert x.ndim == 2 or perturbation is not None or known.count[1] == 0
 
 
 def test_a_zero_column_raises_for_the_ranks_and_drops_out_of_the_known_sample():

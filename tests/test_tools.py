@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import time
 from pathlib import Path
 
@@ -96,12 +97,15 @@ def test_ab_bench_shows_a_gain_only_past_nine_of_ten_pairs_and_the_base_iqr(bett
 
 
 STUB_BENCH = """import json, os, time
+import probe  # a module of the checkout, whose bytecode a run caches
 touched = bytearray(TOUCH)  # zero-filled, so every page is written
 if LEAK and os.fork() == 0:
     time.sleep(60)
     os._exit(0)
 with open("pid", "w") as handle:
     handle.write(str(os.getpid()))
+with open("caches", "a") as handle:
+    handle.write(probe.__cached__ + "\\n")
 print("manifest: {}")
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
                   "metrics": {"ops_per_s": {"value": 1.0, "unit": "1/s"}}}))
@@ -111,6 +115,7 @@ print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
 def _stub_checkout(path, leak, touch=0):
     (path / "bench").mkdir(parents=True)
     (path / "bench" / "run.py").write_text(f"LEAK = {leak}\nTOUCH = {touch}\n" + STUB_BENCH)
+    (path / "bench" / "probe.py").write_text("")
     (path / "BENCHMARK.json").write_text(json.dumps(
         {"end_to_end": [{"name": "ops_per_s", "unit": "1/s", "better": "higher",
                          "bound": 0.25}]}))
@@ -121,7 +126,8 @@ def test_ab_bench_fails_a_run_that_leaves_a_process_of_its_group_running(tmp_pat
     ab = _load("ab_bench")
     base = _stub_checkout(tmp_path / "base", leak=True)
     change = _stub_checkout(tmp_path / "change", leak=False)
-    assert ab.run_bench(change, "mc-pair", 5, 1, "change")["metrics"]["ops_per_s"]["value"] == 1.0
+    assert ab.run_bench(change, "mc-pair", 5, 1, "change",
+                        str(tmp_path / "cache"))["metrics"]["ops_per_s"]["value"] == 1.0
     with pytest.raises(SystemExit, match="base seed 5: .* left a process of its group running"):
         ab.main([str(base), str(change), "--workload", "mc-pair", "--pairs", "1", "--seed", "5"])
     pgid = int((base / "pid").read_text())  # the stub leads its group
@@ -135,7 +141,7 @@ def test_ab_bench_counts_each_runs_minor_page_faults(tmp_path, capsys):
     ab = _load("ab_bench")
     quiet = _stub_checkout(tmp_path / "quiet", leak=False)
     churn = _stub_checkout(tmp_path / "churn", leak=False, touch=64 << 20)  # 16384 pages
-    faults = {name: ab.run_bench(path, "mc-pair", 1, 1, name)["minor_faults"]
+    faults = {name: ab.run_bench(path, "mc-pair", 1, 1, name, str(tmp_path / name))["minor_faults"]
               for name, path in (("quiet", quiet), ("churn", churn))}
     assert 0 < faults["quiet"] < faults["churn"] - 12000
     assert ab.main([str(quiet), str(churn), "--workload", "mc-pair", "--pairs", "2"]) == 0
@@ -143,6 +149,21 @@ def test_ab_bench_counts_each_runs_minor_page_faults(tmp_path, capsys):
     runs = [line for line in lines if line.startswith("pair ")]
     assert len(runs) == 4 and all(" minor faults {" in line for line in runs)
     assert [line for line in lines if line.startswith("minor faults per run: base ")]
+
+
+def test_ab_bench_compiles_each_side_into_a_bytecode_cache_of_its_own(tmp_path, monkeypatch):
+    ab = _load("ab_bench")
+    sides = [_stub_checkout(tmp_path / side, leak=False) for side in ("base", "change")]
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "shared"))
+    assert ab.main([*map(str, sides), "--workload", "mc-pair", "--pairs", "2",
+                    "--seconds", "1"]) == 0
+    base, change = ((side / "caches").read_text().split() for side in sides)
+    # two runs a side: one cache each, outside the checkouts, removed after the comparison
+    assert len(set(base)) == len(set(change)) == 1 and base[0] != change[0]
+    assert not any(path.startswith(str(tmp_path)) or os.path.exists(path)
+                   for path in base + change)
+    assert not list(tmp_path.rglob("*.pyc"))
 
 
 def test_output_hashes_are_a_pure_function_of_the_source_and_cover_every_method():

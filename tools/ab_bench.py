@@ -15,12 +15,17 @@ change led at least 9 of 10 pairs and its median is better than the base
 median by more than the base side's interquartile range.  Each run's
 line also gives its minor page faults, its own and its reaped workers', so
 that the pairs show heap churn, and the summary gives each side's median
-of them.  Each run leads its own session and writes to temporary files; a
-run that exits non-zero, or leaves a process of its group running (a
-worker that outlived it), stops the comparison, and a left-over group is
-killed.  It only starts the
-benchmark of each checkout; it changes no file under ``bench/``.  For
-example, against a second checkout of the parent commit:
+of them.  Each side compiles its bytecode into a ``PYTHONPYCACHEPREFIX``
+cache of its own, made for the comparison and removed after it, so bytecode
+left in a checkout does not read as a start-up difference: each side
+compiles in its first run and reads its cache in every later one.  (A
+cache per run would make every run compile numpy too, about 0.7 s of
+start-up that no user pays.)  Each run leads its own session and writes to
+temporary files; a run that exits non-zero, or leaves a process of its
+group running (a worker that outlived it), stops the comparison, and a
+left-over group is killed.  It only starts the benchmark of each checkout;
+it changes no file under ``bench/``.  For example, against a second
+checkout of the parent commit:
 
     git worktree add ../parent HEAD~1
     python3 tools/ab_bench.py ../parent . --workload mc-pair --pairs 10 --seconds 30
@@ -53,12 +58,13 @@ def _group_alive(pgid: int) -> bool:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: int,
-              side: str) -> dict:
+              side: str, cache: str) -> dict:
     """The result line of one untraced benchmark run in ``checkout``, with the run's minor
     page faults under ``"minor_faults"``.
 
     The run leads a new session, so its workers share its process group, and
     writes to temporary files, not pipes a surviving worker would hold open.
+    It reads and writes bytecode under ``cache`` alone (``PYTHONPYCACHEPREFIX``).
     The faults are the growth of ``RUSAGE_CHILDREN`` across the run: the
     run's own and those of the workers it reaped.
     """
@@ -67,6 +73,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int,
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
         faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
         with subprocess.Popen(cmd, cwd=checkout, stdout=out, stderr=err,
+                              env={**os.environ, "PYTHONPYCACHEPREFIX": cache},
                               start_new_session=True) as proc:
             code = proc.wait()
         faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
@@ -151,16 +158,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     runs = {"base": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        for side in order:
-            result = run_bench(getattr(args, side), args.workload, seed, args.seconds, side)
-            runs[side].append(result)
-            values = {k: round(m["value"], 4) for k, m in result["metrics"].items()}
-            print(f"pair {i} seed {seed} {side}: failed {result['failed']} of "
-                  f"{result['attempted']}, {result['minor_faults']} minor faults {values}",
-                  flush=True)
+    with tempfile.TemporaryDirectory() as caches:
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                result = run_bench(getattr(args, side), args.workload, seed, args.seconds, side,
+                                   os.path.join(caches, side))
+                runs[side].append(result)
+                values = {k: round(m["value"], 4) for k, m in result["metrics"].items()}
+                print(f"pair {i} seed {seed} {side}: failed {result['failed']} of "
+                      f"{result['attempted']}, {result['minor_faults']} minor faults {values}",
+                      flush=True)
     metrics = spec["end_to_end"]
     print("\n".join(summary(metrics, runs["base"], runs["change"])))
     print("minor faults per run: " + "  ".join(
