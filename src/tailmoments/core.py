@@ -495,14 +495,13 @@ def _row_max(columns: np.ndarray) -> np.ndarray:
 
 
 def exceedances(columns: np.ndarray, level: float
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The row maxima ``ell`` of (..., n, m) columns, the mask ``ell > level``, those rows / ``ell``
-    and the replication (the leading index) of each of those rows, all zero without a leading axis.
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row maxima ``ell`` of (..., n, m) columns, the mask ``ell > level`` and the rows
+    above it divided by their ``ell``, as a column-major (count, m) array.
 
     The one exceedance step of the estimators and the oracle; a level >= 0 divides by no zero.
     The rows of a block are selected once, in order, replication by replication.  The tail
-    samples run it on the (count, m) rows that :func:`rows_above` selects from a block.  The
-    rows / ``ell`` are column-major, each column together in memory.
+    samples run it on the (count, m) rows that :func:`rows_above` selects from a block.
     """
     ell = _row_max(columns)
     mask = ell > level
@@ -510,7 +509,7 @@ def exceedances(columns: np.ndarray, level: float
     norms, unit = ell.reshape(-1)[rows], np.empty((columns.shape[-1], rows.size)).T
     for j in range(columns.shape[-1]):  # column by column: a column may lie together in memory
         np.divide(columns[..., j].reshape(-1)[rows], norms, out=unit[:, j])
-    return ell, mask, unit, rows // mask.shape[-1]
+    return ell, mask, unit
 
 
 def rows_above(columns: np.ndarray, bounds) -> np.ndarray:

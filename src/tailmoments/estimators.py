@@ -19,6 +19,8 @@ largest value (rank-based, self-normalizing).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import (
@@ -45,9 +47,8 @@ def moment_ratios(sample: KnownSample | RankSample, weights,
     :func:`moment_ratio_ranks`), NaN for a replication without exceedances.
     """
     sample.require_exceedances()
-    # in C order: einsum's summation order, and so the bits at m >= 3, follow the layout
-    angular = np.ascontiguousarray(sample.angular)
-    powered = np.einsum("ij,ij->i", angular, sample.per_row(weights)) ** p
+    # v' a summed column by column in index order, in any layout and on any numpy build
+    powered = functools.reduce(np.add, (sample.angular * sample.per_row(weights)).T) ** p
     estimate = sample.means(powered)
     variance = sample.means(powered ** 2) - estimate ** 2
     return estimate, np.sqrt(np.maximum(variance, 0.0) / sample.count)

@@ -66,7 +66,7 @@ class DiscreteSpectralMeasure:
         check_finite(probs, "atom probabilities")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise ValueError("atom probabilities must sum to 1 within 1e-12")
-        peaks, _, atoms, _ = exceedances(atoms, 0.0)
+        peaks, _, atoms = exceedances(atoms, 0.0)
         if np.any(np.abs(peaks - 1.0) > STANDARDIZED_TOL):
             raise ValueError("every atom must have sup-norm 1 (within 1e-9)")
         probs = probs / probs.sum()
@@ -109,7 +109,7 @@ def _renormalized(columns: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, n
     proportionally to it; atoms with zero partial max disappear.  The result
     is the spectral measure "seen from" extremes of the index set.
     """
-    peaks, keep, theta, _ = exceedances(columns, 0.0)
+    peaks, keep, theta = exceedances(columns, 0.0)
     if not np.any(keep):
         raise ValueError("no atom has a positive partial max on the index set")
     weights = probs[keep] * peaks[keep]

@@ -13,9 +13,9 @@ it is a sample of the requested class built from equal arguments, else a
 new sample of ``data``.
 
 The data may also be an (R, n, d) block of R replications.  The exceeding
-rows of the whole block are then selected at once, in order, ``rep`` holds
-the replication of each, and every per-replication quantity is a segment
-sum over those rows (:meth:`means`): it has the leading shape of the data,
+rows of the whole block are then selected at once, in order, replication
+by replication, and every per-replication quantity is a segment sum over
+those rows (:meth:`means`): it has the leading shape of the data,
 a 0-d array for one matrix and (R,) for a block.  A per-replication value
 reaches the rows by ``np.repeat`` over the counts (:meth:`per_row`).  A
 mean, Hill's estimate among them, is NaN for a replication without
@@ -131,18 +131,18 @@ def _own_values(data) -> np.ndarray:
 
 
 def _tail_rows(columns: np.ndarray, bounds, combine, operands
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows in which some column exceeds its bound (:func:`core.rows_above`), as a mask of
-    the leading shape and n and as flat indices, and their (count, m) values ``combine(x,
-    operand)``, computed on those rows alone with each column's operand of their replication."""
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The replication of each row in which some column exceeds its bound
+    (:func:`core.rows_above`), in order, and those rows' (count, m) values ``combine(x,
+    operand)``, computed on them alone with each column's operand of their replication."""
     mask = rows_above(columns, bounds)
     rows = np.flatnonzero(mask)
-    m = columns.shape[-1]
-    operands = _per_row(operands, _counts(rows // mask.shape[-1], mask.shape[:-1]))
+    rep, m = rows // mask.shape[-1], columns.shape[-1]
+    operands = _per_row(operands, _counts(rep, mask.shape[:-1]))
     values = np.empty((m, rows.size)).T  # column-major: each column lies together in memory
     for j in range(m):
         combine(columns[..., j].reshape(-1)[rows], operands[:, j], out=values[:, j])
-    return mask, rows, values
+    return rep, values
 
 
 def _bounds(start, image, level: float) -> np.ndarray:
@@ -192,10 +192,10 @@ class KnownSample(_Sample):
     """Rows whose perturbed partial max over an index set exceeds a level ``u``.
 
     Without a perturbation the scaling is one and the power is one.
-    ``mask`` flags the ``count`` rows above ``u`` (never a row that is zero
-    on the index set), and ``angular`` holds those rows of ``s o x`` on the
-    index set divided by their own partial max, to the power ``1/beta``: a
-    (count, m) array, as in :class:`RankSample`.
+    ``angular`` holds the ``count`` rows above ``u`` (never a row that is
+    zero on the index set) of ``s o x`` on the index set, divided by their
+    own partial max, to the power ``1/beta``: a (count, m) array, as in
+    :class:`RankSample`.
     """
 
     _level = "the threshold u={0.u}"
@@ -215,19 +215,16 @@ class KnownSample(_Sample):
         # test on the scaled rows drops any row that a lowered bound let in
         with np.errstate(over="ignore"):
             bounds = _bounds(u / scales, lambda b: b * scales, u)
-        mask, rows, scaled = _tail_rows(index_columns(x, index_set), bounds, np.multiply, scales)
-        _, keep, unit, _ = exceedances(scaled, u)
-        mask.reshape(-1)[rows[~keep]] = False
-        rep = rows[keep] // x.shape[-2]
+        rep, scaled = _tail_rows(index_columns(x, index_set), bounds, np.multiply, scales)
+        _, keep, unit = exceedances(scaled, u)
         self._store(values=x, u=u, index_set=index_set, perturbation=perturbation,
-                    mask=mask, rep=rep, count=_counts(rep, x.shape[:-2]),
-                    angular=np.power(unit, 1.0 / beta))
+                    count=_counts(rep[keep], x.shape[:-2]), angular=np.power(unit, 1.0 / beta))
 
 
 def _scaled_means(ratios, rep, scales, power, lead) -> np.ndarray:
     """Per-replication column means of the powered angular parts after scaling the ratio columns,
     NaN without exceedances; ``rep`` gives the replication of each ratio row."""
-    _, mask, unit, _ = exceedances(ratios * scales, 1.0)
+    _, mask, unit = exceedances(ratios * scales, 1.0)
     counts = _counts(rep[mask], lead)
     return _means(counts, np.power(unit, _per_row(power[..., None], counts)))
 
@@ -235,12 +232,12 @@ def _scaled_means(ratios, rep, scales, power, lead) -> np.ndarray:
 class RankSample(_Sample):
     """Rank-scaled columns of an index set and the rows where their maximum exceeds one.
 
-    ``anchors`` are the per-column k-th largest values and ``mask`` flags the
-    ``count`` rows with a column above its anchor: the rows whose ratios,
-    the columns divided by their anchors, have a maximum ``ell`` above one
+    ``anchors`` are the per-column k-th largest values, and the ``count``
+    exceedances are the rows with a column above its anchor: the rows whose
+    ratios, the columns divided by their anchors, have a maximum above one
     (``fl(x / a) > 1`` exactly when ``x > a``).  Only those rows' ratios are
-    computed: ``ell`` holds their maxima, ``unit`` the rows divided by them,
-    and ``hill`` is Hill's 1/alpha from them (NaN without exceedances).
+    computed: ``unit`` holds the rows divided by their maxima, and ``hill``
+    is Hill's 1/alpha from the maxima (NaN without exceedances).
     ``angular`` is ``unit ** (1 / inv_alpha)``, where ``inv_alpha`` is
     ``inv_alpha_hat`` when one is given and ``hill`` if not.
     """
@@ -263,15 +260,13 @@ class RankSample(_Sample):
 
     def _fill(self, x, k, index_set, inv_alpha_hat, anchors, columns) -> None:
         lead = x.shape[:-2]
-        mask, rows, ratios = _tail_rows(columns, anchors, np.divide, anchors)
-        ell, _, unit, _ = exceedances(ratios, 1.0)  # every row exceeds
-        rep = rows // x.shape[-2]
+        rep, ratios = _tail_rows(columns, anchors, np.divide, anchors)
+        ell, _, unit = exceedances(ratios, 1.0)  # every row exceeds
         count = _counts(rep, lead)
         hill = _means(count, np.log(ell))
         inv_alpha = hill if inv_alpha_hat is None else np.full(lead, inv_alpha_hat)
         self._store(values=x, k=k, index_set=index_set, inv_alpha_hat=inv_alpha_hat,
-                    anchors=anchors, ell=ell, mask=mask, rep=rep, count=count,
-                    unit=unit, hill=hill, inv_alpha=inv_alpha,
+                    anchors=anchors, count=count, unit=unit, hill=hill, inv_alpha=inv_alpha,
                     angular=np.power(unit, _per_row(1.0 / inv_alpha[..., None], count)))
 
     def pair(self, a: int, b: int) -> RankSample:
@@ -303,9 +298,8 @@ class RankSample(_Sample):
         # exceedance, in order; _scaled_means tests each of them exactly
         anchors = self.anchors
         bounds = _bounds(anchors / (1.0 + eps), lambda b: b / anchors * (1.0 + eps), 1.0)
-        _, rows, candidates = _tail_rows(index_columns(self.values, self.index_set), bounds,
-                                         np.divide, anchors)
-        rep = rows // self.n
+        rep, candidates = _tail_rows(index_columns(self.values, self.index_set), bounds,
+                                     np.divide, anchors)
         scale = (np.stack([_scaled_means(candidates, rep, 1.0 + bump, power, lead)
                            for bump in bumps], axis=-2)
                  - np.stack([_scaled_means(candidates, rep, 1.0 - bump, power, lead)

@@ -155,7 +155,7 @@ def _plain_exceedances(columns, level):
     flat = columns.reshape(-1, columns.shape[-1])
     rows = np.flatnonzero(mask)
     unit = flat[rows] / ell.reshape(-1)[rows, None]
-    return ell, mask, unit, rows // mask.shape[-1]
+    return ell, mask, unit
 
 
 @pytest.mark.parametrize("shape", [(40, 1), (40, 2), (40, 5), (3, 40, 1), (3, 40, 2),

@@ -187,7 +187,8 @@ def test_rank_angular_parts_shape_and_normalization():
     rng = np.random.default_rng(6)
     x = rng.pareto(1.0, size=(150, 3)) + 1.0
     sample = tm.RankSample(x, 15, tm.IndexSet([1, 3]))
-    assert sample.angular.shape == (int(sample.mask.sum()), 2)  # columns 1 and 3 only
+    above = (x[:, [0, 2]] > sample.anchors).any(axis=1)  # columns 1 and 3 only
+    assert sample.angular.shape == (int(above.sum()), 2)
     assert np.allclose(sample.angular.max(axis=1), 1.0)
     assert sample.inv_alpha > 0
 

@@ -162,7 +162,7 @@ def test_a_sample_with_another_power_is_rebuilt():
     x = _pareto(2)
     ranks = tm.RankSample(x, 30, I12)
     other = samples.tail_sample(tm.RankSample, ranks, 30, I12, 0.8)
-    for name in ("anchors", "ell", "unit"):  # the same ratios on the same exceeding rows
+    for name in ("anchors", "unit"):  # the same ratios on the same exceeding rows
         np.testing.assert_array_equal(getattr(other, name), getattr(ranks, name))
     assert other.inv_alpha == 0.8 and other.hill == ranks.hill
     assert samples.tail_sample(tm.RankSample, other, 30, I12).inv_alpha == ranks.hill
@@ -210,11 +210,12 @@ def test_a_block_sample_matches_a_plain_loop_over_its_replications(d):
     scale, power = block.derivatives(eps)
     moments = samples.second_moments(block)
     assert block.count[2] == 0 and np.isnan(block.hill[2]) and np.all(np.isnan(scale[2]))
+    rows = np.split(block.angular, np.cumsum(block.count)[:-1])  # each replication's, in order
     for r in (0, 1, 3, 4, 5):
         hill, angular, second, plain_scale, plain_power = _loop_rank_sample(x[r], k, eps)
         assert block.count[r] == len(angular)
         assert abs(block.hill[r] - hill) <= 1e-12
-        assert np.max(np.abs(block.angular[block.rep == r] - angular)) <= 1e-12
+        assert np.max(np.abs(rows[r] - angular)) <= 1e-12
         assert np.max(np.abs(moments[r] - second)) <= 1e-12
         assert np.max(np.abs(scale[r] - plain_scale)) <= 1e-12
         assert np.max(np.abs(power[r] - plain_power)) <= 1e-12
@@ -256,13 +257,32 @@ def test_moment_ratios_read_one_weight_vector_for_every_replication(reps):
         assert all(map(_same_bits, one, tiled))
 
 
+@pytest.mark.parametrize("layout", ["c_order", "component_major"])
+@pytest.mark.parametrize("m", [3, 4])
+def test_moment_ratios_sum_the_weighted_columns_in_index_order(layout, m):
+    x = np.stack([_pareto(seed, n=300, d=m) for seed in range(3)])
+    data = _component_major(x) if layout == "component_major" else np.ascontiguousarray(x)
+    index_set = tm.IndexSet(range(1, m + 1))
+    w = np.random.default_rng(m).dirichlet(np.ones(m), size=3)
+    for sample in (tm.KnownSample(data, 5.0, index_set), tm.RankSample(data, 30, index_set)):
+        terms = sample.angular * sample.per_row(w)
+        powered = terms[:, 0]
+        for j in range(1, m):  # ((a0 w0 + a1 w1) + a2 w2) + ...
+            powered = powered + terms[:, j]
+        for p in (1, 2):
+            mean = sample.means(powered ** p)
+            std = np.sqrt(np.maximum(sample.means(powered ** (2 * p)) - mean ** 2, 0.0)
+                          / sample.count)
+            assert all(map(_same_bits, moment_ratios(sample, w, p), (mean, std)))
+
+
 def test_pair_sub_samples_equal_fresh_pair_samples():
     x = _pareto(3, d=4)
     ranks = tm.RankSample(x, 50, tm.IndexSet([1, 2, 4]))
     pair = ranks.pair(1, 2)
     fresh = tm.RankSample(x, 50, tm.IndexSet([2, 4]))
     assert pair.index_set == fresh.index_set
-    for name in ("anchors", "ell", "unit"):
+    for name in ("anchors", "unit"):
         np.testing.assert_array_equal(getattr(pair, name), getattr(fresh, name))
     np.testing.assert_array_equal(pair.angular, fresh.angular)
     assert pair.hill == fresh.hill
@@ -324,8 +344,8 @@ def _layouts(model, n, seeds):
     return plain, simulated, copied
 
 
-RANK_FIELDS = ("anchors", "ell", "mask", "rep", "count", "unit", "hill", "inv_alpha", "angular")
-KNOWN_FIELDS = ("mask", "rep", "count", "angular")
+RANK_FIELDS = ("anchors", "count", "unit", "hill", "inv_alpha", "angular")
+KNOWN_FIELDS = ("count", "angular")
 
 
 @pytest.mark.parametrize("coeffs, members", [(None, (1, 2)), (D3_COEFFS, (1, 2, 3)),
@@ -388,7 +408,7 @@ def test_known_sample_on_a_subset_matches_the_full_width_formula(seed):
     for perturbation in (None, tm.Perturbation(scales, rng.uniform(0.8, 1.25), index_set)):
         sample = tm.KnownSample(x, u, index_set, perturbation)
         mask, wide = _d_wide_known_sample(x, u, index_set, perturbation)
-        assert np.array_equal(sample.mask, mask) and sample.count == mask.sum()
+        assert sample.count == mask.sum()
         assert sample.angular.shape == (sample.count, 3)
         assert np.all(np.delete(wide, idx, axis=1) == 0.0)
         assert np.max(np.abs(sample.angular - wide[:, idx])) <= 1e-12
@@ -445,8 +465,7 @@ def _plain_rank_fields(x, k, members, eps):
                       for bump in eps * np.eye(m)], axis=-2) / (2.0 * eps)
     powered = [samples._means(count, unit ** (power / (1.0 + sign * eps)).reshape(-1)[rep][:, None])
                for sign in (1.0, -1.0)]
-    return {"anchors": anchors, "ell": flat_ell[rows], "mask": mask,
-            "rep": rep, "unit": unit, "hill": hill,
+    return {"anchors": anchors, "count": count, "unit": unit, "hill": hill,
             "angular": unit ** power.reshape(-1)[rep][:, None],
             "derivatives": (scale, (powered[0] - powered[1]) / (2.0 * eps))}
 
@@ -463,7 +482,7 @@ def _plain_known_fields(x, u, members, perturbation):
     mask = ell > u
     rows = np.flatnonzero(mask)
     unit = columns.reshape(-1, m)[rows] / ell.reshape(-1)[rows, None]
-    return {"mask": mask, "rep": rows // n, "angular": unit ** (1.0 / beta)}
+    return {"count": samples._counts(rows // n, x.shape[:-2]), "angular": unit ** (1.0 / beta)}
 
 
 def _component_major(x):
@@ -500,7 +519,6 @@ def test_the_samples_match_the_full_array_step_bit_for_bit(layout, kind, members
     plain = _plain_rank_fields(x, k, members, eps)
     got = {name: getattr(rank, name) for name in plain if name != "derivatives"}
     assert [name for name in got if not _same_bits(got[name], plain[name])] == []
-    assert _same_bits(rank.count, samples._counts(plain["rep"], x.shape[:-2]))
     assert x.ndim == 2 or rank.count[1] == 0
     assert all(map(_same_bits, rank.derivatives(eps), plain["derivatives"]))
     u = float(np.quantile(x[..., np.asarray(members) - 1].max(axis=-1), 0.8))

@@ -106,6 +106,8 @@ with open("pid", "w") as handle:
     handle.write(str(os.getpid()))
 with open("caches", "a") as handle:
     handle.write(probe.__cached__ + "\\n")
+with open("filled", "a") as handle:  # whether the import wrote its bytecode to the cache
+    handle.write(str(os.path.exists(probe.__cached__)) + "\\n")
 print("manifest: {}")
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
                   "metrics": {"ops_per_s": {"value": 1.0, "unit": "1/s"}}}))
@@ -154,13 +156,14 @@ def test_ab_bench_counts_each_runs_minor_page_faults(tmp_path, capsys):
 def test_ab_bench_compiles_each_side_into_a_bytecode_cache_of_its_own(tmp_path, monkeypatch):
     ab = _load("ab_bench")
     sides = [_stub_checkout(tmp_path / side, leak=False) for side in ("base", "change")]
-    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")  # the runs write their caches anyway
     monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "shared"))
     assert ab.main([*map(str, sides), "--workload", "mc-pair", "--pairs", "2",
                     "--seconds", "1"]) == 0
     base, change = ((side / "caches").read_text().split() for side in sides)
     # two runs a side: one cache each, outside the checkouts, removed after the comparison
     assert len(set(base)) == len(set(change)) == 1 and base[0] != change[0]
+    assert all((side / "filled").read_text().split() == ["True", "True"] for side in sides)
     assert not any(path.startswith(str(tmp_path)) or os.path.exists(path)
                    for path in base + change)
     assert not list(tmp_path.rglob("*.pyc"))

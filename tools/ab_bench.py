@@ -20,12 +20,14 @@ cache of its own, made for the comparison and removed after it, so bytecode
 left in a checkout does not read as a start-up difference: each side
 compiles in its first run and reads its cache in every later one.  (A
 cache per run would make every run compile numpy too, about 0.7 s of
-start-up that no user pays.)  Each run leads its own session and writes to
-temporary files; a run that exits non-zero, or leaves a process of its
-group running (a worker that outlived it), stops the comparison, and a
-left-over group is killed.  It only starts the benchmark of each checkout;
-it changes no file under ``bench/``.  For example, against a second
-checkout of the parent commit:
+start-up that no user pays.)  The runs write bytecode even where
+``PYTHONDONTWRITEBYTECODE`` is set, which would leave each cache empty
+and make every run compile numpy and the package from source.  Each run
+leads its own session and writes to temporary files; a run that exits
+non-zero, or leaves a process of its group running (a worker that
+outlived it), stops the comparison, and a left-over group is killed.  It
+only starts the benchmark of each checkout; it changes no file under
+``bench/``.  For example, against a second checkout of the parent commit:
 
     git worktree add ../parent HEAD~1
     python3 tools/ab_bench.py ../parent . --workload mc-pair --pairs 10 --seconds 30
@@ -64,16 +66,18 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int,
 
     The run leads a new session, so its workers share its process group, and
     writes to temporary files, not pipes a surviving worker would hold open.
-    It reads and writes bytecode under ``cache`` alone (``PYTHONPYCACHEPREFIX``).
+    It reads and writes bytecode under ``cache`` alone (``PYTHONPYCACHEPREFIX``), whatever
+    ``PYTHONDONTWRITEBYTECODE`` says.
     The faults are the growth of ``RUSAGE_CHILDREN`` across the run: the
     run's own and those of the workers it reaped.
     """
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
         faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-        with subprocess.Popen(cmd, cwd=checkout, stdout=out, stderr=err,
-                              env={**os.environ, "PYTHONPYCACHEPREFIX": cache},
+        with subprocess.Popen(cmd, cwd=checkout, stdout=out, stderr=err, env=env,
                               start_new_session=True) as proc:
             code = proc.wait()
         faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
